@@ -35,7 +35,6 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
 from typing import Mapping
 
 from .state import BlochVector
@@ -51,15 +50,6 @@ ENSEMBLE_COLUMNS = [
 ]
 FIELD_COLUMNS = ["grid_sx", "grid_sy", "grid_sz", "dsx", "dsy", "dsz"]
 SWEEP_COLUMNS = ["delay"] + ENSEMBLE_COLUMNS
-
-
-@dataclass(frozen=True)
-class ExperimentPreset:
-    """Named bundle of settings; explicit flags override each entry."""
-
-    name: str
-    settings: Mapping[str, object]
-
 
 _BASE: dict[str, object] = {
     "preset": None,
@@ -78,41 +68,33 @@ _BASE: dict[str, object] = {
     "delays": (1, 2, 5, 10, 20, 50),
 }
 
-PRESETS: dict[str, ExperimentPreset] = {
-    "fig1-field": ExperimentPreset("fig1-field", {}),
-    "fig2-field": ExperimentPreset("fig2-field", {}),
-    "decay": ExperimentPreset(
-        "decay",
-        {
-            "mode": "exact",
-            "feedback": "off",
-            "initial": (1.0, 0.0, 0.0),
-            "steps": 1000,
-            "trajectories": 1000,
-            "record_stride": 10,
-        },
-    ),
-    "stabilize": ExperimentPreset(
-        "stabilize",
-        {
-            "mode": "exact",
-            "feedback": "on",
-            "theta_bar": math.pi / 2.0,
-            "steps": 1000,
-            "trajectories": 1000,
-            "record_stride": 10,
-        },
-    ),
-    "delay-sweep": ExperimentPreset(
-        "delay-sweep",
-        {
-            "mode": "exact",
-            "feedback": "on",
-            "theta_bar": math.pi / 2.0,
-            "steps": 500,
-            "trajectories": 500,
-        },
-    ),
+# Named bundles of settings; explicit flags override each entry.
+PRESETS: dict[str, dict[str, object]] = {
+    "fig1-field": {},
+    "fig2-field": {},
+    "decay": {
+        "mode": "exact",
+        "feedback": "off",
+        "initial": (1.0, 0.0, 0.0),
+        "steps": 1000,
+        "trajectories": 1000,
+        "record_stride": 10,
+    },
+    "stabilize": {
+        "mode": "exact",
+        "feedback": "on",
+        "theta_bar": math.pi / 2.0,
+        "steps": 1000,
+        "trajectories": 1000,
+        "record_stride": 10,
+    },
+    "delay-sweep": {
+        "mode": "exact",
+        "feedback": "on",
+        "theta_bar": math.pi / 2.0,
+        "steps": 500,
+        "trajectories": 500,
+    },
 }
 
 _OVERRIDE_KEYS = (
@@ -163,7 +145,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-points", dest="grid_points", type=int,
                    help="sphere grid size for the field presets")
     p.add_argument("--workers", type=int, default=1,
-                   help="worker processes (results are worker-invariant)")
+                   help="worker processes, capped at the available CPUs "
+                        "(results are worker-invariant)")
     p.add_argument("--out", default="-", help="output path, or - for stdout")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     return p
@@ -179,7 +162,7 @@ def resolve_settings(ns: argparse.Namespace) -> dict:
     settings = dict(_BASE)
     if ns.preset is not None:
         settings["preset"] = ns.preset
-        settings.update(PRESETS[ns.preset].settings)
+        settings.update(PRESETS[ns.preset])
     for key in _OVERRIDE_KEYS:
         v = getattr(ns, key)
         if v is not None:

@@ -4,7 +4,10 @@ A trajectory alternates measurement intervals with optional feedback.
 Each interval: the pending feedback field (if any) drives the atom, the
 interval's record dn is drawn, the state update conditioned on the record
 is applied, and the fluctuation part of the record is pushed into the
-delay queue as the shift a later interval will apply.  Two update modes:
+delay queue as the shift a later interval will apply.  One lockstep loop
+runs that cycle for every mode: the queue is a ring of ``delay`` slots
+per trajectory, and each mode supplies only its state and its
+one-interval step.  Two update modes:
 
 * EXACT: the renormalized amplitude update.  The record mean carries the
   atomic dipole signal (see homodyne.sample_outcome_conditioned) so that
@@ -17,8 +20,11 @@ delay queue as the shift a later interval will apply.  Two update modes:
   law, with the feedback law folded into the same interval as the record
   (the zero-delay idealization).  With the law enabled, the target state
   is a strict fixed point of this mode.  The emitted records still honor
-  the configured delay: the shift column is the head of the queue and
-  dn_total = dn_qf + shift holds exactly in every row.
+  the configured delay: the shift column is the slot of the queue due
+  that interval and dn_total = dn_qf + shift holds exactly in every row.
+
+:func:`step_trajectory` is a scalar reference for the same cycle, written
+independently of the lockstep loop so that each can check the other.
 
 Reproducibility
 ---------------
@@ -33,6 +39,7 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -50,6 +57,7 @@ from .homodyne import (
     HomodyneConfig,
     MeasurementOutcome,
     UpdateMode,
+    _kappa,
     _record_mean,
     _step_field,
     conditioned_update_exact,
@@ -66,7 +74,8 @@ from .feedback import (
 
 LONG_RUN_CEILING = 1.0
 
-_REC_NAMES = ("sx", "sy", "sz", "dn_total", "dn_qf", "shift")
+_BLOCH_NAMES = ("sx", "sy", "sz")
+_REC_NAMES = _BLOCH_NAMES + ("dn_total", "dn_qf", "shift")
 
 
 @dataclass(frozen=True)
@@ -256,105 +265,114 @@ def _canonical_phase(cE: np.ndarray, cG: np.ndarray) -> tuple[np.ndarray, np.nda
     return cE * rot, cG * rot
 
 
+def _exact_kernel(cfg: SimConfig, n: int):
+    # State: the amplitude pair (c_e, c_g), kept in canonical phase.
+    hom = cfg.homodyne
+    law = cfg.law
+    damp = 1.0 - 0.5 * hom.gamma_tau
+    psi0 = state_from_bloch(cfg.initial)
+
+    def step(state, shift, xi):
+        cE, cG = state
+        if law.enabled:
+            phi = _kappa(shift, hom)
+            hc = np.cos(0.5 * phi)
+            hs = np.sin(0.5 * phi)
+            cE, cG = hc * cE - hs * cG, hs * cE + hc * cG
+        prod = np.conj(cE) * cG
+        dn_qf = _record_mean(2.0 * prod.real, hom) + hom.alpha_mag * xi
+        kap = _kappa(dn_qf, hom)
+        cE, cG = cE * damp, cG + cE * kap
+        nrm = np.sqrt(cE.real**2 + cE.imag**2 + cG.real**2 + cG.imag**2)
+        return _canonical_phase(cE / nrm, cG / nrm), dn_qf
+
+    def bloch(state):
+        cE, cG = state
+        prod = np.conj(cE) * cG
+        return (2.0 * prod.real, 2.0 * prod.imag,
+                (cE.real**2 + cE.imag**2) - (cG.real**2 + cG.imag**2))
+
+    def final(state, i):
+        return PureState(complex(state[0][i]), complex(state[1][i]))
+
+    start = tuple(np.full(n, complex(c), dtype=np.complex128) for c in (psi0.c_e, psi0.c_g))
+    return start, step, bloch, final
+
+
+def _first_order_kernel(cfg: SimConfig, n: int):
+    # State: the Bloch components (s_x, s_y, s_z).  The feedback law enters
+    # through cz in the same interval as the record, so the pending shift
+    # never acts on the atom here.
+    hom = cfg.homodyne
+    cz = cfg.law.cos_theta_bar if cfg.law.enabled else -1.0
+
+    def step(state, shift, xi):
+        sx, sy, sz = state
+        dn_qf = hom.alpha_mag * xi
+        kap = _kappa(dn_qf, hom)
+        fx, fy, fz = _step_field(sx, sy, sz, cz)
+        sx = sx + kap * fx
+        sy = sy + kap * fy
+        sz = sz + kap * fz
+        nrm = np.sqrt(sx * sx + sy * sy + sz * sz)
+        return (sx / nrm, sy / nrm, sz / nrm), dn_qf
+
+    def final(state, i):
+        return state_from_bloch(BlochVector(*(float(c[i]) for c in state)))
+
+    s0 = cfg.initial
+    start = tuple(np.full(n, c, dtype=np.float64) for c in (s0.sx, s0.sy, s0.sz))
+    return start, step, (lambda state: state), final
+
+
 def _simulate(cfg: SimConfig, indices):
     """Advance the given trajectory indices in lockstep.
 
+    The update mode supplies only its state, its one-interval step and
+    its Bloch readout; the loop around them is shared.  Each step reads
+    the shift due now from slot ``k % delay`` of a (n, delay) ring,
+    records it, and only then overwrites that slot with the shift this
+    interval's record calls for, which falls due ``delay`` steps later.
+
     Returns (recorded_steps, rec, final) where rec maps each of
     ``_REC_NAMES`` to an array of shape (n_recorded, len(indices)) and
-    final holds the final amplitudes (EXACT) or Bloch components
-    (FIRST_ORDER).
+    ``final(i)`` is the final PureState of column i.
     """
     hom = cfg.homodyne
     law = cfg.law
-    alpha = hom.alpha_mag
-    sgt = hom.sqrt_gamma_tau
     n = len(indices)
+    kernel = _exact_kernel if hom.mode is UpdateMode.EXACT else _first_order_kernel
+    state, step, bloch, final = kernel(cfg, n)
     xi = _noise_matrix(cfg, indices)
     ks = _recorded_steps(cfg.steps, cfg.record_stride)
     row_of = {int(k): r for r, k in enumerate(ks)}
     rec = {name: np.zeros((len(ks), n), dtype=np.float64) for name in _REC_NAMES}
-    pending = np.zeros((n, cfg.delay), dtype=np.float64)
-
-    def record(r, sx, sy, sz, dn_total, dn_qf, shift):
-        rec["sx"][r] = sx
-        rec["sy"][r] = sy
-        rec["sz"][r] = sz
-        rec["dn_total"][r] = dn_total
-        rec["dn_qf"][r] = dn_qf
-        rec["shift"][r] = shift
-
-    if hom.mode is UpdateMode.EXACT:
-        psi0 = state_from_bloch(cfg.initial)
-        cE = np.full(n, complex(psi0.c_e), dtype=np.complex128)
-        cG = np.full(n, complex(psi0.c_g), dtype=np.complex128)
-        damp = 1.0 - 0.5 * hom.gamma_tau
-        # Step 0 is the initial condition itself; record it verbatim rather
-        # than the amplitude round trip, which can be off by an ulp.
-        record(0, cfg.initial.sx, cfg.initial.sy, cfg.initial.sz, 0.0, 0.0, 0.0)
-        for k in range(cfg.steps):
-            shift = pending[:, 0]
-            if law.enabled:
-                phi = sgt * (shift / alpha)
-                hc = np.cos(0.5 * phi)
-                hs = np.sin(0.5 * phi)
-                cE, cG = hc * cE - hs * cG, hs * cE + hc * cG
-            prod = np.conj(cE) * cG
-            dn_qf = _record_mean(2.0 * prod.real, hom) + alpha * xi[:, k]
-            dn_total = dn_qf + shift
-            kap = sgt * (dn_qf / alpha)
-            cE, cG = cE * damp, cG + cE * kap
-            nrm = np.sqrt(cE.real**2 + cE.imag**2 + cG.real**2 + cG.imag**2)
-            cE = cE / nrm
-            cG = cG / nrm
-            cE, cG = _canonical_phase(cE, cG)
-            if law.enabled:
-                new = (2.0 * alpha) * feedback_amplitude(dn_qf, law, hom)
-                pending = np.concatenate((pending[:, 1:], new[:, None]), axis=1)
-            r = row_of.get(k + 1)
-            if r is not None:
-                prod = np.conj(cE) * cG
-                record(r, 2.0 * prod.real, 2.0 * prod.imag,
-                       (cE.real**2 + cE.imag**2) - (cG.real**2 + cG.imag**2),
-                       dn_total, dn_qf, shift)
-        final = ("exact", cE, cG)
-    else:
-        sx = np.full(n, cfg.initial.sx, dtype=np.float64)
-        sy = np.full(n, cfg.initial.sy, dtype=np.float64)
-        sz = np.full(n, cfg.initial.sz, dtype=np.float64)
-        cz = law.cos_theta_bar if law.enabled else -1.0
-        record(0, sx, sy, sz, 0.0, 0.0, 0.0)
-        for k in range(cfg.steps):
-            shift = pending[:, 0]
-            dn_qf = alpha * xi[:, k]
-            dn_total = dn_qf + shift
-            kap = sgt * (dn_qf / alpha)
-            fx, fy, fz = _step_field(sx, sy, sz, cz)
-            sx = sx + kap * fx
-            sy = sy + kap * fy
-            sz = sz + kap * fz
-            nrm = np.sqrt(sx * sx + sy * sy + sz * sz)
-            sx = sx / nrm
-            sy = sy / nrm
-            sz = sz / nrm
-            if law.enabled:
-                new = (2.0 * alpha) * feedback_amplitude(dn_qf, law, hom)
-                pending = np.concatenate((pending[:, 1:], new[:, None]), axis=1)
-            r = row_of.get(k + 1)
-            if r is not None:
-                record(r, sx, sy, sz, dn_total, dn_qf, shift)
-        final = ("first", sx, sy, sz)
+    ring = np.zeros((n, cfg.delay), dtype=np.float64)
+    # Step 0 is the initial condition itself; record it verbatim rather
+    # than the amplitude round trip, which can be off by an ulp.
+    rec["sx"][0], rec["sy"][0], rec["sz"][0] = cfg.initial.sx, cfg.initial.sy, cfg.initial.sz
+    for k in range(cfg.steps):
+        shift = ring[:, k % cfg.delay]
+        state, dn_qf = step(state, shift, xi[:, k])
+        r = row_of.get(k + 1)
+        if r is not None:
+            sx, sy, sz = bloch(state)
+            for name, v in zip(_REC_NAMES, (sx, sy, sz, dn_qf + shift, dn_qf, shift)):
+                rec[name][r] = v
+        if law.enabled:
+            shift[:] = (2.0 * hom.alpha_mag) * feedback_amplitude(dn_qf, law, hom)
 
     for name in _REC_NAMES:
         if not np.all(np.isfinite(rec[name])):
             raise RuntimeError(f"trajectory kernel produced non-finite {name}")
-    return ks, rec, final
+    return ks, rec, lambda i: final(state, i)
 
 
 def _simulate_chunk(args):
-    # Worker entry point: statistics need only the recorded arrays.
+    # Worker entry point: statistics need only the Bloch records.
     cfg, indices = args
     _, rec, _ = _simulate(cfg, indices)
-    return rec
+    return {c: rec[c] for c in _BLOCH_NAMES}
 
 
 def step_trajectory(
@@ -406,12 +424,6 @@ def run_trajectory(cfg: SimConfig, trajectory_index: int = 0) -> TrajectoryRecor
     if trajectory_index < 0:
         raise ValueError(f"trajectory_index must be nonnegative, got {trajectory_index!r}")
     ks, rec, final = _simulate(cfg, [trajectory_index])
-    if final[0] == "exact":
-        final_state = PureState(complex(final[1][0]), complex(final[2][0]))
-    else:
-        final_state = state_from_bloch(
-            BlochVector(float(final[1][0]), float(final[2][0]), float(final[3][0]))
-        )
     bloch = np.column_stack((rec["sx"][:, 0], rec["sy"][:, 0], rec["sz"][:, 0]))
     return TrajectoryRecord(
         trajectory_index=trajectory_index,
@@ -421,7 +433,7 @@ def run_trajectory(cfg: SimConfig, trajectory_index: int = 0) -> TrajectoryRecor
         dn_total=rec["dn_total"][:, 0].copy(),
         dn_qf=rec["dn_qf"][:, 0].copy(),
         shift=rec["shift"][:, 0].copy(),
-        final_state=final_state,
+        final_state=final(0),
     )
 
 
@@ -448,14 +460,17 @@ def run_ensemble(cfg: SimConfig, workers: int = 1) -> EnsembleStats:
     cfg : SimConfig
         Needs ``trajectories >= 2`` for meaningful variances.
     workers : int
-        Process count.  Any value yields bitwise identical statistics:
-        trajectories own index-keyed streams, chunks are reassembled in
-        index order, and every reduction runs over the full arrays.
+        Process count, capped at the CPUs this process may run on.  Any
+        value yields bitwise identical statistics: trajectories own
+        index-keyed streams, chunks are reassembled in index order, and
+        every reduction runs over the full arrays.
     """
     if cfg.trajectories < 2:
         raise ValueError("ensemble statistics need at least 2 trajectories")
     if workers < 1:
         raise ValueError(f"workers must be a positive int, got {workers!r}")
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(workers, cpus or 1)
     idx = np.arange(cfg.trajectories)
     if workers == 1 or cfg.trajectories < 2 * workers:
         parts = [_simulate_chunk((cfg, idx))]
@@ -466,12 +481,9 @@ def run_ensemble(cfg: SimConfig, workers: int = 1) -> EnsembleStats:
         with ctx.Pool(processes=workers) as pool:
             parts = pool.map(_simulate_chunk, [(cfg, c) for c in chunks])
     ks = _recorded_steps(cfg.steps, cfg.record_stride)
-    stacked = {
-        name: np.concatenate([p[name] for p in parts], axis=1) for name in _REC_NAMES
-    }
-    comps = ("sx", "sy", "sz")
-    mean = np.column_stack([_row_mean(stacked[c]) for c in comps])
-    var = np.column_stack([_row_var(stacked[c]) for c in comps])
+    stacked = {c: np.concatenate([p[c] for p in parts], axis=1) for c in _BLOCH_NAMES}
+    mean = np.column_stack([_row_mean(stacked[c]) for c in _BLOCH_NAMES])
+    var = np.column_stack([_row_var(stacked[c]) for c in _BLOCH_NAMES])
     se = np.sqrt(var / cfg.trajectories)
     target = cfg.law.target if cfg.law.enabled else cfg.initial
     # 1 - |s - t|^2/4 equals the target overlap for unit vectors; the

@@ -13,6 +13,7 @@ Oracles:
 import json
 import math
 import pathlib
+import types
 
 import numpy as np
 import pytest
@@ -28,12 +29,14 @@ from monitored_atom import (
     UpdateMode,
     angle_variance,
     bloch_from_state,
+    feedback_amplitude,
     master_evolve,
     run_ensemble,
     run_trajectory,
     step_trajectory,
     trajectory_seed,
 )
+from monitored_atom import trajectory
 from monitored_atom.trajectory import _simulate
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -101,14 +104,21 @@ def test_stream_independence():
     assert np.max(np.abs(off)) < 0.05
 
 
-def _golden_cfg(mode):
+def _golden_cfg(mode, config):
+    # Law-off files start on (1, 0, 0); law-on files name theta_bar and
+    # delay in their config and start on the target.
+    if config["feedback"] == "on":
+        law = FeedbackLaw(theta_bar=config["theta_bar"])
+    else:
+        law = FeedbackLaw(enabled=False)
     return SimConfig(
         homodyne=HomodyneConfig(alpha_mag=100.0, gamma_tau=1e-4, mode=mode),
-        law=FeedbackLaw(enabled=False),
-        initial=BlochVector(1.0, 0.0, 0.0),
+        law=law,
+        initial=BlochVector(*config["initial"]),
         steps=100,
         trajectories=1,
         master_seed=20260822,
+        delay=config.get("delay", 1),
         record_stride=1,
     )
 
@@ -118,12 +128,16 @@ def _golden_cfg(mode):
     [
         (UpdateMode.EXACT, "golden_exact.json"),
         (UpdateMode.FIRST_ORDER, "golden_first_order.json"),
+        (UpdateMode.EXACT, "golden_exact_feedback.json"),
+        (UpdateMode.FIRST_ORDER, "golden_first_order_feedback.json"),
     ],
 )
 def test_golden_trajectory_bitwise(mode, fname):
-    """The noise-to-record mapping is pinned bit for bit."""
+    """The noise-to-record mapping is pinned bit for bit, with the feedback
+    law off and, at theta_bar = pi/3 and delay 2, on."""
     blob = json.loads((DATA / fname).read_text())
-    rec = run_trajectory(_golden_cfg(mode), 0)
+    assert blob["config"]["mode"] == mode.value
+    rec = run_trajectory(_golden_cfg(mode, blob["config"]), 0)
     assert [int(k) for k in rec.steps] == blob["steps"]
     assert np.array_equal(rec.bloch, np.array(blob["bloch"]))
     assert np.array_equal(rec.dn_qf, np.array(blob["dn_qf"]))
@@ -170,19 +184,64 @@ def test_worker_count_does_not_change_results(hom, law):
         assert np.array_equal(x, y)
 
 
-def test_single_trajectory_matches_its_ensemble_column():
+@pytest.mark.parametrize("affinity", [True, False], ids=["affinity", "cpu-count"])
+def test_worker_count_is_capped_at_available_cpus(monkeypatch, affinity):
+    """An oversized worker request starts at most one process per usable
+    CPU; checked with a stub pool, so no process is started."""
+    if affinity:
+        monkeypatch.setattr(trajectory.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    else:
+        monkeypatch.delattr(trajectory.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(trajectory.os, "cpu_count", lambda: 3)
+    sizes = []
+
+    class SerialPool:
+        # Stands in for a process pool: records its size, maps in-process.
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(item) for item in items]
+
+    stub = types.SimpleNamespace(Pool=SerialPool)
+    monkeypatch.setattr(trajectory.multiprocessing, "get_context", lambda method=None: stub)
+    law = FeedbackLaw(theta_bar=math.pi / 3.0)
+    cfg = SimConfig(
+        homodyne=EXACT_CFG, law=law, initial=law.target,
+        steps=30, trajectories=31, master_seed=5, delay=2, record_stride=10,
+    )
+    serial = run_ensemble(cfg, workers=1)
+    capped = run_ensemble(cfg, workers=5000)
+    assert sizes == [3]  # 31 trajectories split 11 + 10 + 10
+    for x, y in zip(_stats_fields(serial), _stats_fields(capped)):
+        assert np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("hom,law,delay", [
+    pytest.param(EXACT_CFG, FeedbackLaw(enabled=False), 1, id="exact-off"),
+    pytest.param(EXACT_CFG, FeedbackLaw(theta_bar=math.pi / 3.0), 3, id="exact-on"),
+    pytest.param(FO_CFG, FeedbackLaw(theta_bar=math.pi / 3.0), 3, id="first-order-on"),
+])
+def test_single_trajectory_matches_its_ensemble_column(hom, law, delay):
     """Membership in a larger batch must not change a trajectory."""
     cfg = SimConfig(
-        homodyne=EXACT_CFG, law=FeedbackLaw(enabled=False),
-        initial=BlochVector(1.0, 0.0, 0.0),
-        steps=40, trajectories=7, master_seed=2718, record_stride=5,
+        homodyne=hom, law=law, initial=BlochVector(1.0, 0.0, 0.0),
+        steps=40, trajectories=7, master_seed=2718, delay=delay, record_stride=5,
     )
     _, rec, _ = _simulate(cfg, np.arange(cfg.trajectories))
     for i in (0, 3, 6):
         single = run_trajectory(cfg, i)
-        assert np.array_equal(single.bloch[:, 0], rec["sx"][:, i])
-        assert np.array_equal(single.bloch[:, 2], rec["sz"][:, i])
+        for c, name in enumerate(("sx", "sy", "sz")):
+            assert np.array_equal(single.bloch[:, c], rec[name][:, i])
         assert np.array_equal(single.dn_qf, rec["dn_qf"][:, i])
+        assert np.array_equal(single.shift, rec["shift"][:, i])
+        assert np.array_equal(single.dn_total, rec["dn_total"][:, i])
 
 
 @pytest.mark.parametrize("mode", [UpdateMode.EXACT, UpdateMode.FIRST_ORDER])
@@ -253,21 +312,26 @@ def test_zero_steps_records_only_the_initial_state():
     assert np.allclose([s.sx, s.sy, s.sz], [0.0, 1.0, 0.0], atol=1e-12)
 
 
-def test_delay_queue_shifts_arrive_late():
-    """With delay d and theta_bar = pi/2 the shift applied at step k is
-    exactly minus the fluctuation recorded at step k - d."""
-    delay = 3
-    law = FeedbackLaw(theta_bar=math.pi / 2.0)
+@pytest.mark.parametrize("delay", [1, 3, 15])
+@pytest.mark.parametrize("hom", [EXACT_CFG, FO_CFG], ids=["exact", "first-order"])
+def test_delay_queue_shifts_arrive_late(hom, delay):
+    """With delay d the shift applied at step k is exactly the feedback
+    field called for by the fluctuation recorded at step k - d; a delay
+    longer than the run (15 > 12 steps) never delivers one."""
+    steps = 12
+    law = FeedbackLaw(theta_bar=math.pi / 3.0)
     cfg = SimConfig(
-        homodyne=EXACT_CFG, law=law, initial=law.target,
-        steps=12, trajectories=1, master_seed=77, delay=delay, record_stride=1,
+        homodyne=hom, law=law, initial=law.target,
+        steps=steps, trajectories=1, master_seed=77, delay=delay, record_stride=1,
     )
     rec = run_trajectory(cfg, 0)
     # rows are steps 0..12; shifts are zero until the queue fills
-    for k in range(1, delay + 1):
+    for k in range(1, min(delay, steps) + 1):
         assert rec.shift[k] == 0.0
-    for k in range(delay + 1, 13):
-        assert rec.shift[k] == -rec.dn_qf[k - delay]
+    for k in range(delay + 1, steps + 1):
+        want = (2.0 * hom.alpha_mag) * feedback_amplitude(rec.dn_qf[k - delay], law, hom)
+        assert want != 0.0
+        assert rec.shift[k] == want
 
 
 def test_ensemble_matches_unconditional_decay():
