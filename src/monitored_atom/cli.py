@@ -171,8 +171,11 @@ def resolve_settings(ns: argparse.Namespace) -> dict:
 
 
 def _build_sim_config(settings: Mapping[str, object], delay=None) -> SimConfig:
+    alpha2 = float(settings["alpha2"])
+    if not alpha2 > 0.0:
+        raise ValueError(f"alpha2 must be positive, got {alpha2!r}")
     hom = HomodyneConfig(
-        alpha_mag=math.sqrt(float(settings["alpha2"])),
+        alpha_mag=math.sqrt(alpha2),
         gamma_tau=float(settings["gamma_tau"]),
         mode=UpdateMode(settings["mode"]),
     )

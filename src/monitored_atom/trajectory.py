@@ -15,7 +15,10 @@ one-interval step.  Two update modes:
   shift acts as a coherent drive (a rotation about s_y by
   sqrt(gamma*tau)*shift/alpha) and the conditioned update sees only
   dn_qf = dn_total - shift, since the known classical offset carries no
-  information about the atom.
+  information about the atom.  Every map of this cycle is real, so a
+  start in the s_y = 0 plane runs on float64 amplitudes and any other
+  start on complex128; the output bits are those the complex128 run of
+  the same start would give.
 * FIRST_ORDER: the tangent diffusion step driven by the centered outcome
   law, with the feedback law folded into the same interval as the record
   (the zero-delay idealization).  With the law enabled, the target state
@@ -75,7 +78,7 @@ from .feedback import (
 LONG_RUN_CEILING = 1.0
 
 _BLOCH_NAMES = ("sx", "sy", "sz")
-_REC_NAMES = _BLOCH_NAMES + ("dn_total", "dn_qf", "shift")
+_REC_NAMES = _BLOCH_NAMES + ("dn_qf", "shift")
 
 
 @dataclass(frozen=True)
@@ -134,7 +137,7 @@ class SimConfig:
     trajectories : int
         Ensemble size.
     master_seed : int
-        Root of all per-trajectory noise streams.
+        Root of all per-trajectory noise streams, nonnegative.
     delay : int
         Feedback latency in intervals, at least 1.
     record_stride : int
@@ -159,6 +162,8 @@ class SimConfig:
             raise ValueError(f"steps must be a nonnegative int, got {self.steps!r}")
         if not isinstance(self.trajectories, int) or self.trajectories < 1:
             raise ValueError(f"trajectories must be a positive int, got {self.trajectories!r}")
+        if not isinstance(self.master_seed, int) or self.master_seed < 0:
+            raise ValueError(f"master_seed must be a nonnegative int, got {self.master_seed!r}")
         if not isinstance(self.delay, int) or self.delay < 1:
             raise ValueError(f"delay must be an int >= 1, got {self.delay!r}")
         if not isinstance(self.record_stride, int) or self.record_stride < 1:
@@ -253,49 +258,66 @@ def _recorded_steps(steps: int, stride: int) -> np.ndarray:
     return np.asarray(ks, dtype=np.int64)
 
 
+def _abs2(*zs: np.ndarray) -> np.ndarray:
+    # |z_1|^2 + |z_2|^2 + ..., summed part by part from the left.  A real
+    # array is its only part (its .imag would allocate zeros), so real
+    # amplitudes give the bits of their complex128 copies, whose zero
+    # imaginary parts add exact zeros in between.
+    parts = [p for z in zs for p in ((z.real, z.imag) if np.iscomplexobj(z) else (z,))]
+    total = parts[0] * parts[0]
+    for p in parts[1:]:
+        total = total + p * p
+    return total
+
+
 def _canonical_phase(cE: np.ndarray, cG: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Rotate the global phase so c_e is real >= 0 (c_g real >= 0 when
-    # c_e = 0), matching the PureState convention elementwise.
-    m = np.sqrt(cE.real * cE.real + cE.imag * cE.imag)
-    mg = np.sqrt(cG.real * cG.real + cG.imag * cG.imag)
-    pos = m > 0.0
-    num = np.where(pos, np.conj(cE), np.conj(cG))
-    den = np.where(pos, m, np.where(mg > 0.0, mg, 1.0))
-    rot = num / den
+    # c_e = 0), matching the PureState convention elementwise.  The
+    # squared modulus, not abs(), picks the amplitude, so one whose square
+    # underflows counts as zero on both dtypes.
+    num = np.where(_abs2(cE) > 0.0, cE, cG)
+    rot = num.conj() * (1.0 / np.sqrt(_abs2(num)))
     return cE * rot, cG * rot
 
 
 def _exact_kernel(cfg: SimConfig, n: int):
-    # State: the amplitude pair (c_e, c_g), kept in canonical phase.
+    # State: the amplitude pair (c_e, c_g), kept in canonical phase, on
+    # float64 when the start's amplitudes are real and on complex128
+    # otherwise.  Each operation rounds alike on both dtypes: numpy divides
+    # a complex by a real as a product with the reciprocal, so real
+    # divisors are applied that way here too.
     hom = cfg.homodyne
     law = cfg.law
     damp = 1.0 - 0.5 * hom.gamma_tau
     psi0 = state_from_bloch(cfg.initial)
+    amps = (psi0.c_e, psi0.c_g)
+    if not any(c.imag for c in amps):
+        amps = tuple(c.real for c in amps)
 
     def step(state, shift, xi):
         cE, cG = state
         if law.enabled:
-            phi = _kappa(shift, hom)
-            hc = np.cos(0.5 * phi)
-            hs = np.sin(0.5 * phi)
+            half = 0.5 * _kappa(shift, hom)
+            hc = np.cos(half)
+            hs = np.sin(half)
             cE, cG = hc * cE - hs * cG, hs * cE + hc * cG
-        prod = np.conj(cE) * cG
+        prod = cE.conj() * cG
         dn_qf = _record_mean(2.0 * prod.real, hom) + hom.alpha_mag * xi
         kap = _kappa(dn_qf, hom)
         cE, cG = cE * damp, cG + cE * kap
-        nrm = np.sqrt(cE.real**2 + cE.imag**2 + cG.real**2 + cG.imag**2)
-        return _canonical_phase(cE / nrm, cG / nrm), dn_qf
+        inv = 1.0 / np.sqrt(_abs2(cE, cG))
+        return _canonical_phase(cE * inv, cG * inv), dn_qf
 
     def bloch(state):
         cE, cG = state
-        prod = np.conj(cE) * cG
-        return (2.0 * prod.real, 2.0 * prod.imag,
-                (cE.real**2 + cE.imag**2) - (cG.real**2 + cG.imag**2))
+        prod = cE.conj() * cG
+        sy = 2.0 * prod.imag if np.iscomplexobj(prod) else np.zeros(n)
+        return 2.0 * prod.real, sy, _abs2(cE) - _abs2(cG)
 
     def final(state, i):
         return PureState(complex(state[0][i]), complex(state[1][i]))
 
-    start = tuple(np.full(n, complex(c), dtype=np.complex128) for c in (psi0.c_e, psi0.c_g))
+    start = tuple(np.full(n, c) for c in amps)
     return start, step, bloch, final
 
 
@@ -325,7 +347,7 @@ def _first_order_kernel(cfg: SimConfig, n: int):
     return start, step, (lambda state: state), final
 
 
-def _simulate(cfg: SimConfig, indices):
+def _simulate(cfg: SimConfig, indices, names=_REC_NAMES):
     """Advance the given trajectory indices in lockstep.
 
     The update mode supplies only its state, its one-interval step and
@@ -334,9 +356,10 @@ def _simulate(cfg: SimConfig, indices):
     records it, and only then overwrites that slot with the shift this
     interval's record calls for, which falls due ``delay`` steps later.
 
-    Returns (recorded_steps, rec, final) where rec maps each of
-    ``_REC_NAMES`` to an array of shape (n_recorded, len(indices)) and
-    ``final(i)`` is the final PureState of column i.
+    ``names`` is a leading part of ``_REC_NAMES``: the records to keep.
+    Returns (recorded_steps, rec, final) where rec maps each of ``names``
+    to an array of shape (n_recorded, len(indices)) and ``final(i)`` is
+    the final PureState of column i.
     """
     hom = cfg.homodyne
     law = cfg.law
@@ -346,7 +369,7 @@ def _simulate(cfg: SimConfig, indices):
     xi = _noise_matrix(cfg, indices)
     ks = _recorded_steps(cfg.steps, cfg.record_stride)
     row_of = {int(k): r for r, k in enumerate(ks)}
-    rec = {name: np.zeros((len(ks), n), dtype=np.float64) for name in _REC_NAMES}
+    rec = {name: np.zeros((len(ks), n), dtype=np.float64) for name in names}
     ring = np.zeros((n, cfg.delay), dtype=np.float64)
     # Step 0 is the initial condition itself; record it verbatim rather
     # than the amplitude round trip, which can be off by an ulp.
@@ -356,13 +379,12 @@ def _simulate(cfg: SimConfig, indices):
         state, dn_qf = step(state, shift, xi[:, k])
         r = row_of.get(k + 1)
         if r is not None:
-            sx, sy, sz = bloch(state)
-            for name, v in zip(_REC_NAMES, (sx, sy, sz, dn_qf + shift, dn_qf, shift)):
+            for name, v in zip(names, bloch(state) + (dn_qf, shift)):
                 rec[name][r] = v
         if law.enabled:
             shift[:] = (2.0 * hom.alpha_mag) * feedback_amplitude(dn_qf, law, hom)
 
-    for name in _REC_NAMES:
+    for name in names:
         if not np.all(np.isfinite(rec[name])):
             raise RuntimeError(f"trajectory kernel produced non-finite {name}")
     return ks, rec, lambda i: final(state, i)
@@ -371,8 +393,7 @@ def _simulate(cfg: SimConfig, indices):
 def _simulate_chunk(args):
     # Worker entry point: statistics need only the Bloch records.
     cfg, indices = args
-    _, rec, _ = _simulate(cfg, indices)
-    return {c: rec[c] for c in _BLOCH_NAMES}
+    return _simulate(cfg, indices, _BLOCH_NAMES)[1]
 
 
 def step_trajectory(
@@ -430,7 +451,7 @@ def run_trajectory(cfg: SimConfig, trajectory_index: int = 0) -> TrajectoryRecor
         steps=ks,
         gamma_t=ks * cfg.homodyne.gamma_tau,
         bloch=bloch,
-        dn_total=rec["dn_total"][:, 0].copy(),
+        dn_total=rec["dn_qf"][:, 0] + rec["shift"][:, 0],
         dn_qf=rec["dn_qf"][:, 0].copy(),
         shift=rec["shift"][:, 0].copy(),
         final_state=final(0),

@@ -58,6 +58,21 @@ def test_alpha2_floor_rejected():
     assert "floor" in out.stderr
 
 
+@pytest.mark.parametrize("flag,value,workers", [
+    ("--alpha2", "-4", "1"),
+    ("--alpha2", "0", "1"),
+    ("--seed", "-1", "1"),
+    ("--seed", "-1", "2"),
+])
+def test_bad_setting_is_named(flag, value, workers):
+    """Invalid values are rejected before any run starts, with a message
+    that names the setting rather than a low-level math or seeding error."""
+    out = run_cli("--preset", "decay", "--trajectories", "4", "--steps", "2",
+                  "--workers", workers, f"{flag}={value}")
+    assert out.returncode == 2
+    assert flag.lstrip("-") in out.stderr
+
+
 def test_non_unit_initial_rejected():
     out = run_cli("--preset", "decay", "--initial", "0,0,2")
     assert out.returncode == 2

@@ -105,8 +105,8 @@ def test_stream_independence():
 
 
 def _golden_cfg(mode, config):
-    # Law-off files start on (1, 0, 0); law-on files name theta_bar and
-    # delay in their config and start on the target.
+    # Every file names its start; law-on files also name theta_bar and
+    # delay.  All but the out-of-plane file start with real amplitudes.
     if config["feedback"] == "on":
         law = FeedbackLaw(theta_bar=config["theta_bar"])
     else:
@@ -130,11 +130,13 @@ def _golden_cfg(mode, config):
         (UpdateMode.FIRST_ORDER, "golden_first_order.json"),
         (UpdateMode.EXACT, "golden_exact_feedback.json"),
         (UpdateMode.FIRST_ORDER, "golden_first_order_feedback.json"),
+        (UpdateMode.EXACT, "golden_exact_out_of_plane.json"),
     ],
 )
 def test_golden_trajectory_bitwise(mode, fname):
     """The noise-to-record mapping is pinned bit for bit, with the feedback
-    law off and, at theta_bar = pi/3 and delay 2, on."""
+    law off and, at theta_bar = pi/3 and delay 2, on; the out-of-plane
+    start (theta_bar = 1.2) pins the complex-amplitude path."""
     blob = json.loads((DATA / fname).read_text())
     assert blob["config"]["mode"] == mode.value
     rec = run_trajectory(_golden_cfg(mode, blob["config"]), 0)
@@ -235,13 +237,53 @@ def test_single_trajectory_matches_its_ensemble_column(hom, law, delay):
         steps=40, trajectories=7, master_seed=2718, delay=delay, record_stride=5,
     )
     _, rec, _ = _simulate(cfg, np.arange(cfg.trajectories))
+    chunk = trajectory._simulate_chunk((cfg, np.arange(cfg.trajectories)))
+    # Ensemble chunks carry exactly the Bloch records, as the full run has them.
+    assert sorted(chunk) == ["sx", "sy", "sz"]
+    for name in chunk:
+        assert np.array_equal(chunk[name], rec[name])
     for i in (0, 3, 6):
         single = run_trajectory(cfg, i)
         for c, name in enumerate(("sx", "sy", "sz")):
             assert np.array_equal(single.bloch[:, c], rec[name][:, i])
         assert np.array_equal(single.dn_qf, rec["dn_qf"][:, i])
         assert np.array_equal(single.shift, rec["shift"][:, i])
-        assert np.array_equal(single.dn_total, rec["dn_total"][:, i])
+        assert np.array_equal(single.dn_total, rec["dn_qf"][:, i] + rec["shift"][:, i])
+
+
+@pytest.mark.parametrize("law,initial", [
+    pytest.param(FeedbackLaw(theta_bar=math.pi / 3.0), FeedbackLaw(theta_bar=math.pi / 3.0).target,
+                 id="target"),
+    pytest.param(FeedbackLaw(enabled=False), BlochVector(1.0, 0.0, 0.0), id="equator-law-off"),
+    pytest.param(FeedbackLaw(theta_bar=math.pi / 3.0), BlochVector(-0.6, 0.0, 0.8), id="negative-sx"),
+    pytest.param(FeedbackLaw(enabled=False), BlochVector(0.0, 0.0, -1.0), id="ground"),
+    pytest.param(FeedbackLaw(theta_bar=2.5), BlochVector(0.0, 0.0, 1.0), id="excited"),
+])
+def test_real_amplitudes_match_their_complex_copies(law, initial):
+    """In-plane starts run the exact step on float64 amplitudes.  The same
+    start cast to complex128 must give the same bits with zero imaginary
+    parts, so the dtype never shows in the output."""
+    cfg = SimConfig(homodyne=EXACT_CFG, law=law, initial=initial, steps=200, trajectories=6)
+    n = cfg.trajectories
+    real, step, bloch, _ = trajectory._exact_kernel(cfg, n)
+    assert [c.dtype for c in real] == [np.float64, np.float64]
+    oop = SimConfig(homodyne=EXACT_CFG, law=law, initial=BlochVector(0.36, 0.48, 0.8))
+    assert [c.dtype for c in trajectory._exact_kernel(oop, n)[0]] == [np.complex128] * 2
+    cplx = tuple(c.astype(np.complex128) for c in real)
+    rng = np.random.default_rng(77)
+    xi = rng.standard_normal((cfg.steps, n))
+    # Shifts on the scale of fed-back records, 2*alpha*feedback_amplitude.
+    shifts = 200.0 * rng.standard_normal((cfg.steps, n))
+    for k in range(cfg.steps):
+        real, dn_real = step(real, shifts[k], xi[k])
+        cplx, dn_cplx = step(cplx, shifts[k], xi[k])
+        assert np.array_equal(dn_real, dn_cplx)
+        for r, c in zip(real, cplx):
+            assert r.dtype == np.float64
+            assert np.array_equal(c.real, r)
+            assert np.all(c.imag == 0.0)
+        for r, c in zip(bloch(real), bloch(cplx)):
+            assert np.array_equal(r, c)
 
 
 @pytest.mark.parametrize("mode", [UpdateMode.EXACT, UpdateMode.FIRST_ORDER])
@@ -439,6 +481,10 @@ def test_sim_config_validation():
         SimConfig(**{**good, "steps": -1})
     with pytest.raises(ValueError, match="trajectories"):
         SimConfig(**{**good, "trajectories": 0})
+    with pytest.raises(ValueError, match="master_seed"):
+        SimConfig(**{**good, "master_seed": -1})
+    with pytest.raises(ValueError, match="master_seed"):
+        SimConfig(**{**good, "master_seed": 1.5})
     with pytest.raises(ValueError, match="delay"):
         SimConfig(**{**good, "delay": 0})
     with pytest.raises(ValueError, match="record_stride"):
