@@ -14,7 +14,7 @@ stabilize
     Feedback-on exact-mode ensemble started on the target state.
 delay-sweep
     The stabilize experiment repeated over feedback delays, emitting the
-    final recorded row per delay.
+    final recorded row per delay; an explicit ``--delay`` is an error.
 
 Explicit flags override preset values, which override the built-in
 defaults.  Output is CSV (with one leading ``# config=...`` comment line
@@ -159,6 +159,11 @@ def parse_args(argv=None) -> argparse.Namespace:
 
 def resolve_settings(ns: argparse.Namespace) -> dict:
     """Layer defaults, preset values, and explicit flags, in that order."""
+    if ns.preset == "delay-sweep" and ns.delay is not None:
+        raise ValueError(
+            "--delay cannot be combined with --preset delay-sweep, which runs "
+            "its own delays"
+        )
     settings = dict(_BASE)
     if ns.preset is not None:
         settings["preset"] = ns.preset
@@ -225,19 +230,16 @@ def _config_block(settings: Mapping[str, object], cfg: SimConfig | None) -> dict
 
 
 def _stats_rows(stats: EnsembleStats, prefix: tuple = ()) -> list[list]:
-    rows = []
-    for r in range(stats.steps.size):
-        ang = None if stats.angle_var is None else float(stats.angle_var[r])
-        rows.append(
-            list(prefix)
-            + [
-                int(stats.steps[r]), float(stats.gamma_t[r]),
-                float(stats.mean[r, 0]), float(stats.mean[r, 1]), float(stats.mean[r, 2]),
-                float(stats.se[r, 0]), float(stats.se[r, 1]), float(stats.se[r, 2]),
-                ang, float(stats.fidelity[r]), float(stats.purity[r]),
-            ]
-        )
-    return rows
+    # Column-wise: tolist() gives the same Python ints and floats as
+    # int()/float() per cell, in one call per column.
+    n = stats.steps.size
+    columns = [
+        stats.steps.tolist(), stats.gamma_t.tolist(),
+        *stats.mean.T.tolist(), *stats.se.T.tolist(),
+        [None] * n if stats.angle_var is None else stats.angle_var.tolist(),
+        stats.fidelity.tolist(), stats.purity.tolist(),
+    ]
+    return [[*prefix, *row] for row in zip(*columns)]
 
 
 def _sphere_grid(n: int) -> list[tuple[float, float, float]]:
@@ -317,9 +319,17 @@ def _render_csv(columns, rows, config) -> str:
 
 
 def _render_json(columns, rows, config) -> str:
-    return json.dumps(
-        {"config": config, "columns": columns, "rows": rows}, indent=2
-    ) + "\n"
+    # The bytes of json.dumps({...}, indent=2) + "\n".  indent switches
+    # the C encoder off, so it is kept for the small config and columns
+    # only; the rows take one C-encoder pass that puts each cell on its own
+    # indented line, then the row boundaries are rewritten.  Cells are
+    # numbers or null, so "],\n      [" can only be a boundary.
+    head = json.dumps({"config": config, "columns": columns}, indent=2)
+    body = json.dumps(rows, separators=(",\n      ", ": "))
+    if rows:
+        body = body[2:-2].replace("],\n      [", "\n    ],\n    [\n      ")
+        body = "[\n    [\n      " + body + "\n    ]\n  ]"
+    return head[:-2] + ',\n  "rows": ' + body + "\n}\n"
 
 
 def emit_results(columns, rows, config, out: str = "-", fmt: str = "csv") -> None:
@@ -346,6 +356,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
+        if ns.workers < 1:
+            raise ValueError(f"--workers must be at least 1, got {ns.workers!r}")
         settings = resolve_settings(ns)
         columns, rows, config = execute(settings, ns.workers)
     except ValueError as exc:

@@ -247,7 +247,7 @@ def _noise_matrix(cfg: SimConfig, indices) -> np.ndarray:
     out = np.empty((len(indices), cfg.steps), dtype=np.float64)
     for row, idx in enumerate(indices):
         gen = np.random.default_rng(trajectory_seed(cfg.master_seed, idx))
-        out[row] = gen.standard_normal(cfg.steps)
+        gen.standard_normal(out=out[row])
     return out
 
 
@@ -259,11 +259,10 @@ def _recorded_steps(steps: int, stride: int) -> np.ndarray:
 
 
 def _abs2(*zs: np.ndarray) -> np.ndarray:
-    # |z_1|^2 + |z_2|^2 + ..., summed part by part from the left.  A real
-    # array is its only part (its .imag would allocate zeros), so real
-    # amplitudes give the bits of their complex128 copies, whose zero
-    # imaginary parts add exact zeros in between.
-    parts = [p for z in zs for p in ((z.real, z.imag) if np.iscomplexobj(z) else (z,))]
+    # |z_1|^2 + |z_2|^2 + ... of complex arrays, summed part by part from
+    # the left.  Zero imaginary parts add exact zeros in between, so this
+    # gives the bits of the float64 step's x*x + y*y on a real copy.
+    parts = [p for z in zs for p in (z.real, z.imag)]
     total = parts[0] * parts[0]
     for p in parts[1:]:
         total = total + p * p
@@ -274,7 +273,7 @@ def _canonical_phase(cE: np.ndarray, cG: np.ndarray) -> tuple[np.ndarray, np.nda
     # Rotate the global phase so c_e is real >= 0 (c_g real >= 0 when
     # c_e = 0), matching the PureState convention elementwise.  The
     # squared modulus, not abs(), picks the amplitude, so one whose square
-    # underflows counts as zero on both dtypes.
+    # underflows counts as zero, as in the float64 step.
     num = np.where(_abs2(cE) > 0.0, cE, cG)
     rot = num.conj() * (1.0 / np.sqrt(_abs2(num)))
     return cE * rot, cG * rot
@@ -285,10 +284,16 @@ def _exact_kernel(cfg: SimConfig, n: int):
     # float64 when the start's amplitudes are real and on complex128
     # otherwise.  Each operation rounds alike on both dtypes: numpy divides
     # a complex by a real as a product with the reciprocal, so real
-    # divisors are applied that way here too.
+    # divisors are applied that way here too.  The step and the readout
+    # branch once on the dtype of the arrays they are handed; the float64
+    # branch spells out what conj, _abs2 and _canonical_phase reduce to on
+    # real input, without their copies and per-call dispatch.
     hom = cfg.homodyne
     law = cfg.law
     damp = 1.0 - 0.5 * hom.gamma_tau
+    sqrt_gt = hom.sqrt_gamma_tau
+    alpha = hom.alpha_mag
+    zeros = np.zeros(n)
     psi0 = state_from_bloch(cfg.initial)
     amps = (psi0.c_e, psi0.c_g)
     if not any(c.imag for c in amps):
@@ -296,23 +301,33 @@ def _exact_kernel(cfg: SimConfig, n: int):
 
     def step(state, shift, xi):
         cE, cG = state
+        real = cE.dtype.kind == "f"
         if law.enabled:
-            half = 0.5 * _kappa(shift, hom)
+            # _kappa's pinned order: sqrt(gamma tau) * (dn / alpha).
+            half = 0.5 * (sqrt_gt * (shift / alpha))
             hc = np.cos(half)
             hs = np.sin(half)
             cE, cG = hc * cE - hs * cG, hs * cE + hc * cG
-        prod = cE.conj() * cG
-        dn_qf = _record_mean(2.0 * prod.real, hom) + hom.alpha_mag * xi
-        kap = _kappa(dn_qf, hom)
+        sx = 2.0 * (cE * cG) if real else 2.0 * (cE.conj() * cG).real
+        dn_qf = _record_mean(sx, hom) + alpha * xi
+        kap = sqrt_gt * (dn_qf / alpha)
         cE, cG = cE * damp, cG + cE * kap
-        inv = 1.0 / np.sqrt(_abs2(cE, cG))
-        return _canonical_phase(cE * inv, cG * inv), dn_qf
+        if not real:
+            inv = 1.0 / np.sqrt(_abs2(cE, cG))
+            return _canonical_phase(cE * inv, cG * inv), dn_qf
+        inv = 1.0 / np.sqrt(cE * cE + cG * cG)
+        cE, cG = cE * inv, cG * inv
+        num = np.where(cE * cE > 0.0, cE, cG)
+        rot = num * (1.0 / np.sqrt(num * num))
+        return (cE * rot, cG * rot), dn_qf
 
     def bloch(state):
         cE, cG = state
+        if cE.dtype.kind == "f":
+            # The recorder copies each readout, so one zero array serves.
+            return 2.0 * (cE * cG), zeros, cE * cE - cG * cG
         prod = cE.conj() * cG
-        sy = 2.0 * prod.imag if np.iscomplexobj(prod) else np.zeros(n)
-        return 2.0 * prod.real, sy, _abs2(cE) - _abs2(cG)
+        return 2.0 * prod.real, 2.0 * prod.imag, _abs2(cE) - _abs2(cG)
 
     def final(state, i):
         return PureState(complex(state[0][i]), complex(state[1][i]))

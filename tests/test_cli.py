@@ -11,10 +11,12 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 CMD = [sys.executable, "-m", "monitored_atom"]
+DATA = Path(__file__).parent / "data"
 
 
 def run_cli(*args, timeout=300):
@@ -71,6 +73,31 @@ def test_bad_setting_is_named(flag, value, workers):
                   "--workers", workers, f"{flag}={value}")
     assert out.returncode == 2
     assert flag.lstrip("-") in out.stderr
+
+
+@pytest.mark.parametrize("preset,workers", [
+    ("fig1-field", "0"),
+    ("fig1-field", "-3"),
+    ("decay", "0"),
+])
+def test_workers_below_one_rejected(preset, workers):
+    """Every preset rejects a worker count below 1, including the field
+    presets, which never start a pool."""
+    out = run_cli("--preset", preset, "--trajectories", "4", "--steps", "2",
+                  "--workers", workers)
+    assert out.returncode == 2
+    assert "--workers" in out.stderr
+    assert out.stdout == ""
+
+
+def test_delay_sweep_rejects_explicit_delay():
+    """delay-sweep runs its own list of delays; an explicit --delay would
+    be silently dropped, so the combination is an error."""
+    out = run_cli("--preset", "delay-sweep", "--steps", "4", "--trajectories", "4",
+                  "--delay", "9")
+    assert out.returncode == 2
+    assert "--delay" in out.stderr
+    assert out.stdout == ""
 
 
 def test_non_unit_initial_rejected():
@@ -159,6 +186,23 @@ def test_reruns_and_worker_counts_are_byte_identical():
     c = run_cli(*_small_decay("--workers", "2"))
     assert a.returncode == b.returncode == c.returncode == 0
     assert a.stdout == b.stdout == c.stdout
+
+
+@pytest.mark.parametrize("golden,args", [
+    ("cli_stabilize_delay3.json",
+     ("--preset", "stabilize", "--trajectories", "4", "--steps", "40",
+      "--delay", "3", "--record-stride", "1")),
+    # Out of plane with the law off: angle_var is null in every row.
+    ("cli_out_of_plane_law_off.json",
+     ("--initial", "0.36,0.48,0.8", "--trajectories", "4", "--steps", "40")),
+])
+def test_json_output_matches_byte_golden(golden, args):
+    """The JSON renderer's bytes are frozen: tests/data holds the output of
+    an earlier renderer (json.dumps with indent=2) for the same runs."""
+    out = subprocess.run(CMD + [*args, "--format", "json"], capture_output=True,
+                         timeout=300)
+    assert out.returncode == 0
+    assert out.stdout == (DATA / golden).read_bytes()
 
 
 def test_stdout_matches_file_output(tmp_path):
