@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .state import BlochVector
 from .homodyne import HomodyneConfig, _kappa, _step_field
@@ -55,7 +56,7 @@ class FeedbackLaw:
         if not (math.isfinite(self.theta_bar) and 0.0 <= self.theta_bar <= math.pi):
             raise ValueError(f"theta_bar must lie in [0, pi], got {self.theta_bar!r}")
 
-    @property
+    @cached_property
     def cos_theta_bar(self) -> float:
         return math.cos(self.theta_bar)
 

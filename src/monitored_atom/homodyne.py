@@ -40,6 +40,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -104,8 +105,9 @@ class HomodyneConfig:
     def alpha_sq(self) -> float:
         return self.alpha_mag * self.alpha_mag
 
-    @property
+    @cached_property
     def sqrt_gamma_tau(self) -> float:
+        # Kept after the first read; not a field, so == and hash ignore it.
         return math.sqrt(self.gamma_tau)
 
 

@@ -15,7 +15,9 @@ one-interval step.  Two update modes:
   shift acts as a coherent drive (a rotation about s_y by
   sqrt(gamma*tau)*shift/alpha) and the conditioned update sees only
   dn_qf = dn_total - shift, since the known classical offset carries no
-  information about the atom.  Every map of this cycle is real, so a
+  information about the atom.  The amplitudes are kept up to a global
+  phase, which no record or Bloch component depends on; PureState fixes
+  it once, in the final state.  Every map of this cycle is real, so a
   start in the s_y = 0 plane runs on float64 amplitudes and any other
   start on complex128; the output bits are those the complex128 run of
   the same start would give.
@@ -53,6 +55,7 @@ from .state import (
     UNIT_TOL,
     BlochVector,
     PureState,
+    _abs2,
     bloch_from_state,
     state_from_bloch,
 )
@@ -79,6 +82,9 @@ LONG_RUN_CEILING = 1.0
 
 _BLOCH_NAMES = ("sx", "sy", "sz")
 _REC_NAMES = _BLOCH_NAMES + ("dn_qf", "shift")
+# The Bloch readout runs on blocks of about this many recorded cells, so
+# its temporaries stay small next to the records however long the run.
+_READOUT_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -241,13 +247,14 @@ def trajectory_seed(master_seed: int, index: int) -> np.random.SeedSequence:
 
 
 def _noise_matrix(cfg: SimConfig, indices) -> np.ndarray:
-    # One standard normal per interval per trajectory, drawn in full up
-    # front; a scalar one-at-a-time consumer of the same generator sees
-    # the identical sequence.
+    # The vacuum part alpha*xi of every interval's record, drawn in full up
+    # front from one standard normal per interval per trajectory; a scalar
+    # one-at-a-time consumer of the same generator sees the same sequence.
     out = np.empty((len(indices), cfg.steps), dtype=np.float64)
     for row, idx in enumerate(indices):
         gen = np.random.default_rng(trajectory_seed(cfg.master_seed, idx))
         gen.standard_normal(out=out[row])
+    out *= cfg.homodyne.alpha_mag
     return out
 
 
@@ -258,78 +265,52 @@ def _recorded_steps(steps: int, stride: int) -> np.ndarray:
     return np.asarray(ks, dtype=np.int64)
 
 
-def _abs2(*zs: np.ndarray) -> np.ndarray:
-    # |z_1|^2 + |z_2|^2 + ... of complex arrays, summed part by part from
-    # the left.  Zero imaginary parts add exact zeros in between, so this
-    # gives the bits of the float64 step's x*x + y*y on a real copy.
-    parts = [p for z in zs for p in (z.real, z.imag)]
-    total = parts[0] * parts[0]
-    for p in parts[1:]:
-        total = total + p * p
-    return total
-
-
-def _canonical_phase(cE: np.ndarray, cG: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Rotate the global phase so c_e is real >= 0 (c_g real >= 0 when
-    # c_e = 0), matching the PureState convention elementwise.  The
-    # squared modulus, not abs(), picks the amplitude, so one whose square
-    # underflows counts as zero, as in the float64 step.
-    num = np.where(_abs2(cE) > 0.0, cE, cG)
-    rot = num.conj() * (1.0 / np.sqrt(_abs2(num)))
-    return cE * rot, cG * rot
-
-
 def _exact_kernel(cfg: SimConfig, n: int):
-    # State: the amplitude pair (c_e, c_g), kept in canonical phase, on
-    # float64 when the start's amplitudes are real and on complex128
-    # otherwise.  Each operation rounds alike on both dtypes: numpy divides
-    # a complex by a real as a product with the reciprocal, so real
-    # divisors are applied that way here too.  The step and the readout
-    # branch once on the dtype of the arrays they are handed; the float64
-    # branch spells out what conj, _abs2 and _canonical_phase reduce to on
-    # real input, without their copies and per-call dispatch.
+    # State: the amplitude pair (c_e, c_g), renormalized every interval and
+    # kept up to a global phase, on float64 when the start's amplitudes are
+    # real and on complex128 otherwise.  Each operation rounds alike on both
+    # dtypes (numpy multiplies a complex by a real divisor's reciprocal, so
+    # real divisors are applied that way here too).  The step branches once
+    # on the dtype of the arrays it is handed.
     hom = cfg.homodyne
     law = cfg.law
     damp = 1.0 - 0.5 * hom.gamma_tau
-    sqrt_gt = hom.sqrt_gamma_tau
-    alpha = hom.alpha_mag
-    zeros = np.zeros(n)
     psi0 = state_from_bloch(cfg.initial)
     amps = (psi0.c_e, psi0.c_g)
     if not any(c.imag for c in amps):
         amps = tuple(c.real for c in amps)
 
-    def step(state, shift, xi):
+    def step(state, shift, noise):
         cE, cG = state
         real = cE.dtype.kind == "f"
         if law.enabled:
-            # _kappa's pinned order: sqrt(gamma tau) * (dn / alpha).
-            half = 0.5 * (sqrt_gt * (shift / alpha))
+            half = 0.5 * _kappa(shift, hom)
             hc = np.cos(half)
             hs = np.sin(half)
             cE, cG = hc * cE - hs * cG, hs * cE + hc * cG
         sx = 2.0 * (cE * cG) if real else 2.0 * (cE.conj() * cG).real
-        dn_qf = _record_mean(sx, hom) + alpha * xi
-        kap = sqrt_gt * (dn_qf / alpha)
+        dn_qf = _record_mean(sx, hom) + noise
+        kap = _kappa(dn_qf, hom)
         cE, cG = cE * damp, cG + cE * kap
-        if not real:
-            inv = 1.0 / np.sqrt(_abs2(cE, cG))
-            return _canonical_phase(cE * inv, cG * inv), dn_qf
-        inv = 1.0 / np.sqrt(cE * cE + cG * cG)
-        cE, cG = cE * inv, cG * inv
-        num = np.where(cE * cE > 0.0, cE, cG)
-        rot = num * (1.0 / np.sqrt(num * num))
-        return (cE * rot, cG * rot), dn_qf
+        inv = 1.0 / np.sqrt(cE * cE + cG * cG if real else _abs2(cE) + _abs2(cG))
+        return (cE * inv, cG * inv), dn_qf
 
-    def bloch(state):
+    def bloch(state, out=None):
+        # Writes (s_x, s_y, s_z) into ``out``, three float64 arrays of the
+        # amplitudes' shape, and returns them; fresh arrays by default, for
+        # the tests that call the readout directly.  It runs once per block
+        # of recorded rows, not per step, so one form serves both dtypes:
+        # on real amplitudes the imaginary parts add exact zeros.
         cE, cG = state
-        if cE.dtype.kind == "f":
-            # The recorder copies each readout, so one zero array serves.
-            return 2.0 * (cE * cG), zeros, cE * cE - cG * cG
+        sx, sy, sz = out or tuple(np.empty(cE.shape) for _ in range(3))
         prod = cE.conj() * cG
-        return 2.0 * prod.real, 2.0 * prod.imag, _abs2(cE) - _abs2(cG)
+        np.multiply(prod.real, 2.0, out=sx)
+        np.multiply(prod.imag, 2.0, out=sy)
+        np.subtract(_abs2(cE), _abs2(cG), out=sz)
+        return sx, sy, sz
 
     def final(state, i):
+        # PureState fixes the global phase the kernel leaves free.
         return PureState(complex(state[0][i]), complex(state[1][i]))
 
     start = tuple(np.full(n, c) for c in amps)
@@ -337,29 +318,28 @@ def _exact_kernel(cfg: SimConfig, n: int):
 
 
 def _first_order_kernel(cfg: SimConfig, n: int):
-    # State: the Bloch components (s_x, s_y, s_z).  The feedback law enters
-    # through cz in the same interval as the record, so the pending shift
-    # never acts on the atom here.
+    # State: the Bloch components (s_x, s_y, s_z), so it needs no readout.
+    # The feedback law enters through cz in the same interval as the
+    # record, so the pending shift never acts on the atom here.
     hom = cfg.homodyne
     cz = cfg.law.cos_theta_bar if cfg.law.enabled else -1.0
 
-    def step(state, shift, xi):
+    def step(state, shift, noise):
         sx, sy, sz = state
-        dn_qf = hom.alpha_mag * xi
-        kap = _kappa(dn_qf, hom)
+        kap = _kappa(noise, hom)
         fx, fy, fz = _step_field(sx, sy, sz, cz)
         sx = sx + kap * fx
         sy = sy + kap * fy
         sz = sz + kap * fz
         nrm = np.sqrt(sx * sx + sy * sy + sz * sz)
-        return (sx / nrm, sy / nrm, sz / nrm), dn_qf
+        return (sx / nrm, sy / nrm, sz / nrm), noise
 
     def final(state, i):
         return state_from_bloch(BlochVector(*(float(c[i]) for c in state)))
 
     s0 = cfg.initial
     start = tuple(np.full(n, c, dtype=np.float64) for c in (s0.sx, s0.sy, s0.sz))
-    return start, step, (lambda state: state), final
+    return start, step, None, final
 
 
 def _simulate(cfg: SimConfig, indices, names=_REC_NAMES):
@@ -370,6 +350,8 @@ def _simulate(cfg: SimConfig, indices, names=_REC_NAMES):
     the shift due now from slot ``k % delay`` of a (n, delay) ring,
     records it, and only then overwrites that slot with the shift this
     interval's record calls for, which falls due ``delay`` steps later.
+    The loop records the state itself; the Bloch readout runs after the
+    noise matrix is released, on blocks of the recorded rows.
 
     ``names`` is a leading part of ``_REC_NAMES``: the records to keep.
     Returns (recorded_steps, rec, final) where rec maps each of ``names``
@@ -385,19 +367,29 @@ def _simulate(cfg: SimConfig, indices, names=_REC_NAMES):
     ks = _recorded_steps(cfg.steps, cfg.record_stride)
     row_of = {int(k): r for r, k in enumerate(ks)}
     rec = {name: np.zeros((len(ks), n), dtype=np.float64) for name in names}
+    out = tuple(rec[name] for name in _BLOCH_NAMES)
+    # A mode without a readout keeps its state in the Bloch records.
+    rows = out if bloch is None else tuple(np.zeros((len(ks), n), c.dtype) for c in state)
+    kept = tuple(rec[name] for name in names[len(_BLOCH_NAMES):])
     ring = np.zeros((n, cfg.delay), dtype=np.float64)
-    # Step 0 is the initial condition itself; record it verbatim rather
-    # than the amplitude round trip, which can be off by an ulp.
-    rec["sx"][0], rec["sy"][0], rec["sz"][0] = cfg.initial.sx, cfg.initial.sy, cfg.initial.sz
     for k in range(cfg.steps):
         shift = ring[:, k % cfg.delay]
         state, dn_qf = step(state, shift, xi[:, k])
         r = row_of.get(k + 1)
         if r is not None:
-            for name, v in zip(names, bloch(state) + (dn_qf, shift)):
-                rec[name][r] = v
+            for a, v in zip(rows + kept, state + (dn_qf, shift)):
+                a[r] = v
         if law.enabled:
             shift[:] = (2.0 * hom.alpha_mag) * feedback_amplitude(dn_qf, law, hom)
+    xi = dn_qf = None  # a first-order dn_qf is a view of the noise matrix
+    if bloch is not None:
+        block = max(1, _READOUT_CELLS // n)
+        for b in range(0, len(ks), block):
+            bloch(tuple(c[b:b + block] for c in rows), tuple(a[b:b + block] for a in out))
+    # Step 0 is the initial condition itself; record it verbatim rather
+    # than the amplitude round trip, which can be off by an ulp.
+    for a, v in zip(out, cfg.initial.as_tuple()):
+        a[0] = v
 
     for name in names:
         if not np.all(np.isfinite(rec[name])):

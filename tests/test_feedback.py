@@ -7,10 +7,13 @@ s_z = cos(theta_bar) exactly stationary in floating point.
 """
 
 import math
+import pickle
+import types
 
 import numpy as np
 import pytest
 
+from monitored_atom import feedback
 from monitored_atom import (
     BlochVector,
     FeedbackLaw,
@@ -147,3 +150,28 @@ def test_law_target_is_unit():
         t = FeedbackLaw(theta_bar=float(theta_bar)).target
         assert abs(t.norm() - 1.0) < 1e-15
         assert t.sy == 0.0
+
+
+@pytest.mark.parametrize("theta_bar", [0.0, 1.2, math.pi / 2.0, math.pi])
+def test_cos_theta_bar_is_stored_once(monkeypatch, theta_bar):
+    """feedback_amplitude reads cos_theta_bar every interval; it is
+    computed on the first read and kept, bitwise equal to math.cos, while
+    equality, hashing and pickling see only the declared fields."""
+    fresh = FeedbackLaw(theta_bar=theta_bar)
+    read = FeedbackLaw(theta_bar=theta_bar)
+    assert read.cos_theta_bar == math.cos(theta_bar)
+    assert vars(read)["cos_theta_bar"] == math.cos(theta_bar)
+    calls = []
+    counting = types.SimpleNamespace(cos=lambda x: calls.append(x) or math.cos(x))
+    monkeypatch.setattr(feedback, "math", counting)
+    for _ in range(3):
+        assert read.cos_theta_bar == math.cos(theta_bar)
+        feedback_amplitude(1.0, read, CFG)
+    assert calls == []
+    monkeypatch.undo()
+    assert read == fresh and hash(read) == hash(fresh)
+    assert repr(read) == repr(fresh)
+    for law in (fresh, read):
+        copy = pickle.loads(pickle.dumps(law))
+        assert copy == law and hash(copy) == hash(law)
+        assert copy.cos_theta_bar == math.cos(theta_bar)

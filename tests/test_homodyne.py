@@ -11,11 +11,14 @@ Oracles:
 """
 
 import math
+import pickle
+import types
 
 import numpy as np
 import pytest
 from scipy import integrate
 
+from monitored_atom import homodyne
 from monitored_atom import (
     BlochAngle,
     BlochVector,
@@ -328,3 +331,27 @@ def test_config_validation_messages():
 def test_outcome_dataclass_identity():
     out = sample_outcome(-12.5, CFG, np.random.default_rng(0))
     assert out.dn_total - out.shift == out.dn_qf
+
+
+@pytest.mark.parametrize("gamma_tau", [1e-4, 3e-3, 0.01, 2.0**-20])
+def test_sqrt_gamma_tau_is_stored_once(monkeypatch, gamma_tau):
+    """The kernels read sqrt_gamma_tau every interval; it is computed on
+    the first read and kept, bitwise equal to math.sqrt, while equality,
+    hashing and pickling see only the declared fields."""
+    fresh = HomodyneConfig(gamma_tau=gamma_tau)
+    read = HomodyneConfig(gamma_tau=gamma_tau)
+    assert read.sqrt_gamma_tau == math.sqrt(gamma_tau)
+    assert vars(read)["sqrt_gamma_tau"] == math.sqrt(gamma_tau)
+    calls = []
+    counting = types.SimpleNamespace(sqrt=lambda x: calls.append(x) or math.sqrt(x))
+    monkeypatch.setattr(homodyne, "math", counting)
+    for _ in range(3):
+        assert read.sqrt_gamma_tau == math.sqrt(gamma_tau)
+    assert calls == []
+    monkeypatch.undo()
+    assert read == fresh and hash(read) == hash(fresh)
+    assert repr(read) == repr(fresh)
+    for cfg in (fresh, read):
+        copy = pickle.loads(pickle.dumps(cfg))
+        assert copy == cfg and hash(copy) == hash(cfg)
+        assert copy.sqrt_gamma_tau == math.sqrt(gamma_tau)

@@ -2,10 +2,12 @@
 
 Oracles:
 * the closed-form unconditional evolution (master_evolve) for ensemble
-  means;
+  means, and for the exact step averaged over the record law by
+  Gauss-Hermite quadrature, which has no sampling noise;
 * frozen golden trajectory files under tests/data/ that pin the exact
-  noise-to-state mapping bit for bit (regenerate only after an intended
-  behavior change, never to make a failing test pass);
+  noise-to-state mapping bit for bit (regenerate them with
+  tests/data/write_goldens.py only after an intended behavior change,
+  never to make a failing test pass);
 * the scalar step_trajectory cycle as an independent route through the
   same physics as the vectorized kernel.
 """
@@ -37,7 +39,7 @@ from monitored_atom import (
     trajectory_seed,
 )
 from monitored_atom import trajectory
-from monitored_atom.trajectory import _simulate
+from monitored_atom.trajectory import _REC_NAMES, _simulate
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -275,8 +277,8 @@ def test_real_amplitudes_match_their_complex_copies(law, initial):
     # Shifts on the scale of fed-back records, 2*alpha*feedback_amplitude.
     shifts = 200.0 * rng.standard_normal((cfg.steps, n))
     for k in range(cfg.steps):
-        real, dn_real = step(real, shifts[k], xi[k])
-        cplx, dn_cplx = step(cplx, shifts[k], xi[k])
+        real, dn_real = step(real, shifts[k], EXACT_CFG.alpha_mag * xi[k])
+        cplx, dn_cplx = step(cplx, shifts[k], EXACT_CFG.alpha_mag * xi[k])
         assert np.array_equal(dn_real, dn_cplx)
         for r, c in zip(real, cplx):
             assert r.dtype == np.float64
@@ -508,3 +510,81 @@ def test_final_state_consistent_with_last_record():
     rec = run_trajectory(cfg, 0)
     s = bloch_from_state(rec.final_state)
     assert np.allclose([s.sx, s.sy, s.sz], rec.bloch[-1], rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("initial,bound", [
+    (BlochVector(1.0, 0.0, 0.0), 0.5),
+    (BlochVector(0.6, 0.0, 0.8), 2.5),
+    (BlochVector(0.0, 0.0, 1.0), 4.0),
+    (BlochVector(0.6, 0.8, 0.0), 0.4),
+])
+def test_exact_step_is_weak_order_two(initial, bound):
+    """Noise-free oracle: the exact step, averaged over the record law by
+    80-node Gauss-Hermite quadrature, matches the unconditional evolution
+    up to O(gamma_tau^2) (the measurement operators are complete only to
+    1 + |c_e|^2 gamma_tau^2 / 4).  A wrong record mean or a missing
+    damping factor leaves an O(gamma_tau) defect, which the fitted order
+    and the per-state bound on defect / gamma_tau^2 both catch."""
+    nodes, weights = np.polynomial.hermite_e.hermegauss(80)
+    weights = weights / weights.sum()
+    rho = DensityMatrix2(*initial.as_tuple())
+    gts = [1e-2 / 2**j for j in range(4)]
+    defects = []
+    for gt in gts:
+        hom = HomodyneConfig(alpha_mag=100.0, gamma_tau=gt, mode=UpdateMode.EXACT)
+        cfg = SimConfig(homodyne=hom, law=FeedbackLaw(enabled=False), initial=initial,
+                        steps=1, trajectories=nodes.size)
+        start, step, bloch, _ = trajectory._exact_kernel(cfg, nodes.size)
+        state, _ = step(start, np.zeros(nodes.size), hom.alpha_mag * nodes)
+        mean = np.array([weights @ c for c in bloch(state)])
+        want = master_evolve(rho, gt)
+        defects.append(np.max(np.abs(mean - [want.ux, want.uy, want.uz])))
+    order = np.polyfit(np.log(gts), np.log(defects), 1)[0]
+    assert order >= 1.9
+    assert max(d / gt**2 for d, gt in zip(defects, gts)) <= bound
+
+
+@pytest.mark.parametrize("law,initial", [
+    pytest.param(FeedbackLaw(theta_bar=math.pi / 2.0), None, id="target-float64"),
+    pytest.param(FeedbackLaw(theta_bar=1.2), BlochVector(0.36, 0.48, 0.8), id="out-of-plane-complex"),
+])
+def test_long_run_keeps_unit_norm_and_canonical_final_state(law, initial):
+    """The kernel renormalizes every interval but leaves the global phase
+    free; over 10^4 law-on steps the Bloch vector stays unit length to
+    rounding, and the final state comes out in the canonical phase on the
+    last recorded Bloch vector."""
+    cfg = SimConfig(
+        homodyne=EXACT_CFG, law=law, initial=initial or law.target,
+        steps=10_000, trajectories=3, master_seed=99, delay=20, record_stride=1,
+    )
+    _, rec, final = _simulate(cfg, np.arange(cfg.trajectories))
+    norm = np.sqrt(rec["sx"] ** 2 + rec["sy"] ** 2 + rec["sz"] ** 2)
+    assert np.max(np.abs(norm - 1.0)) <= 4e-15
+    for i in range(cfg.trajectories):
+        psi = final(i)
+        assert psi.c_e.imag == 0.0 and psi.c_e.real >= 0.0
+        s = bloch_from_state(psi)
+        last = [rec[name][-1, i] for name in ("sx", "sy", "sz")]
+        assert np.allclose(s.as_tuple(), last, rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("cells", [10, 1], ids=["3-row-blocks", "1-row-blocks"])
+@pytest.mark.parametrize("initial", [
+    pytest.param(BlochVector(0.6, 0.0, 0.8), id="float64"),
+    pytest.param(BlochVector(0.36, 0.48, 0.8), id="complex128"),
+])
+def test_blocked_readout_matches_one_block(monkeypatch, initial, cells):
+    """The Bloch readout runs on blocks of recorded rows.  Blocks that end
+    short of the last row, or hold one row each, give the bits of a
+    single block."""
+    cfg = SimConfig(
+        homodyne=EXACT_CFG, law=FeedbackLaw(theta_bar=1.2), initial=initial,
+        steps=50, trajectories=3, master_seed=8, delay=2, record_stride=4,
+    )
+    idx = np.arange(cfg.trajectories)
+    _, whole, _ = _simulate(cfg, idx)
+    # 14 recorded rows of 3 cells: blocks of 3 rows (the last one 2), or 1.
+    monkeypatch.setattr(trajectory, "_READOUT_CELLS", cells)
+    _, blocked, _ = _simulate(cfg, idx)
+    for name in _REC_NAMES:
+        assert np.array_equal(blocked[name], whole[name])
