@@ -50,7 +50,6 @@ from .feedback import (
     advance_feedback,
     combined_diffusion_step,
     feedback_amplitude,
-    next_shift,
     residual_rotation,
 )
 from .trajectory import (
@@ -94,7 +93,6 @@ __all__ = [
     "diffusion_step_first_order",
     "feedback_amplitude",
     "master_evolve",
-    "next_shift",
     "residual_rotation",
     "run_ensemble",
     "run_trajectory",

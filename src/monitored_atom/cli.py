@@ -38,7 +38,7 @@ import sys
 from typing import Mapping
 
 from .state import BlochVector
-from .homodyne import HomodyneConfig, UpdateMode, _step_field
+from .homodyne import HomodyneConfig, _step_field
 from .feedback import FeedbackLaw
 from .trajectory import EnsembleStats, SimConfig, run_ensemble
 
@@ -65,8 +65,10 @@ _BASE: dict[str, object] = {
     "initial": None,
     "record_stride": 1,
     "grid_points": 200,
-    "delays": (1, 2, 5, 10, 20, 50),
 }
+
+# The feedback delays, in intervals, that --preset delay-sweep runs.
+SWEEP_DELAYS = (1, 2, 5, 10, 20, 50)
 
 # Named bundles of settings; explicit flags override each entry.
 PRESETS: dict[str, dict[str, object]] = {
@@ -96,12 +98,6 @@ PRESETS: dict[str, dict[str, object]] = {
         "trajectories": 500,
     },
 }
-
-_OVERRIDE_KEYS = (
-    "mode", "feedback", "theta_bar", "gamma_tau", "alpha2", "steps",
-    "trajectories", "delay", "seed", "initial", "record_stride", "grid_points",
-)
-
 
 def _triple(text: str) -> tuple[float, float, float]:
     parts = text.split(",")
@@ -164,25 +160,18 @@ def resolve_settings(ns: argparse.Namespace) -> dict:
             "--delay cannot be combined with --preset delay-sweep, which runs "
             "its own delays"
         )
-    settings = dict(_BASE)
-    if ns.preset is not None:
-        settings["preset"] = ns.preset
-        settings.update(PRESETS[ns.preset])
-    for key in _OVERRIDE_KEYS:
-        v = getattr(ns, key)
-        if v is not None:
-            settings[key] = v
-    return settings
+    flags = {k: v for k, v in vars(ns).items() if k in _BASE and v is not None}
+    return {**_BASE, **PRESETS.get(ns.preset, {}), **flags}
 
 
-def _build_sim_config(settings: Mapping[str, object], delay=None) -> SimConfig:
+def _build_sim_config(settings: Mapping[str, object]) -> SimConfig:
     alpha2 = float(settings["alpha2"])
     if not alpha2 > 0.0:
         raise ValueError(f"alpha2 must be positive, got {alpha2!r}")
     hom = HomodyneConfig(
         alpha_mag=math.sqrt(alpha2),
         gamma_tau=float(settings["gamma_tau"]),
-        mode=UpdateMode(settings["mode"]),
+        mode=settings["mode"],
     )
     law = FeedbackLaw(
         theta_bar=float(settings["theta_bar"]),
@@ -200,17 +189,14 @@ def _build_sim_config(settings: Mapping[str, object], delay=None) -> SimConfig:
         steps=int(settings["steps"]),
         trajectories=int(settings["trajectories"]),
         master_seed=int(settings["seed"]),
-        delay=int(delay if delay is not None else settings["delay"]),
+        delay=int(settings["delay"]),
         record_stride=int(settings["record_stride"]),
     )
 
 
-def _config_block(settings: Mapping[str, object], cfg: SimConfig | None) -> dict:
-    block: dict[str, object] = {"preset": settings["preset"]}
-    if cfg is None:
-        block["grid_points"] = int(settings["grid_points"])
-        return block
-    block.update(
+def _config_block(settings: Mapping[str, object], cfg: SimConfig) -> dict:
+    return dict(
+        preset=settings["preset"],
         mode=cfg.homodyne.mode.value,
         feedback="on" if cfg.law.enabled else "off",
         theta_bar=cfg.law.theta_bar,
@@ -223,10 +209,6 @@ def _config_block(settings: Mapping[str, object], cfg: SimConfig | None) -> dict
         record_stride=cfg.record_stride,
         seed=cfg.master_seed,
     )
-    if settings["preset"] == "delay-sweep":
-        block["delays"] = [int(d) for d in settings["delays"]]
-        del block["delay"]
-    return block
 
 
 def _stats_rows(stats: EnsembleStats, prefix: tuple = ()) -> list[list]:
@@ -270,7 +252,8 @@ def _field_table(settings: Mapping[str, object]):
         if nonlinear:
             fx, fy, fz = fx - z, fy - 0.0, fz + x
         rows.append([x, y, z, fx, fy, fz])
-    return FIELD_COLUMNS, rows, _config_block(settings, None)
+    config = {"preset": settings["preset"], "grid_points": int(settings["grid_points"])}
+    return FIELD_COLUMNS, rows, config
 
 
 def _ensemble_table(settings: Mapping[str, object], workers: int):
@@ -281,12 +264,14 @@ def _ensemble_table(settings: Mapping[str, object], workers: int):
 
 def _sweep_table(settings: Mapping[str, object], workers: int):
     rows = []
-    cfg = None
-    for d in settings["delays"]:
-        cfg = _build_sim_config(settings, delay=int(d))
+    for d in SWEEP_DELAYS:
+        cfg = _build_sim_config({**settings, "delay": d})
         stats = run_ensemble(cfg, workers)
-        rows.append(_stats_rows(stats, prefix=(int(d),))[-1])
-    return SWEEP_COLUMNS, rows, _config_block(settings, cfg)
+        rows.append(_stats_rows(stats, prefix=(d,))[-1])
+    config = _config_block(settings, cfg)
+    del config["delay"]
+    config["delays"] = list(SWEEP_DELAYS)
+    return SWEEP_COLUMNS, rows, config
 
 
 def execute(settings: Mapping[str, object], workers: int = 1):

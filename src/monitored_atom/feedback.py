@@ -84,11 +84,6 @@ class FeedbackState:
             raise ValueError(f"pending shifts must be finite, got {vals!r}")
         object.__setattr__(self, "pending", vals)
 
-    @property
-    def pending_shift(self) -> float:
-        """The shift the next interval will apply."""
-        return self.pending[0]
-
 
 def feedback_amplitude(dn_qf, law: FeedbackLaw, cfg: HomodyneConfig):
     """Feedback field amplitude for the fluctuation part of a record.
@@ -101,22 +96,14 @@ def feedback_amplitude(dn_qf, law: FeedbackLaw, cfg: HomodyneConfig):
     return -(1.0 + law.cos_theta_bar) * (dn_qf / (2.0 * cfg.alpha_mag))
 
 
-def next_shift(dn_qf, law: FeedbackLaw, cfg: HomodyneConfig) -> FeedbackState:
-    """Feedback state whose queue holds the shift this record generates.
-
-    The applied field f displaces the next record's mean by 2*alpha*f,
-    so the stored shift is 2*alpha*feedback_amplitude(dn_qf).
-    """
-    return FeedbackState(((2.0 * cfg.alpha_mag) * feedback_amplitude(dn_qf, law, cfg),))
-
-
 def advance_feedback(
     fb: FeedbackState, dn_qf, law: FeedbackLaw, cfg: HomodyneConfig
 ) -> FeedbackState:
     """Pop the shift just applied and append the one this record generates.
 
-    Generalizes :func:`next_shift` to delays longer than one interval
-    while keeping the queue length fixed.
+    The applied field f displaces a later record's mean by 2*alpha*f, so
+    the appended shift is 2*alpha*feedback_amplitude(dn_qf); the queue
+    length stays fixed.
     """
     new = (2.0 * cfg.alpha_mag) * feedback_amplitude(dn_qf, law, cfg)
     return FeedbackState(fb.pending[1:] + (new,))

@@ -70,9 +70,10 @@ class HomodyneConfig:
         Decay probability per interval, gamma*tau.  Must be positive and
         at most ``max_gamma_tau``; the update laws keep only the leading
         orders in this parameter.
-    mode : UpdateMode
+    mode : UpdateMode or its value
         EXACT applies the renormalized amplitude update; FIRST_ORDER
-        applies the tangent Bloch diffusion step.
+        applies the tangent Bloch diffusion step.  A value such as
+        "exact" is converted to the member.
     min_alpha_sq, max_gamma_tau : float
         Validity floor and ceiling; overridable for experiments that
         deliberately probe the breakdown of the approximations.
@@ -85,6 +86,7 @@ class HomodyneConfig:
     max_gamma_tau: float = 0.01
 
     def __post_init__(self):
+        object.__setattr__(self, "mode", UpdateMode(self.mode))
         if not (math.isfinite(self.alpha_mag) and self.alpha_mag > 0.0):
             raise ValueError(f"alpha_mag must be positive, got {self.alpha_mag!r}")
         if self.alpha_mag * self.alpha_mag < self.min_alpha_sq:

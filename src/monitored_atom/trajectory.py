@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+import operator
 import os
 import warnings
 from dataclasses import dataclass
@@ -243,7 +244,7 @@ def trajectory_seed(master_seed: int, index: int) -> np.random.SeedSequence:
     This rule is part of the reproducibility contract; it gives every
     trajectory an independent stream addressable by index alone.
     """
-    return np.random.SeedSequence(master_seed, spawn_key=(int(index),))
+    return np.random.SeedSequence(master_seed, spawn_key=(operator.index(index),))
 
 
 def _noise_matrix(cfg: SimConfig, indices) -> np.ndarray:
@@ -295,14 +296,13 @@ def _exact_kernel(cfg: SimConfig, n: int):
         inv = 1.0 / np.sqrt(cE * cE + cG * cG if real else _abs2(cE) + _abs2(cG))
         return (cE * inv, cG * inv), dn_qf
 
-    def bloch(state, out=None):
+    def bloch(state, out):
         # Writes (s_x, s_y, s_z) into ``out``, three float64 arrays of the
-        # amplitudes' shape, and returns them; fresh arrays by default, for
-        # the tests that call the readout directly.  It runs once per block
-        # of recorded rows, not per step, so one form serves both dtypes:
-        # on real amplitudes the imaginary parts add exact zeros.
+        # amplitudes' shape, and returns them.  It runs once per block of
+        # recorded rows, not per step, so one form serves both dtypes: on
+        # real amplitudes the imaginary parts add exact zeros.
         cE, cG = state
-        sx, sy, sz = out or tuple(np.empty(cE.shape) for _ in range(3))
+        sx, sy, sz = out
         prod = cE.conj() * cG
         np.multiply(prod.real, 2.0, out=sx)
         np.multiply(prod.imag, 2.0, out=sy)
@@ -412,10 +412,15 @@ def step_trajectory(
     enabled), draw the record, apply the conditioned update, advance the
     feedback queue.  :func:`run_trajectory` applies the same cycle in
     vectorized form; consuming one standard normal per call from ``rng``
-    keeps the two paths on the same noise sequence.
+    keeps the two paths on the same noise sequence.  ``fb`` must hold
+    ``cfg.delay`` slots, or a ValueError is raised.
     """
     hom = cfg.homodyne
     law = cfg.law
+    if len(fb.pending) != cfg.delay:
+        raise ValueError(
+            f"feedback queue has {len(fb.pending)} slots, but cfg.delay is {cfg.delay}"
+        )
     shift = fb.pending[0]
     if hom.mode is UpdateMode.EXACT:
         if law.enabled:
@@ -465,19 +470,14 @@ def run_trajectory(cfg: SimConfig, trajectory_index: int = 0) -> TrajectoryRecor
     )
 
 
-def _row_var(x: np.ndarray) -> np.ndarray:
-    # Unbiased variance along axis 1, pivoted on the first column so that
-    # identical columns give exactly 0.0 rather than rounding residue.
+def _row_stats(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Mean and unbiased variance along axis 1, pivoted on the first column,
+    # so identical columns average to exactly their common value and give
+    # a variance of exactly 0.0 (summing 10^4 equal floats directly can
+    # land an ulp off).
     d = x - x[:, :1]
     m = np.mean(d, axis=1, keepdims=True)
-    return np.sum((d - m) ** 2, axis=1) / (x.shape[1] - 1)
-
-
-def _row_mean(x: np.ndarray) -> np.ndarray:
-    # Mean along axis 1, pivoted the same way, so identical columns
-    # average to exactly their common value (summing 10^4 equal floats
-    # directly can land an ulp off while the variance is exactly zero).
-    return x[:, 0] + np.mean(x - x[:, :1], axis=1)
+    return x[:, 0] + m[:, 0], np.sum((d - m) ** 2, axis=1) / (x.shape[1] - 1)
 
 
 def run_ensemble(cfg: SimConfig, workers: int = 1) -> EnsembleStats:
@@ -510,8 +510,9 @@ def run_ensemble(cfg: SimConfig, workers: int = 1) -> EnsembleStats:
             parts = pool.map(_simulate_chunk, [(cfg, c) for c in chunks])
     ks = _recorded_steps(cfg.steps, cfg.record_stride)
     stacked = {c: np.concatenate([p[c] for p in parts], axis=1) for c in _BLOCH_NAMES}
-    mean = np.column_stack([_row_mean(stacked[c]) for c in _BLOCH_NAMES])
-    var = np.column_stack([_row_var(stacked[c]) for c in _BLOCH_NAMES])
+    stats = [_row_stats(stacked[c]) for c in _BLOCH_NAMES]
+    mean = np.column_stack([m for m, _ in stats])
+    var = np.column_stack([v for _, v in stats])
     se = np.sqrt(var / cfg.trajectories)
     target = cfg.law.target if cfg.law.enabled else cfg.initial
     # 1 - |s - t|^2/4 equals the target overlap for unit vectors; the
@@ -524,7 +525,7 @@ def run_ensemble(cfg: SimConfig, workers: int = 1) -> EnsembleStats:
     fidelity = np.mean(1.0 - 0.25 * dev, axis=1)
     purity = 0.5 * (1.0 + mean[:, 0] ** 2 + mean[:, 1] ** 2 + mean[:, 2] ** 2)
     if np.all(np.abs(stacked["sy"]) <= PLANE_TOL):
-        angle_var = _row_var(np.arctan2(stacked["sx"], stacked["sz"]))
+        angle_var = _row_stats(np.arctan2(stacked["sx"], stacked["sz"]))[1]
     else:
         angle_var = None
     return EnsembleStats(

@@ -1,8 +1,9 @@
 """End-to-end command line tests.
 
-Every test runs the installed entry point in a subprocess, so argument
-parsing, exit codes, and the exact bytes written to stdout or files are
-all exercised the way a user sees them.
+Nearly every test runs the installed entry point in a subprocess, so
+argument parsing, exit codes, and the exact bytes written to stdout or
+files are all exercised the way a user sees them.  The settings layering
+is checked in process, flag by flag.
 """
 
 import csv
@@ -14,6 +15,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from monitored_atom import cli
 
 CMD = [sys.executable, "-m", "monitored_atom"]
 DATA = Path(__file__).parent / "data"
@@ -280,3 +283,44 @@ def test_explicit_flags_run_without_preset():
     last = json_rows(blob)[-1]
     assert last["fidelity"] == 1.0
     assert last["angle_var"] == 0.0
+
+
+# A value for every setting flag, unlike both its default and any preset's.
+_FLAG_VALUES = {
+    "mode": "first-order", "feedback": "off", "theta_bar": "1.25",
+    "gamma_tau": "2e-4", "alpha2": "2500", "steps": "7", "trajectories": "9",
+    "delay": "4", "seed": "77", "initial": "0,0,-1", "record_stride": "3",
+    "grid_points": "11",
+}
+
+
+def test_every_setting_flag_overrides_the_preset():
+    """resolve_settings layers the built-in defaults, the preset and then
+    every parsed flag that names a setting; a setting whose flag were left
+    out of that last layer would keep the preset's value here."""
+    actions = {a.dest: a for a in cli.build_parser()._actions}
+    assert set(cli._BASE) <= set(actions)
+    argv = []
+    for dest, value in _FLAG_VALUES.items():
+        argv += [actions[dest].option_strings[0], value]
+    assert set(_FLAG_VALUES) == set(cli._BASE) - {"preset"}
+    tail = ["--preset", "stabilize", "--workers", "2", "--out", "x", "--format", "json"]
+    ns = cli.parse_args(argv + tail)
+    settings = cli.resolve_settings(ns)
+    layered = {**cli._BASE, **cli.PRESETS["stabilize"]}
+    for dest in _FLAG_VALUES:
+        assert settings[dest] == getattr(ns, dest) != layered[dest], dest
+    assert settings["preset"] == "stabilize"
+    assert not {"workers", "out", "format"} & set(settings)
+    assert set(settings) == set(cli._BASE)
+    assert cli.resolve_settings(cli.parse_args(tail)) == {**layered, "preset": "stabilize"}
+
+
+def test_sweep_config_lists_its_delays():
+    settings = cli.resolve_settings(cli.parse_args(
+        ["--preset", "delay-sweep", "--steps", "3", "--trajectories", "2"]))
+    assert "delays" not in settings
+    columns, rows, config = cli.execute(settings)
+    assert "delay" not in config
+    assert config["delays"] == list(cli.SWEEP_DELAYS)
+    assert [row[0] for row in rows] == list(cli.SWEEP_DELAYS)

@@ -23,7 +23,6 @@ from monitored_atom import (
     combined_diffusion_step,
     diffusion_step_first_order,
     feedback_amplitude,
-    next_shift,
     residual_rotation,
 )
 
@@ -35,11 +34,11 @@ def test_amplitude_worked_examples():
     theta_bar = 0 it doubles and flips; at theta_bar = pi it vanishes."""
     half = FeedbackLaw(theta_bar=math.pi / 2.0)
     assert feedback_amplitude(100.0, half, CFG) == -0.5
-    assert next_shift(100.0, half, CFG).pending_shift == -100.0
+    assert advance_feedback(FeedbackState(), 100.0, half, CFG).pending == (-100.0,)
 
     flip = FeedbackLaw(theta_bar=0.0)
     assert feedback_amplitude(-50.0, flip, CFG) == 0.5
-    assert next_shift(-50.0, flip, CFG).pending_shift == 100.0
+    assert advance_feedback(FeedbackState(), -50.0, flip, CFG).pending == (100.0,)
 
     none = FeedbackLaw(theta_bar=math.pi)
     for dn in (-300.0, 0.0, 7.25):
@@ -56,10 +55,10 @@ def test_queue_advances_in_order():
     assert fb.pending == (0.0, 0.0, -100.0)
     fb = advance_feedback(fb, -60.0, law, CFG)
     assert fb.pending == (0.0, -100.0, 60.0)
-    assert fb.pending_shift == 0.0
+    assert fb.pending[0] == 0.0
     fb = advance_feedback(fb, 0.0, law, CFG)
     assert fb.pending == (-100.0, 60.0, 0.0)
-    assert fb.pending_shift == -100.0
+    assert fb.pending[0] == -100.0
 
 
 def test_residual_rotation_closed_form():

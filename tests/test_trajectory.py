@@ -12,9 +12,11 @@ Oracles:
   same physics as the vectorized kernel.
 """
 
+import dataclasses
 import json
 import math
 import pathlib
+import pickle
 import types
 
 import numpy as np
@@ -284,7 +286,8 @@ def test_real_amplitudes_match_their_complex_copies(law, initial):
             assert r.dtype == np.float64
             assert np.array_equal(c.real, r)
             assert np.all(c.imag == 0.0)
-        for r, c in zip(bloch(real), bloch(cplx)):
+        out_real, out_cplx = (tuple(np.empty(n) for _ in range(3)) for _ in range(2))
+        for r, c in zip(bloch(real, out_real), bloch(cplx, out_cplx)):
             assert np.array_equal(r, c)
 
 
@@ -316,6 +319,46 @@ def test_step_trajectory_agrees_with_kernel(mode):
         )
         assert math.isclose(out.dn_qf, kernel.dn_qf[k + 1], rel_tol=0.0, abs_tol=1e-8)
         assert math.isclose(out.shift, kernel.shift[k + 1], rel_tol=0.0, abs_tol=1e-8)
+
+
+def test_step_trajectory_rejects_a_queue_of_another_delay():
+    """A queue shorter than cfg.delay would apply each shift early."""
+    cfg = SimConfig(homodyne=EXACT_CFG, law=FeedbackLaw(theta_bar=1.0), steps=5, delay=3)
+    with pytest.raises(ValueError, match="delay"):
+        step_trajectory(PureState(1.0, 0.0), FeedbackState(), cfg, np.random.default_rng(0))
+
+
+def _assert_same_record(a, b):
+    assert a.trajectory_index == b.trajectory_index
+    for name in ("steps", "gamma_t", "bloch", "dn_total", "dn_qf", "shift"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
+    assert a.final_state == b.final_state
+
+
+@pytest.mark.parametrize("mode", list(UpdateMode))
+def test_mode_value_selects_the_same_kernel(mode):
+    """HomodyneConfig takes a mode's value as well as the member and
+    converts it, so "exact" runs the exact kernel, not the first-order one."""
+    member = HomodyneConfig(alpha_mag=100.0, gamma_tau=1e-4, mode=mode)
+    named = HomodyneConfig(alpha_mag=100.0, gamma_tau=1e-4, mode=mode.value)
+    assert named.mode is mode
+    assert named == member and hash(named) == hash(member)
+    assert pickle.loads(pickle.dumps(named)) == member
+    cfg = SimConfig(homodyne=member, law=FeedbackLaw(theta_bar=1.0),
+                    initial=FeedbackLaw(theta_bar=1.0).target, steps=40, delay=2)
+    _assert_same_record(run_trajectory(dataclasses.replace(cfg, homodyne=named), 0),
+                        run_trajectory(cfg, 0))
+    with pytest.raises(ValueError, match="bogus"):
+        HomodyneConfig(mode="bogus")
+
+
+def test_trajectory_index_must_be_an_integer():
+    """A float index is rejected instead of running int(index) under the
+    float's name; a numpy integer, as np.arange yields, is an index."""
+    cfg = SimConfig(homodyne=EXACT_CFG, initial=BlochVector(1.0, 0.0, 0.0), steps=20)
+    with pytest.raises(TypeError):
+        run_trajectory(cfg, 1.5)
+    _assert_same_record(run_trajectory(cfg, np.arange(3)[1]), run_trajectory(cfg, 1))
 
 
 def test_states_stay_on_the_sphere():
@@ -536,7 +579,8 @@ def test_exact_step_is_weak_order_two(initial, bound):
                         steps=1, trajectories=nodes.size)
         start, step, bloch, _ = trajectory._exact_kernel(cfg, nodes.size)
         state, _ = step(start, np.zeros(nodes.size), hom.alpha_mag * nodes)
-        mean = np.array([weights @ c for c in bloch(state)])
+        out = tuple(np.empty(nodes.size) for _ in range(3))
+        mean = np.array([weights @ c for c in bloch(state, out)])
         want = master_evolve(rho, gt)
         defects.append(np.max(np.abs(mean - [want.ux, want.uy, want.uz])))
     order = np.polyfit(np.log(gts), np.log(defects), 1)[0]
