@@ -318,7 +318,7 @@ def _render_json(columns, rows, config) -> str:
 
 
 def emit_results(columns, rows, config, out: str = "-", fmt: str = "csv") -> None:
-    """Write the result table to ``out`` ("-" or None for stdout).
+    """Write the result table to ``out`` ("-" for stdout).
 
     Raises OSError if the path cannot be written.
     """
@@ -328,7 +328,7 @@ def emit_results(columns, rows, config, out: str = "-", fmt: str = "csv") -> Non
         text = _render_json(columns, rows, config)
     else:
         raise ValueError(f"unknown format {fmt!r}")
-    if out in (None, "-"):
+    if out == "-":
         sys.stdout.write(text)
     else:
         with open(out, "w", encoding="utf-8", newline="") as f:

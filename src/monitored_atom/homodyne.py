@@ -47,6 +47,11 @@ import numpy as np
 from .state import BlochAngle, BlochVector, PureState, _abs2
 
 WEAK_FIELD_CEILING = 0.1
+# Validity limits of the model: the Gaussian outcome law needs a strong
+# local oscillator, and the update laws keep only the leading orders in
+# gamma*tau.
+MIN_ALPHA_SQ = 100.0
+MAX_GAMMA_TAU = 0.01
 
 
 class UpdateMode(Enum):
@@ -64,43 +69,38 @@ class HomodyneConfig:
     ----------
     alpha_mag : float
         Local oscillator amplitude |alpha| (real, positive).  The squared
-        amplitude must stay at or above ``min_alpha_sq``; the
+        amplitude must stay at or above ``MIN_ALPHA_SQ``; the
         strong-oscillator limit is what makes the outcome law Gaussian.
     gamma_tau : float
         Decay probability per interval, gamma*tau.  Must be positive and
-        at most ``max_gamma_tau``; the update laws keep only the leading
+        at most ``MAX_GAMMA_TAU``; the update laws keep only the leading
         orders in this parameter.
     mode : UpdateMode or its value
         EXACT applies the renormalized amplitude update; FIRST_ORDER
         applies the tangent Bloch diffusion step.  A value such as
         "exact" is converted to the member.
-    min_alpha_sq, max_gamma_tau : float
-        Validity floor and ceiling; overridable for experiments that
-        deliberately probe the breakdown of the approximations.
     """
 
     alpha_mag: float = 100.0
     gamma_tau: float = 1e-4
     mode: UpdateMode = UpdateMode.EXACT
-    min_alpha_sq: float = 100.0
-    max_gamma_tau: float = 0.01
 
     def __post_init__(self):
         object.__setattr__(self, "mode", UpdateMode(self.mode))
         if not (math.isfinite(self.alpha_mag) and self.alpha_mag > 0.0):
             raise ValueError(f"alpha_mag must be positive, got {self.alpha_mag!r}")
-        if self.alpha_mag * self.alpha_mag < self.min_alpha_sq:
+        if self.alpha_mag * self.alpha_mag < MIN_ALPHA_SQ:
             raise ValueError(
                 f"|alpha|^2 = {self.alpha_mag * self.alpha_mag:g} is below the "
-                f"floor {self.min_alpha_sq:g}; the Gaussian outcome law needs a "
+                f"floor {MIN_ALPHA_SQ:g}; the Gaussian outcome law needs a "
                 f"strong local oscillator"
             )
         if not (math.isfinite(self.gamma_tau) and self.gamma_tau > 0.0):
             raise ValueError(f"gamma_tau must be positive, got {self.gamma_tau!r}")
-        if self.gamma_tau > self.max_gamma_tau:
+        if self.gamma_tau > MAX_GAMMA_TAU:
             raise ValueError(
                 f"gamma_tau = {self.gamma_tau:g} exceeds the ceiling "
-                f"{self.max_gamma_tau:g}; the per-interval expansion breaks down"
+                f"{MAX_GAMMA_TAU:g}; the per-interval expansion breaks down"
             )
 
     @property
@@ -157,22 +157,19 @@ class MeasurementOutcome:
 def vacuum_outcome_pdf(dn, cfg: HomodyneConfig):
     """Probability density of dn with only vacuum entering the detector.
 
-    Gaussian with mean 0 and variance |alpha|^2.  Accepts scalars or
-    arrays.
+    Gaussian with mean 0 and variance |alpha|^2: the coherent density at
+    beta = 0.  Accepts scalars or arrays.
     """
-    v = cfg.alpha_sq
-    return np.exp(-(dn * dn) / (2.0 * v)) / np.sqrt(2.0 * np.pi * v)
+    return coherent_outcome_pdf(dn, CoherentAmplitude(0.0), cfg)
 
 
-def coherent_outcome_pdf(dn, beta, cfg: HomodyneConfig):
+def coherent_outcome_pdf(dn, beta: CoherentAmplitude, cfg: HomodyneConfig):
     """Density of dn with a weak coherent field beta in the monitored mode.
 
     The mean moves to 2*|alpha|*Re(beta); the out-of-phase quadrature
-    Im(beta) leaves no trace.  ``beta`` may be a CoherentAmplitude or a
-    plain complex number.
+    Im(beta) leaves no trace.
     """
-    b = beta.beta if isinstance(beta, CoherentAmplitude) else complex(beta)
-    mu = 2.0 * cfg.alpha_mag * b.real
+    mu = 2.0 * cfg.alpha_mag * beta.beta.real
     v = cfg.alpha_sq
     d = dn - mu
     return np.exp(-(d * d) / (2.0 * v)) / np.sqrt(2.0 * np.pi * v)
@@ -286,12 +283,10 @@ def decompose_step(
     return lin, BlochVector(full.sx - lin.sx, full.sy - lin.sy, full.sz - lin.sz)
 
 
-def delta_theta(angle, dn, cfg: HomodyneConfig) -> float:
+def delta_theta(angle: BlochAngle, dn, cfg: HomodyneConfig) -> float:
     """Angle form of the first-order step for in-plane states.
 
     d(theta) = kappa * (1 + cos(theta)): maximal at the excited state,
-    exactly zero at the ground state.  ``angle`` may be a BlochAngle or a
-    plain float in [0, pi].
+    exactly zero at the ground state.
     """
-    th = angle.theta if isinstance(angle, BlochAngle) else float(angle)
-    return _kappa(dn, cfg) * (1.0 + math.cos(th))
+    return _kappa(dn, cfg) * (1.0 + math.cos(angle.theta))

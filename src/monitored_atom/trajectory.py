@@ -46,7 +46,6 @@ import math
 import multiprocessing
 import operator
 import os
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,6 +140,8 @@ class SimConfig:
         Initial pure state (unit vector within 1e-9).
     steps : int
         Number of measurement intervals; 0 records only the initial state.
+        A run with steps*gamma_tau above ``LONG_RUN_CEILING`` accumulates
+        unchecked per-interval error and is rejected.
     trajectories : int
         Ensemble size.
     master_seed : int
@@ -149,9 +150,6 @@ class SimConfig:
         Feedback latency in intervals, at least 1.
     record_stride : int
         Record every this-many steps (step 0 and the final step always).
-    allow_long_run : bool
-        steps*gamma_tau above 1 accumulates unchecked per-interval error
-        and is rejected unless this flag is set (then it only warns).
     """
 
     homodyne: HomodyneConfig = HomodyneConfig()
@@ -162,7 +160,6 @@ class SimConfig:
     master_seed: int = 0
     delay: int = 1
     record_stride: int = 1
-    allow_long_run: bool = False
 
     def __post_init__(self):
         if not isinstance(self.steps, int) or self.steps < 0:
@@ -182,14 +179,10 @@ class SimConfig:
             )
         total = self.steps * self.homodyne.gamma_tau
         if total > LONG_RUN_CEILING:
-            msg = (
+            raise ValueError(
                 f"steps * gamma_tau = {total:g} exceeds {LONG_RUN_CEILING:g}; "
                 f"per-interval truncation error accumulates unchecked"
             )
-            if self.allow_long_run:
-                warnings.warn(msg, stacklevel=2)
-            else:
-                raise ValueError(msg + " (set allow_long_run=True to override)")
 
 
 @dataclass(frozen=True)

@@ -63,6 +63,16 @@ def test_alpha2_floor_rejected():
     assert "floor" in out.stderr
 
 
+def test_long_run_rejected():
+    """steps * gamma_tau above 1 exits 2 before any output, and the
+    message offers no override, since no flag could give one."""
+    out = run_cli("--steps", "20000", "--trajectories", "2")
+    assert out.returncode == 2
+    assert "steps * gamma_tau" in out.stderr
+    assert "allow_long_run" not in out.stderr
+    assert out.stdout == ""
+
+
 @pytest.mark.parametrize("flag,value,workers", [
     ("--alpha2", "-4", "1"),
     ("--alpha2", "0", "1"),

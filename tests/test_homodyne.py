@@ -322,9 +322,6 @@ def test_config_validation_messages():
         HomodyneConfig(gamma_tau=0.0)
     with pytest.raises(ValueError, match="positive"):
         HomodyneConfig(alpha_mag=-100.0)
-    # configurable bounds
-    assert HomodyneConfig(alpha_mag=5.0, min_alpha_sq=1.0).alpha_sq == 25.0
-    assert HomodyneConfig(gamma_tau=0.5, max_gamma_tau=1.0).gamma_tau == 0.5
     assert UpdateMode("first-order") is UpdateMode.FIRST_ORDER
 
 

@@ -509,12 +509,13 @@ def test_long_run_guard():
     with pytest.raises(ValueError, match="exceeds"):
         SimConfig(homodyne=EXACT_CFG, law=FeedbackLaw(enabled=False),
                   initial=BlochVector(0.0, 0.0, 1.0), steps=20000, trajectories=1)
-    with pytest.warns(UserWarning, match="exceeds"):
-        cfg = SimConfig(homodyne=EXACT_CFG, law=FeedbackLaw(enabled=False),
-                        initial=BlochVector(0.0, 0.0, -1.0), steps=10001,
-                        trajectories=1, allow_long_run=True, record_stride=10001)
+    # a run exactly at the ceiling is accepted, and the ground state
+    # survives it untouched
+    cfg = SimConfig(homodyne=EXACT_CFG, law=FeedbackLaw(enabled=False),
+                    initial=BlochVector(0.0, 0.0, -1.0), steps=10000,
+                    trajectories=1, record_stride=10000)
+    assert cfg.steps * cfg.homodyne.gamma_tau == trajectory.LONG_RUN_CEILING
     rec = run_trajectory(cfg, 0)
-    # the ground state survives arbitrarily long monitoring untouched
     assert np.array_equal(rec.bloch[-1], [0.0, 0.0, -1.0])
 
 
@@ -586,6 +587,34 @@ def test_exact_step_is_weak_order_two(initial, bound):
     order = np.polyfit(np.log(gts), np.log(defects), 1)[0]
     assert order >= 1.9
     assert max(d / gt**2 for d, gt in zip(defects, gts)) <= bound
+
+
+@pytest.mark.parametrize("theta_bar", [math.pi / 3.0, math.pi / 2.0, 2.0 * math.pi / 3.0])
+def test_delayed_feedback_undoes_the_first_record(theta_bar):
+    """Noise-free oracle for the law-on exact cycle at delay 1.  Started on
+    the target, each record rotates the state about s_y by
+    kappa*(1 + cos(theta_bar)); the feedback applied in interval 2 undoes
+    interval 1's rotation, so only interval 2's remains and the expected
+    fidelity defect is E[kappa^2](1 + cos(theta_bar))^2 / 4, with
+    E[kappa^2] = gamma_tau.  Averaged over both records by 80 x 80
+    Gauss-Hermite quadrature.  A flipped law sign reads about 5 times
+    that, a doubled drive or the law left off about 2 times."""
+    law = FeedbackLaw(theta_bar=theta_bar)
+    t = law.target
+    nodes, weights = np.polynomial.hermite_e.hermegauss(80)
+    x1, x2 = (x.ravel() for x in np.meshgrid(nodes, nodes, indexing="ij"))
+    w = np.outer(weights, weights).ravel() / weights.sum() ** 2
+    for gt in [1e-2 / 2**j for j in range(5)]:
+        hom = HomodyneConfig(alpha_mag=100.0, gamma_tau=gt, mode=UpdateMode.EXACT)
+        cfg = SimConfig(homodyne=hom, law=law, initial=t, steps=2, trajectories=2)
+        state, step, bloch, _ = trajectory._exact_kernel(cfg, x1.size)
+        state, dn_qf = step(state, np.zeros(x1.size), hom.alpha_mag * x1)
+        shift = (2.0 * hom.alpha_mag) * feedback_amplitude(dn_qf, law, hom)
+        state, _ = step(state, shift, hom.alpha_mag * x2)
+        sx, sy, sz = bloch(state, tuple(np.empty(x1.size) for _ in range(3)))
+        defect = w @ (((sx - t.sx) ** 2 + (sy - t.sy) ** 2 + (sz - t.sz) ** 2) / 4.0)
+        ratio = defect / (gt * (1.0 + law.cos_theta_bar) ** 2 / 4.0)
+        assert abs(ratio - 1.0) <= 0.03, (gt, ratio)
 
 
 @pytest.mark.parametrize("law,initial", [
