@@ -124,6 +124,9 @@ class CoherentAmplitude:
     beta: complex
 
     def __post_init__(self):
+        # complex() would parse a string, which the outcome law cannot use.
+        if isinstance(self.beta, (str, bytes)):
+            raise TypeError(f"beta must be a number, got {self.beta!r}")
         b = complex(self.beta)
         if not (math.isfinite(b.real) and math.isfinite(b.imag)):
             raise ValueError(f"beta must be finite, got {b!r}")

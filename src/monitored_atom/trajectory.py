@@ -35,9 +35,13 @@ Reproducibility
 ---------------
 Trajectory i draws its noise from
 ``numpy.random.default_rng(SeedSequence(master_seed, spawn_key=(i,)))``,
-one standard normal per interval.  Every trajectory owns its stream, all
-reductions run over arrays reassembled in index order, so any partition
-of an ensemble over worker processes yields bitwise identical statistics.
+one standard normal per interval.  Each process draws its trajectories'
+streams in slabs of consecutive intervals, every row from its own
+generator; numpy's Generator keeps no normal-draw state between calls, so
+the slabs join into the very stream one call would draw, whatever their
+size.  Every trajectory owns its stream, all reductions run over arrays
+reassembled in index order, so any partition of an ensemble over worker
+processes yields bitwise identical statistics.
 """
 
 from __future__ import annotations
@@ -85,6 +89,18 @@ _REC_NAMES = _BLOCH_NAMES + ("dn_qf", "shift")
 # The Bloch readout runs on blocks of about this many recorded cells, so
 # its temporaries stay small next to the records however long the run.
 _READOUT_CELLS = 1 << 16
+# Each process draws its noise in (n, block) slabs of about this many
+# bytes.  Smaller slabs cost one more draw call per row per slab: at 4 MB,
+# a 10^4-row run lost 16% of its throughput.
+_NOISE_BYTES = 1 << 24
+# Memory of one trajectory's Generator, its PCG64 and its SeedSequence
+# (tracemalloc: 9.9 MB per 10^4), for the memory check.
+_GENERATOR_BYTES = 1024
+# Ensembles smaller than this run in one process whatever the worker
+# count.  On 2 cores (10 alternating pairs, 1000 steps) 2 workers lost to
+# 1 or tied at 1024 trajectories in both modes; at 2048 they won in the
+# first-order mode and tied in the exact one; at 4096 they won in both.
+_POOL_MIN_TRAJECTORIES = 2048
 
 
 @dataclass(frozen=True)
@@ -240,23 +256,16 @@ def trajectory_seed(master_seed: int, index: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(master_seed, spawn_key=(operator.index(index),))
 
 
-def _noise_matrix(cfg: SimConfig, indices) -> np.ndarray:
-    # The vacuum part alpha*xi of every interval's record, drawn in full up
-    # front from one standard normal per interval per trajectory; a scalar
-    # one-at-a-time consumer of the same generator sees the same sequence.
-    out = np.empty((len(indices), cfg.steps), dtype=np.float64)
-    for row, idx in enumerate(indices):
-        gen = np.random.default_rng(trajectory_seed(cfg.master_seed, idx))
-        gen.standard_normal(out=out[row])
-    out *= cfg.homodyne.alpha_mag
-    return out
-
-
 def _recorded_steps(steps: int, stride: int) -> np.ndarray:
     ks = list(range(0, steps + 1, stride))
     if ks[-1] != steps:
         ks.append(steps)
     return np.asarray(ks, dtype=np.int64)
+
+
+def _slab_steps(steps: int, n: int) -> int:
+    # Steps per noise slab of n rows: the whole run when it fits the budget.
+    return max(1, min(steps, _NOISE_BYTES // (8 * n)))
 
 
 def _exact_kernel(cfg: SimConfig, n: int):
@@ -335,6 +344,10 @@ def _first_order_kernel(cfg: SimConfig, n: int):
     return start, step, None, final
 
 
+def _kernel(cfg: SimConfig):
+    return _exact_kernel if cfg.homodyne.mode is UpdateMode.EXACT else _first_order_kernel
+
+
 def _simulate(cfg: SimConfig, indices, names=_REC_NAMES):
     """Advance the given trajectory indices in lockstep.
 
@@ -343,8 +356,11 @@ def _simulate(cfg: SimConfig, indices, names=_REC_NAMES):
     the shift due now from slot ``k % delay`` of a (n, delay) ring,
     records it, and only then overwrites that slot with the shift this
     interval's record calls for, which falls due ``delay`` steps later.
-    The loop records the state itself; the Bloch readout runs after the
-    noise matrix is released, on blocks of the recorded rows.
+    The noise comes from an (n, block) slab of the per-row streams,
+    refilled every ``block`` steps, so the draws hold about
+    ``_NOISE_BYTES`` however long the run.  The loop records the state
+    itself; the Bloch readout runs after the slab is released, on blocks
+    of the recorded rows.
 
     ``names`` is a leading part of ``_REC_NAMES``: the records to keep.
     Returns (recorded_steps, rec, final) where rec maps each of ``names``
@@ -354,9 +370,10 @@ def _simulate(cfg: SimConfig, indices, names=_REC_NAMES):
     hom = cfg.homodyne
     law = cfg.law
     n = len(indices)
-    kernel = _exact_kernel if hom.mode is UpdateMode.EXACT else _first_order_kernel
-    state, step, bloch, final = kernel(cfg, n)
-    xi = _noise_matrix(cfg, indices)
+    state, step, bloch, final = _kernel(cfg)(cfg, n)
+    gens = [np.random.default_rng(trajectory_seed(cfg.master_seed, i)) for i in indices]
+    block = _slab_steps(cfg.steps, n)
+    slab = np.empty((n, block), dtype=np.float64)
     ks = _recorded_steps(cfg.steps, cfg.record_stride)
     row_of = {int(k): r for r, k in enumerate(ks)}
     rec = {name: np.zeros((len(ks), n), dtype=np.float64) for name in names}
@@ -365,16 +382,23 @@ def _simulate(cfg: SimConfig, indices, names=_REC_NAMES):
     rows = out if bloch is None else tuple(np.zeros((len(ks), n), c.dtype) for c in state)
     kept = tuple(rec[name] for name in names[len(_BLOCH_NAMES):])
     ring = np.zeros((n, cfg.delay), dtype=np.float64)
-    for k in range(cfg.steps):
-        shift = ring[:, k % cfg.delay]
-        state, dn_qf = step(state, shift, xi[:, k])
-        r = row_of.get(k + 1)
-        if r is not None:
-            for a, v in zip(rows + kept, state + (dn_qf, shift)):
-                a[r] = v
-        if law.enabled:
-            shift[:] = (2.0 * hom.alpha_mag) * feedback_amplitude(dn_qf, law, hom)
-    xi = dn_qf = None  # a first-order dn_qf is a view of the noise matrix
+    for k0 in range(0, cfg.steps, block):
+        # A short last slab is a leading view of the same buffer, so two
+        # slabs never live at once; each row stays contiguous.
+        xi = slab[:, :min(block, cfg.steps - k0)]
+        for row, gen in zip(xi, gens):
+            gen.standard_normal(out=row)
+        xi *= hom.alpha_mag
+        for k, noise in enumerate(xi.T, k0):
+            shift = ring[:, k % cfg.delay]
+            state, dn_qf = step(state, shift, noise)
+            r = row_of.get(k + 1)
+            if r is not None:
+                for a, v in zip(rows + kept, state + (dn_qf, shift)):
+                    a[r] = v
+            if law.enabled:
+                shift[:] = (2.0 * hom.alpha_mag) * feedback_amplitude(dn_qf, law, hom)
+    gens = slab = xi = noise = dn_qf = None  # a first-order dn_qf is a view of the slab
     if bloch is not None:
         block = max(1, _READOUT_CELLS // n)
         for b in range(0, len(ks), block):
@@ -473,6 +497,39 @@ def _row_stats(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x[:, 0] + m[:, 0], np.sum((d - m) ** 2, axis=1) / (x.shape[1] - 1)
 
 
+def _mem_available() -> int | None:
+    # MemAvailable from /proc/meminfo in bytes; None where it cannot be read.
+    try:
+        with open("/proc/meminfo", encoding="ascii") as f:
+            for line in f:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except (OSError, ValueError, IndexError):
+        pass
+    return None
+
+
+def _check_memory(cfg: SimConfig, sizes, n_recorded: int) -> None:
+    # Raises ValueError when the run's estimated peak exceeds MemAvailable.
+    # Each process of n rows holds its noise slab, its generators, the
+    # Bloch records (and in the exact mode the amplitude rows the readout
+    # consumes) and the delay ring; the parent holds the chunks' records,
+    # their concatenation and the reduction's temporaries, three times the
+    # ensemble's Bloch records.
+    start, _, bloch, _ = _kernel(cfg)(cfg, 1)
+    cell = 24 + (sum(c.itemsize for c in start) if bloch else 0)
+    need = 72 * cfg.trajectories * n_recorded + sum(
+        n * (8 * _slab_steps(cfg.steps, n) + _GENERATOR_BYTES + cell * n_recorded + 8 * cfg.delay)
+        for n in sizes
+    )
+    avail = _mem_available()
+    if avail is not None and need > avail:
+        raise ValueError(
+            f"the run needs an estimated {need / 2**20:.0f} MB of memory, "
+            f"more than the {avail / 2**20:.0f} MB available"
+        )
+
+
 def run_ensemble(cfg: SimConfig, workers: int = 1) -> EnsembleStats:
     """Run the configured ensemble and aggregate per-step statistics.
 
@@ -481,10 +538,18 @@ def run_ensemble(cfg: SimConfig, workers: int = 1) -> EnsembleStats:
     cfg : SimConfig
         Needs ``trajectories >= 2`` for meaningful variances.
     workers : int
-        Process count, capped at the CPUs this process may run on.  Any
-        value yields bitwise identical statistics: trajectories own
-        index-keyed streams, chunks are reassembled in index order, and
-        every reduction runs over the full arrays.
+        Process count, capped at the CPUs this process may run on.  An
+        ensemble of fewer than ``_POOL_MIN_TRAJECTORIES`` runs in this
+        process whatever the count, since a pool does not pay for its
+        start there.  Any value yields bitwise identical statistics:
+        trajectories own index-keyed streams, chunks are reassembled in
+        index order, and every reduction runs over the full arrays.
+
+    Raises
+    ------
+    ValueError
+        Also when the run's estimated peak memory exceeds what the
+        system reports available; the check runs before any draw or fork.
     """
     if cfg.trajectories < 2:
         raise ValueError("ensemble statistics need at least 2 trajectories")
@@ -492,16 +557,18 @@ def run_ensemble(cfg: SimConfig, workers: int = 1) -> EnsembleStats:
         raise ValueError(f"workers must be a positive int, got {workers!r}")
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(workers, cpus or 1)
-    idx = np.arange(cfg.trajectories)
-    if workers == 1 or cfg.trajectories < 2 * workers:
-        parts = [_simulate_chunk((cfg, idx))]
+    if cfg.trajectories < max(_POOL_MIN_TRAJECTORIES, 2 * workers):
+        workers = 1
+    chunks = np.array_split(np.arange(cfg.trajectories), workers)
+    ks = _recorded_steps(cfg.steps, cfg.record_stride)
+    _check_memory(cfg, [len(c) for c in chunks], len(ks))
+    if workers == 1:
+        parts = [_simulate_chunk((cfg, chunks[0]))]
     else:
-        chunks = np.array_split(idx, workers)
         methods = multiprocessing.get_all_start_methods()
         ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
         with ctx.Pool(processes=workers) as pool:
             parts = pool.map(_simulate_chunk, [(cfg, c) for c in chunks])
-    ks = _recorded_steps(cfg.steps, cfg.record_stride)
     stacked = {c: np.concatenate([p[c] for p in parts], axis=1) for c in _BLOCH_NAMES}
     stats = [_row_stats(stacked[c]) for c in _BLOCH_NAMES]
     mean = np.column_stack([m for m, _ in stats])

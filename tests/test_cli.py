@@ -10,13 +10,14 @@ import csv
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from monitored_atom import cli
+from monitored_atom import cli, trajectory
 
 CMD = [sys.executable, "-m", "monitored_atom"]
 DATA = Path(__file__).parent / "data"
@@ -71,6 +72,22 @@ def test_long_run_rejected():
     assert "steps * gamma_tau" in out.stderr
     assert "allow_long_run" not in out.stderr
     assert out.stdout == ""
+
+
+def test_run_beyond_available_memory_exits_two(monkeypatch, capsys):
+    """A run the memory check refuses exits 2 with its estimate on stderr,
+    before any noise is seeded or pool started, and writes no table."""
+    def never(*args, **kwargs):
+        raise AssertionError("called before the memory check")
+
+    monkeypatch.setattr(trajectory, "_mem_available", lambda: 1 << 20)
+    monkeypatch.setattr(trajectory, "trajectory_seed", never)
+    monkeypatch.setattr(trajectory.multiprocessing, "get_context", never)
+    rc = cli.main(["--preset", "stabilize", "--initial", "0.36,0.48,0.8", "--workers", "2"])
+    out = capsys.readouterr()
+    assert rc == 2
+    assert out.out == ""
+    assert re.search(r"estimated \d+ MB of memory, more than the 1 MB available", out.err)
 
 
 @pytest.mark.parametrize("flag,value,workers", [

@@ -122,6 +122,14 @@ def test_coherent_amplitude_warns_beyond_weak_field():
     assert not caught
 
 
+@pytest.mark.parametrize("beta", ["0.05", b"0.05"])
+def test_coherent_amplitude_rejects_text(beta):
+    """A string would pass complex() and fail only later, inside the
+    outcome law; it is rejected at construction, naming beta."""
+    with pytest.raises(TypeError, match="beta"):
+        CoherentAmplitude(beta)
+
+
 def test_sample_outcome_moments():
     """Sampled records follow the stated Gaussian to within standard
     sampling error (fixed seed; bounds sized for N = 20000)."""

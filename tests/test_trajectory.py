@@ -17,6 +17,7 @@ import json
 import math
 import pathlib
 import pickle
+import tracemalloc
 import types
 
 import numpy as np
@@ -174,35 +175,13 @@ def test_rerun_is_bitwise_identical():
         assert np.array_equal(x, y)
 
 
-@pytest.mark.parametrize("hom,law", [
-    (EXACT_CFG, FeedbackLaw(theta_bar=math.pi / 2.0)),
-    (FO_CFG, FeedbackLaw(enabled=False)),
-])
-def test_worker_count_does_not_change_results(hom, law):
-    initial = law.target if law.enabled else BlochVector(1.0, 0.0, 0.0)
-    cfg = SimConfig(
-        homodyne=hom, law=law, initial=initial,
-        steps=50, trajectories=30, master_seed=11, record_stride=10,
-    )
-    serial = run_ensemble(cfg, workers=1)
-    parallel = run_ensemble(cfg, workers=3)
-    for x, y in zip(_stats_fields(serial), _stats_fields(parallel)):
-        assert np.array_equal(x, y)
-
-
-@pytest.mark.parametrize("affinity", [True, False], ids=["affinity", "cpu-count"])
-def test_worker_count_is_capped_at_available_cpus(monkeypatch, affinity):
-    """An oversized worker request starts at most one process per usable
-    CPU; checked with a stub pool, so no process is started."""
-    if affinity:
-        monkeypatch.setattr(trajectory.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-    else:
-        monkeypatch.delattr(trajectory.os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(trajectory.os, "cpu_count", lambda: 3)
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """Replaces the process pool with an in-process stand-in, so no process
+    is started; returns the list of the pool sizes requested."""
     sizes = []
 
     class SerialPool:
-        # Stands in for a process pool: records its size, maps in-process.
         def __init__(self, processes):
             sizes.append(processes)
 
@@ -217,15 +196,60 @@ def test_worker_count_is_capped_at_available_cpus(monkeypatch, affinity):
 
     stub = types.SimpleNamespace(Pool=SerialPool)
     monkeypatch.setattr(trajectory.multiprocessing, "get_context", lambda method=None: stub)
+    return sizes
+
+
+@pytest.mark.parametrize("hom,law", [
+    (EXACT_CFG, FeedbackLaw(theta_bar=math.pi / 2.0)),
+    (FO_CFG, FeedbackLaw(enabled=False)),
+])
+def test_worker_count_does_not_change_results(monkeypatch, hom, law):
+    # A lower pool floor makes this small ensemble fork for real.
+    monkeypatch.setattr(trajectory, "_POOL_MIN_TRAJECTORIES", 2)
+    initial = law.target if law.enabled else BlochVector(1.0, 0.0, 0.0)
+    cfg = SimConfig(
+        homodyne=hom, law=law, initial=initial,
+        steps=50, trajectories=30, master_seed=11, record_stride=10,
+    )
+    serial = run_ensemble(cfg, workers=1)
+    parallel = run_ensemble(cfg, workers=3)
+    for x, y in zip(_stats_fields(serial), _stats_fields(parallel)):
+        assert np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("affinity", [True, False], ids=["affinity", "cpu-count"])
+def test_worker_count_is_capped_at_available_cpus(monkeypatch, serial_pool, affinity):
+    """An oversized worker request starts at most one process per usable
+    CPU; checked with a stub pool, so no process is started."""
+    if affinity:
+        monkeypatch.setattr(trajectory.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    else:
+        monkeypatch.delattr(trajectory.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(trajectory.os, "cpu_count", lambda: 3)
     law = FeedbackLaw(theta_bar=math.pi / 3.0)
     cfg = SimConfig(
-        homodyne=EXACT_CFG, law=law, initial=law.target,
-        steps=30, trajectories=31, master_seed=5, delay=2, record_stride=10,
+        homodyne=EXACT_CFG, law=law, initial=law.target, steps=30,
+        trajectories=trajectory._POOL_MIN_TRAJECTORIES, master_seed=5, delay=2, record_stride=10,
     )
     serial = run_ensemble(cfg, workers=1)
     capped = run_ensemble(cfg, workers=5000)
-    assert sizes == [3]  # 31 trajectories split 11 + 10 + 10
+    assert serial_pool == [3]  # 2048 trajectories split 683 + 683 + 682
     for x, y in zip(_stats_fields(serial), _stats_fields(capped)):
+        assert np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("below", [True, False], ids=["below-floor", "at-floor"])
+@pytest.mark.parametrize("hom", [EXACT_CFG, FO_CFG], ids=["exact", "first-order"])
+def test_small_ensembles_run_in_process(monkeypatch, serial_pool, hom, below):
+    """Below _POOL_MIN_TRAJECTORIES two workers cannot pay for their start,
+    so the ensemble runs in this process; from it on, the pool starts."""
+    monkeypatch.setattr(trajectory.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    n = trajectory._POOL_MIN_TRAJECTORIES - below
+    cfg = SimConfig(homodyne=hom, initial=BlochVector(0.6, 0.0, 0.8), steps=3,
+                    trajectories=n, master_seed=4)
+    two = run_ensemble(cfg, workers=2)
+    assert serial_pool == ([] if below else [2])
+    for x, y in zip(_stats_fields(run_ensemble(cfg, workers=1)), _stats_fields(two)):
         assert np.array_equal(x, y)
 
 
@@ -661,3 +685,91 @@ def test_blocked_readout_matches_one_block(monkeypatch, initial, cells):
     _, blocked, _ = _simulate(cfg, idx)
     for name in _REC_NAMES:
         assert np.array_equal(blocked[name], whole[name])
+
+
+@pytest.mark.parametrize("block", [1, 3], ids=["1-step-slabs", "3-step-slabs"])
+@pytest.mark.parametrize("hom,initial", [
+    pytest.param(EXACT_CFG, BlochVector(0.6, 0.0, 0.8), id="exact-float64"),
+    pytest.param(EXACT_CFG, BlochVector(0.36, 0.48, 0.8), id="exact-complex128"),
+    pytest.param(FO_CFG, BlochVector(0.6, 0.0, 0.8), id="first-order"),
+])
+def test_slabbed_noise_matches_one_slab(monkeypatch, hom, initial, block):
+    """Noise drawn in slabs of a few steps, the last one short, gives the
+    bits of one slab for the whole run.  The law is on with a delay longer
+    than a slab, so fed-back shifts cross slab boundaries; in the
+    first-order mode dn_qf is a view of the slab."""
+    cfg = SimConfig(
+        homodyne=hom, law=FeedbackLaw(theta_bar=1.2), initial=initial,
+        steps=50, trajectories=3, master_seed=8, delay=5, record_stride=4,
+    )
+    idx = np.arange(cfg.trajectories)
+    assert trajectory._slab_steps(cfg.steps, cfg.trajectories) == cfg.steps
+    _, whole, whole_final = _simulate(cfg, idx)
+    monkeypatch.setattr(trajectory, "_NOISE_BYTES", 8 * cfg.trajectories * block)
+    assert trajectory._slab_steps(cfg.steps, cfg.trajectories) == block
+    _, slabbed, slabbed_final = _simulate(cfg, idx)
+    for name in _REC_NAMES:
+        assert np.array_equal(slabbed[name], whole[name])
+    for i in idx:
+        assert slabbed_final(i) == whole_final(i)
+
+
+def test_noise_memory_is_bounded_by_the_slab(monkeypatch):
+    """A run's traced peak stays near its slab and generators, far below
+    the 8 MB that drawing all of its noise up front would take."""
+    n, steps = 256, 4000
+    monkeypatch.setattr(trajectory, "_NOISE_BYTES", 1 << 18)
+    cfg = SimConfig(homodyne=FO_CFG, initial=BlochVector(1.0, 0.0, 0.0), steps=steps,
+                    trajectories=n, record_stride=steps)
+    # A first call fills numpy's one-time caches, which are not the run's.
+    _simulate(dataclasses.replace(cfg, steps=2), np.arange(n))
+    tracemalloc.start()
+    try:
+        _simulate(cfg, np.arange(n))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Measured 0.64 MB: a 256 KB slab, 256 generators and small arrays.
+    assert peak < 1 << 20
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("called before the memory check")
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("initial,amp_bytes", [
+    pytest.param(BlochVector(0.6, 0.0, 0.8), 16, id="float64"),
+    pytest.param(BlochVector(0.36, 0.48, 0.8), 32, id="complex128"),
+])
+def test_memory_check_runs_before_any_draw_or_fork(monkeypatch, initial, amp_bytes, workers):
+    """A run whose estimated peak exceeds the available memory is refused
+    with the estimate in MB, before any stream is seeded or pool started."""
+    monkeypatch.setattr(trajectory.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(trajectory.multiprocessing, "get_context", _never)
+    monkeypatch.setattr(trajectory, "trajectory_seed", _never)
+    monkeypatch.setattr(trajectory, "_mem_available", lambda: 1 << 20)
+    cfg = SimConfig(homodyne=EXACT_CFG, law=FeedbackLaw(theta_bar=1.2), initial=initial,
+                    steps=1000, trajectories=4096, delay=3)
+    cells = 4096 * 1001  # recorded cells of the whole ensemble
+    # Per process: the noise slab (4096 rows x 512 steps, or 2048 rows x
+    # all 1000 steps), 1 KB of generator and 24 B of ring per row, and per
+    # recorded cell the Bloch records and the two amplitude rows.  The
+    # parent: the records received, their concatenation and temporaries.
+    slabs = 8 * 4096 * 512 if workers == 1 else 2 * 8 * 2048 * 1000
+    need = slabs + 4096 * (1024 + 24) + (24 + amp_bytes) * cells + 72 * cells
+    with pytest.raises(ValueError, match=rf"estimated {need / 2**20:.0f} MB .* the 1 MB available"):
+        run_ensemble(cfg, workers)
+
+
+def test_memory_check_is_skipped_without_meminfo(monkeypatch):
+    if pathlib.Path("/proc/meminfo").is_file():
+        assert trajectory._mem_available() > 0
+
+    def unreadable(*args, **kwargs):
+        raise OSError("no /proc/meminfo")
+
+    monkeypatch.setattr(trajectory, "open", unreadable, raising=False)
+    assert trajectory._mem_available() is None
+    cfg = SimConfig(homodyne=FO_CFG, steps=5, trajectories=4)
+    assert run_ensemble(cfg).n_trajectories == 4
