@@ -14,7 +14,7 @@ state
 homodyne
     Outcome laws, conditioned state updates, first-order diffusion steps.
 feedback
-    The diffusion-cancelling law, its residual rotation, delay queue.
+    The diffusion-cancelling law and its delay queue.
 trajectory
     Vectorized trajectory kernels, ensemble statistics, the closed-form
     unconditional-evolution oracle.
@@ -42,7 +42,6 @@ from .homodyne import (
     diffusion_step_first_order,
     sample_outcome,
     sample_outcome_conditioned,
-    vacuum_outcome_pdf,
 )
 from .feedback import (
     FeedbackLaw,
@@ -50,14 +49,12 @@ from .feedback import (
     advance_feedback,
     combined_diffusion_step,
     feedback_amplitude,
-    residual_rotation,
 )
 from .trajectory import (
     DensityMatrix2,
     EnsembleStats,
     SimConfig,
     TrajectoryRecord,
-    angle_variance,
     master_evolve,
     run_ensemble,
     run_trajectory,
@@ -83,7 +80,6 @@ __all__ = [
     "UpdateMode",
     "advance_feedback",
     "angle_of",
-    "angle_variance",
     "bloch_from_state",
     "coherent_outcome_pdf",
     "combined_diffusion_step",
@@ -93,7 +89,6 @@ __all__ = [
     "diffusion_step_first_order",
     "feedback_amplitude",
     "master_evolve",
-    "residual_rotation",
     "run_ensemble",
     "run_trajectory",
     "sample_outcome",
@@ -101,5 +96,4 @@ __all__ = [
     "state_from_bloch",
     "step_trajectory",
     "trajectory_seed",
-    "vacuum_outcome_pdf",
 ]

@@ -166,8 +166,8 @@ def resolve_settings(ns: argparse.Namespace) -> dict:
 
 def _build_sim_config(settings: Mapping[str, object]) -> SimConfig:
     alpha2 = float(settings["alpha2"])
-    if not alpha2 > 0.0:
-        raise ValueError(f"alpha2 must be positive, got {alpha2!r}")
+    if not (math.isfinite(alpha2) and alpha2 > 0.0):
+        raise ValueError(f"alpha2 must be finite and positive, got {alpha2!r}")
     hom = HomodyneConfig(
         alpha_mag=math.sqrt(alpha2),
         gamma_tau=float(settings["gamma_tau"]),

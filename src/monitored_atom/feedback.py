@@ -34,8 +34,6 @@ from functools import cached_property
 from .state import BlochVector
 from .homodyne import HomodyneConfig, _kappa, _step_field
 
-RESIDUAL_GUARD = 1e-12
-
 
 @dataclass(frozen=True)
 class FeedbackLaw:
@@ -107,31 +105,6 @@ def advance_feedback(
     """
     new = (2.0 * cfg.alpha_mag) * feedback_amplitude(dn_qf, law, cfg)
     return FeedbackState(fb.pending[1:] + (new,))
-
-
-def residual_rotation(dn, law: FeedbackLaw, cfg: HomodyneConfig) -> float:
-    """Net rotation amplitude after feedback, dn/(2*alpha) + f(dn).
-
-    Algebraically equal to -cos(theta_bar) * dn/(2*alpha) (or to the bare
-    dn/(2*alpha) when the law is disabled); the identity is checked to
-    rounding and a violation raises, since it would mean the law and the
-    step bookkeeping disagree.
-
-    Raises
-    ------
-    RuntimeError
-        If the computed residual deviates from the closed form by more
-        than 1e-12 relative (internal error).
-    """
-    r = dn / (2.0 * cfg.alpha_mag)
-    out = r + feedback_amplitude(dn, law, cfg)
-    ref = (-law.cos_theta_bar * r) if law.enabled else r
-    if abs(out - ref) > RESIDUAL_GUARD * max(1.0, abs(r)):
-        raise RuntimeError(
-            f"feedback residual {out!r} deviates from closed form {ref!r} "
-            f"beyond rounding"
-        )
-    return out
 
 
 def combined_diffusion_step(

@@ -88,7 +88,7 @@ class HomodyneConfig:
     def __post_init__(self):
         object.__setattr__(self, "mode", UpdateMode(self.mode))
         if not (math.isfinite(self.alpha_mag) and self.alpha_mag > 0.0):
-            raise ValueError(f"alpha_mag must be positive, got {self.alpha_mag!r}")
+            raise ValueError(f"alpha_mag must be finite and positive, got {self.alpha_mag!r}")
         if self.alpha_mag * self.alpha_mag < MIN_ALPHA_SQ:
             raise ValueError(
                 f"|alpha|^2 = {self.alpha_mag * self.alpha_mag:g} is below the "
@@ -96,7 +96,7 @@ class HomodyneConfig:
                 f"strong local oscillator"
             )
         if not (math.isfinite(self.gamma_tau) and self.gamma_tau > 0.0):
-            raise ValueError(f"gamma_tau must be positive, got {self.gamma_tau!r}")
+            raise ValueError(f"gamma_tau must be finite and positive, got {self.gamma_tau!r}")
         if self.gamma_tau > MAX_GAMMA_TAU:
             raise ValueError(
                 f"gamma_tau = {self.gamma_tau:g} exceeds the ceiling "
@@ -155,15 +155,6 @@ class MeasurementOutcome:
     @property
     def dn_total(self) -> float:
         return self.dn_qf + self.shift
-
-
-def vacuum_outcome_pdf(dn, cfg: HomodyneConfig):
-    """Probability density of dn with only vacuum entering the detector.
-
-    Gaussian with mean 0 and variance |alpha|^2: the coherent density at
-    beta = 0.  Accepts scalars or arrays.
-    """
-    return coherent_outcome_pdf(dn, CoherentAmplitude(0.0), cfg)
 
 
 def coherent_outcome_pdf(dn, beta: CoherentAmplitude, cfg: HomodyneConfig):

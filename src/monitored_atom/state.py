@@ -72,10 +72,6 @@ class PureState:
         object.__setattr__(self, "c_e", ce)
         object.__setattr__(self, "c_g", cg)
 
-    @property
-    def excited_population(self) -> float:
-        return _abs2(self.c_e)
-
 
 @dataclass(frozen=True)
 class BlochVector:

@@ -120,9 +120,6 @@ class DensityMatrix2:
         if n > 1.0 + 1e-12:
             raise ValueError(f"Bloch expectation length {n!r} exceeds 1")
 
-    def purity(self) -> float:
-        return 0.5 * (1.0 + self.ux**2 + self.uy**2 + self.uz**2)
-
 
 def master_evolve(rho: DensityMatrix2, gamma_t: float) -> DensityMatrix2:
     """Unconditional (record-averaged) evolution after a time gamma_t.
@@ -206,18 +203,21 @@ class TrajectoryRecord:
     """One trajectory's recorded history.
 
     ``bloch`` has shape (n_recorded, 3); the record rows for step 0 hold
-    the initial state and zero record values.  ``dn_total - dn_qf ==
-    shift`` holds exactly in every row.
+    the initial state and zero record values.  ``dn_total`` is the sum
+    ``dn_qf + shift``, computed on each read.
     """
 
     trajectory_index: int
     steps: np.ndarray
     gamma_t: np.ndarray
     bloch: np.ndarray
-    dn_total: np.ndarray
     dn_qf: np.ndarray
     shift: np.ndarray
     final_state: PureState
+
+    @property
+    def dn_total(self) -> np.ndarray:
+        return self.dn_qf + self.shift
 
 
 @dataclass(frozen=True)
@@ -480,7 +480,6 @@ def run_trajectory(cfg: SimConfig, trajectory_index: int = 0) -> TrajectoryRecor
         steps=ks,
         gamma_t=ks * cfg.homodyne.gamma_tau,
         bloch=bloch,
-        dn_total=rec["dn_qf"][:, 0] + rec["shift"][:, 0],
         dn_qf=rec["dn_qf"][:, 0].copy(),
         shift=rec["shift"][:, 0].copy(),
         final_state=final(0),
@@ -601,21 +600,3 @@ def run_ensemble(cfg: SimConfig, workers: int = 1) -> EnsembleStats:
         angle_var=angle_var,
     )
 
-
-def angle_variance(stats: EnsembleStats, step: int) -> float:
-    """Across-trajectory variance of the polar angle at a recorded step.
-
-    Raises
-    ------
-    ValueError
-        If the run left the s_y = 0 plane (the polar angle does not
-        capture the state then) or the step was not recorded.
-    """
-    if stats.angle_var is None:
-        raise ValueError(
-            "angle statistics are defined only for runs confined to the s_y = 0 plane"
-        )
-    rows = np.nonzero(stats.steps == step)[0]
-    if rows.size == 0:
-        raise ValueError(f"step {step!r} is not among the recorded steps")
-    return float(stats.angle_var[rows[0]])

@@ -93,6 +93,7 @@ def test_run_beyond_available_memory_exits_two(monkeypatch, capsys):
 @pytest.mark.parametrize("flag,value,workers", [
     ("--alpha2", "-4", "1"),
     ("--alpha2", "0", "1"),
+    ("--alpha2", "inf", "1"),
     ("--seed", "-1", "1"),
     ("--seed", "-1", "2"),
 ])

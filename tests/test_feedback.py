@@ -23,7 +23,6 @@ from monitored_atom import (
     combined_diffusion_step,
     diffusion_step_first_order,
     feedback_amplitude,
-    residual_rotation,
 )
 
 CFG = HomodyneConfig(alpha_mag=100.0, gamma_tau=1e-4)
@@ -68,13 +67,14 @@ def test_residual_rotation_closed_form():
         law = FeedbackLaw(theta_bar=float(theta_bar))
         for dn in np.linspace(-2.0 * CFG.alpha_mag, 2.0 * CFG.alpha_mag, 41):
             r = float(dn) / (2.0 * CFG.alpha_mag)
-            got = residual_rotation(float(dn), law, CFG)
+            got = r + feedback_amplitude(float(dn), law, CFG)
             assert abs(got - (-math.cos(theta_bar) * r)) <= 1e-15
 
 
 def test_residual_rotation_disabled_law():
     off = FeedbackLaw(theta_bar=0.3, enabled=False)
-    assert residual_rotation(80.0, off, CFG) == 80.0 / (2.0 * CFG.alpha_mag)
+    r = 80.0 / (2.0 * CFG.alpha_mag)
+    assert r + feedback_amplitude(80.0, off, CFG) == r
 
 
 def test_combined_step_target_is_exact_fixed_point():

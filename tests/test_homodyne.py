@@ -36,10 +36,10 @@ from monitored_atom import (
     sample_outcome,
     sample_outcome_conditioned,
     state_from_bloch,
-    vacuum_outcome_pdf,
 )
 
 CFG = HomodyneConfig(alpha_mag=100.0, gamma_tau=1e-4)
+VACUUM = CoherentAmplitude(0.0)
 
 
 def matrix_update_oracle(c_e, c_g, dn, cfg):
@@ -72,19 +72,19 @@ def test_vacuum_pdf_normalization_and_moments():
     """Quadrature oracle: the density integrates to 1 with mean 0 and
     variance |alpha|^2."""
     lim = 12.0 * CFG.alpha_mag
-    total, _ = integrate.quad(lambda x: vacuum_outcome_pdf(x, CFG), -lim, lim)
+    total, _ = integrate.quad(lambda x: coherent_outcome_pdf(x, VACUUM, CFG), -lim, lim)
     assert math.isclose(total, 1.0, rel_tol=1e-9)
-    mean, _ = integrate.quad(lambda x: x * vacuum_outcome_pdf(x, CFG), -lim, lim)
+    mean, _ = integrate.quad(lambda x: x * coherent_outcome_pdf(x, VACUUM, CFG), -lim, lim)
     assert abs(mean) < 1e-9
-    second, _ = integrate.quad(lambda x: x * x * vacuum_outcome_pdf(x, CFG), -lim, lim)
+    second, _ = integrate.quad(lambda x: x * x * coherent_outcome_pdf(x, VACUUM, CFG), -lim, lim)
     assert math.isclose(second, CFG.alpha_sq, rel_tol=1e-9)
 
 
 def test_vacuum_pdf_peak_and_symmetry():
     peak = 1.0 / math.sqrt(2.0 * math.pi * CFG.alpha_sq)
-    assert math.isclose(float(vacuum_outcome_pdf(0.0, CFG)), peak, rel_tol=1e-14)
+    assert math.isclose(float(coherent_outcome_pdf(0.0, VACUUM, CFG)), peak, rel_tol=1e-14)
     for x in (1.0, 37.5, 250.0):
-        assert vacuum_outcome_pdf(x, CFG) == vacuum_outcome_pdf(-x, CFG)
+        assert coherent_outcome_pdf(x, VACUUM, CFG) == coherent_outcome_pdf(-x, VACUUM, CFG)
 
 
 def test_coherent_pdf_mean_shift():
@@ -107,7 +107,7 @@ def test_out_of_phase_field_is_invisible():
     xs = np.linspace(-400.0, 400.0, 101)
     assert np.array_equal(
         coherent_outcome_pdf(xs, CoherentAmplitude(0.05j), CFG),
-        vacuum_outcome_pdf(xs, CFG),
+        coherent_outcome_pdf(xs, VACUUM, CFG),
     )
 
 
@@ -330,12 +330,14 @@ def test_config_validation_messages():
         HomodyneConfig(gamma_tau=0.0)
     with pytest.raises(ValueError, match="positive"):
         HomodyneConfig(alpha_mag=-100.0)
+    with pytest.raises(ValueError, match="finite"):
+        HomodyneConfig(gamma_tau=math.inf)
     assert UpdateMode("first-order") is UpdateMode.FIRST_ORDER
 
 
 def test_outcome_dataclass_identity():
     out = sample_outcome(-12.5, CFG, np.random.default_rng(0))
-    assert out.dn_total - out.shift == out.dn_qf
+    assert out.dn_total == out.dn_qf + out.shift
 
 
 @pytest.mark.parametrize("gamma_tau", [1e-4, 3e-3, 0.01, 2.0**-20])

@@ -19,7 +19,7 @@ from monitored_atom import (
     UpdateMode,
     combined_diffusion_step,
     diffusion_step_first_order,
-    residual_rotation,
+    feedback_amplitude,
 )
 from monitored_atom import cli, trajectory
 
@@ -131,7 +131,7 @@ def test_residual_rotation_identity(alpha, tb, enabled, xi):
     law = FeedbackLaw(theta_bar=tb, enabled=enabled)
     dn = alpha * xi
     r = dn / (2.0 * alpha)
-    out = residual_rotation(dn, law, hom)
+    out = r + feedback_amplitude(dn, law, hom)
     if enabled:
         assert abs(out + law.cos_theta_bar * r) <= 2e-15 * max(1.0, abs(r))
     else:

