@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import sys
@@ -50,6 +49,9 @@ ENSEMBLE_COLUMNS = [
 ]
 FIELD_COLUMNS = ["grid_sx", "grid_sy", "grid_sz", "dsx", "dsy", "dsz"]
 SWEEP_COLUMNS = ["delay"] + ENSEMBLE_COLUMNS
+# Table rows rendered per JSON write.
+_EMIT_ROWS = 512
+_ROW_BOUNDARY = "\n    ],\n    [\n      "
 
 _BASE: dict[str, object] = {
     "preset": None,
@@ -293,46 +295,45 @@ def _cell(v) -> str:
     return "%.17g" % v
 
 
-def _render_csv(columns, rows, config) -> str:
-    buf = io.StringIO()
-    buf.write("# config=" + json.dumps(config, separators=(",", ":")) + "\n")
-    w = csv.writer(buf, lineterminator="\n")
+def _write_csv(f, columns, rows, config) -> None:
+    f.write("# config=" + json.dumps(config, separators=(",", ":")) + "\n")
+    w = csv.writer(f, lineterminator="\n")
     w.writerow(columns)
-    for row in rows:
-        w.writerow([_cell(v) for v in row])
-    return buf.getvalue()
+    w.writerows([_cell(v) for v in row] for row in rows)
 
 
-def _render_json(columns, rows, config) -> str:
+def _write_json(f, columns, rows, config) -> None:
     # The bytes of json.dumps({...}, indent=2) + "\n".  indent switches
     # the C encoder off, so it is kept for the small config and columns
-    # only; the rows take one C-encoder pass that puts each cell on its own
-    # indented line, then the row boundaries are rewritten.  Cells are
-    # numbers or null, so "],\n      [" can only be a boundary.
+    # only; each block of rows takes one C-encoder pass that puts each cell
+    # on its own indented line, then the row boundaries are rewritten.
+    # Cells are numbers or null, so "],\n      [" can only be a boundary.
     head = json.dumps({"config": config, "columns": columns}, indent=2)
-    body = json.dumps(rows, separators=(",\n      ", ": "))
-    if rows:
-        body = body[2:-2].replace("],\n      [", "\n    ],\n    [\n      ")
-        body = "[\n    [\n      " + body + "\n    ]\n  ]"
-    return head[:-2] + ',\n  "rows": ' + body + "\n}\n"
+    f.write(head[:-2] + ',\n  "rows": ')
+    if not rows:
+        f.write("[]\n}\n")
+        return
+    f.write("[\n    [\n      ")
+    for b in range(0, len(rows), _EMIT_ROWS):
+        body = json.dumps(rows[b:b + _EMIT_ROWS], separators=(",\n      ", ": "))
+        f.write(("" if b == 0 else _ROW_BOUNDARY) + body[2:-2].replace("],\n      [", _ROW_BOUNDARY))
+    f.write("\n    ]\n  ]\n}\n")
 
 
 def emit_results(columns, rows, config, out: str = "-", fmt: str = "csv") -> None:
     """Write the result table to ``out`` ("-" for stdout).
 
-    Raises OSError if the path cannot be written.
+    The text is written in blocks of rows as it is rendered, so it never
+    exists whole.  Raises OSError if the path cannot be written.
     """
-    if fmt == "csv":
-        text = _render_csv(columns, rows, config)
-    elif fmt == "json":
-        text = _render_json(columns, rows, config)
-    else:
+    write = {"csv": _write_csv, "json": _write_json}.get(fmt)
+    if write is None:
         raise ValueError(f"unknown format {fmt!r}")
     if out == "-":
-        sys.stdout.write(text)
+        write(sys.stdout, columns, rows, config)
     else:
         with open(out, "w", encoding="utf-8", newline="") as f:
-            f.write(text)
+            write(f, columns, rows, config)
 
 
 def main(argv=None) -> int:

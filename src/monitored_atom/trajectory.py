@@ -39,9 +39,11 @@ one standard normal per interval.  Each process draws its trajectories'
 streams in slabs of consecutive intervals, every row from its own
 generator; numpy's Generator keeps no normal-draw state between calls, so
 the slabs join into the very stream one call would draw, whatever their
-size.  Every trajectory owns its stream, all reductions run over arrays
-reassembled in index order, so any partition of an ensemble over worker
-processes yields bitwise identical statistics.
+size.  Every trajectory owns its stream, and every statistic reduces one
+recorded row over all trajectories.  The rows reach the reduction in
+blocks, each joined across worker processes in index order, so neither
+the partition of an ensemble over processes nor the slab and block
+lengths change a bit of the statistics.
 """
 
 from __future__ import annotations
@@ -86,8 +88,8 @@ LONG_RUN_CEILING = 1.0
 
 _BLOCH_NAMES = ("sx", "sy", "sz")
 _REC_NAMES = _BLOCH_NAMES + ("dn_qf", "shift")
-# The Bloch readout runs on blocks of about this many recorded cells, so
-# its temporaries stay small next to the records however long the run.
+# The Bloch readout and the reduction run on blocks of about this many
+# recorded cells, so their temporaries stay small next to a slab's records.
 _READOUT_CELLS = 1 << 16
 # Each process draws its noise in (n, block) slabs of about this many
 # bytes.  Smaller slabs cost one more draw call per row per slab: at 4 MB,
@@ -348,8 +350,16 @@ def _kernel(cfg: SimConfig):
     return _exact_kernel if cfg.homodyne.mode is UpdateMode.EXACT else _first_order_kernel
 
 
-def _simulate(cfg: SimConfig, indices, names=_REC_NAMES):
-    """Advance the given trajectory indices in lockstep.
+def _slab_ends(ks: np.ndarray, steps: int, block: int) -> np.ndarray:
+    # Per noise slab of ``block`` steps, one past the last recorded row it
+    # reaches.  Slab 0 also holds step 0, and a run of 0 steps is one slab
+    # of no steps, so every run has at least one.
+    ends = [min(k0 + block, steps) for k0 in range(0, max(steps, 1), block)]
+    return np.searchsorted(ks, ends, side="right")
+
+
+def _slab_records(cfg: SimConfig, indices, block: int, rows: int, names=_BLOCH_NAMES):
+    """Advance the given trajectory indices in lockstep, one noise slab at a time.
 
     The update mode supplies only its state, its one-interval step and
     its Bloch readout; the loop around them is shared.  Each step reads
@@ -357,67 +367,158 @@ def _simulate(cfg: SimConfig, indices, names=_REC_NAMES):
     records it, and only then overwrites that slot with the shift this
     interval's record calls for, which falls due ``delay`` steps later.
     The noise comes from an (n, block) slab of the per-row streams,
-    refilled every ``block`` steps, so the draws hold about
-    ``_NOISE_BYTES`` however long the run.  The loop records the state
-    itself; the Bloch readout runs after the slab is released, on blocks
-    of the recorded rows.
+    refilled every ``block`` steps.  The loop records the state itself;
+    at the end of each slab, that slab's recorded rows go out in blocks
+    of ``rows``, through the Bloch readout in the exact mode.
 
     ``names`` is a leading part of ``_REC_NAMES``: the records to keep.
-    Returns (recorded_steps, rec, final) where rec maps each of ``names``
-    to an array of shape (n_recorded, len(indices)) and ``final(i)`` is
-    the final PureState of column i.
+    Returns (blocks, final).  ``blocks`` yields arrays of shape
+    (len(names), at most rows, len(indices)) that hold those records at
+    consecutive recorded steps, in order from step 0; no block spans two
+    slabs, and each is valid only until the next is drawn.  Once
+    ``blocks`` is exhausted, ``final(i)`` is the final PureState of
+    column i.
     """
     hom = cfg.homodyne
     law = cfg.law
+    stride = cfg.record_stride
     n = len(indices)
     state, step, bloch, final = _kernel(cfg)(cfg, n)
-    gens = [np.random.default_rng(trajectory_seed(cfg.master_seed, i)) for i in indices]
-    block = _slab_steps(cfg.steps, n)
-    slab = np.empty((n, block), dtype=np.float64)
-    ks = _recorded_steps(cfg.steps, cfg.record_stride)
-    row_of = {int(k): r for r, k in enumerate(ks)}
-    rec = {name: np.zeros((len(ks), n), dtype=np.float64) for name in names}
-    out = tuple(rec[name] for name in _BLOCH_NAMES)
-    # A mode without a readout keeps its state in the Bloch records.
-    rows = out if bloch is None else tuple(np.zeros((len(ks), n), c.dtype) for c in state)
-    kept = tuple(rec[name] for name in names[len(_BLOCH_NAMES):])
-    ring = np.zeros((n, cfg.delay), dtype=np.float64)
-    for k0 in range(0, cfg.steps, block):
-        # A short last slab is a leading view of the same buffer, so two
-        # slabs never live at once; each row stays contiguous.
-        xi = slab[:, :min(block, cfg.steps - k0)]
-        for row, gen in zip(xi, gens):
-            gen.standard_normal(out=row)
-        xi *= hom.alpha_mag
-        for k, noise in enumerate(xi.T, k0):
-            shift = ring[:, k % cfg.delay]
-            state, dn_qf = step(state, shift, noise)
-            r = row_of.get(k + 1)
-            if r is not None:
-                for a, v in zip(rows + kept, state + (dn_qf, shift)):
-                    a[r] = v
-            if law.enabled:
-                shift[:] = (2.0 * hom.alpha_mag) * feedback_amplitude(dn_qf, law, hom)
-    gens = slab = xi = noise = dn_qf = None  # a first-order dn_qf is a view of the slab
-    if bloch is not None:
-        block = max(1, _READOUT_CELLS // n)
-        for b in range(0, len(ks), block):
-            bloch(tuple(c[b:b + block] for c in rows), tuple(a[b:b + block] for a in out))
-    # Step 0 is the initial condition itself; record it verbatim rather
-    # than the amplitude round trip, which can be off by an ulp.
-    for a, v in zip(out, cfg.initial.as_tuple()):
-        a[0] = v
+    ends = _slab_ends(_recorded_steps(cfg.steps, stride), cfg.steps, block)
+    size = int(np.max(np.diff(ends, prepend=0)))
 
-    for name in names:
-        if not np.all(np.isfinite(rec[name])):
-            raise RuntimeError(f"trajectory kernel produced non-finite {name}")
-    return ks, rec, lambda i: final(state, i)
+    def blocks():
+        nonlocal state
+        gens = [np.random.default_rng(trajectory_seed(cfg.master_seed, i)) for i in indices]
+        slab = np.empty((n, block), dtype=np.float64)
+        ring = np.zeros((n, cfg.delay), dtype=np.float64)
+        # One slab's records.  A mode without a readout keeps its state in
+        # the Bloch rows; the exact mode keeps its amplitudes and reads each
+        # block out into ``out``.
+        nb = len(_BLOCH_NAMES)
+        rec = np.empty((len(names) - (bloch is not None) * nb, size, n), dtype=np.float64)
+        if bloch is None:
+            held, kept = tuple(rec[:nb]), tuple(rec[nb:])
+        else:
+            held, kept = tuple(np.empty((size, n), c.dtype) for c in state), tuple(rec)
+            out = np.empty((len(names), rows, n), dtype=np.float64)
+        for a, v in zip(held + kept, state + (0.0, 0.0)):
+            a[0] = v
+        r0 = 0
+        for k0, r1 in zip(range(0, max(cfg.steps, 1), block), ends):
+            # A short last slab is a leading view of the same buffer, so two
+            # slabs never live at once; each row stays contiguous.
+            xi = slab[:, :min(block, cfg.steps - k0)]
+            for row, gen in zip(xi, gens):
+                gen.standard_normal(out=row)
+            xi *= hom.alpha_mag
+            for k, noise in enumerate(xi.T, k0):
+                shift = ring[:, k % cfg.delay]
+                state, dn_qf = step(state, shift, noise)
+                # The recorded steps are the stride's multiples and the
+                # last step, so step k + 1 is row ceil((k + 1) / stride).
+                if (k + 1) % stride == 0 or k + 1 == cfg.steps:
+                    r = -(-(k + 1) // stride) - r0
+                    for a, v in zip(held + kept, state + (dn_qf, shift)):
+                        a[r] = v
+                if law.enabled:
+                    shift[:] = (2.0 * hom.alpha_mag) * feedback_amplitude(dn_qf, law, hom)
+            for b in range(0, r1 - r0, rows):
+                e = min(b + rows, r1 - r0)
+                if bloch is None:
+                    part = rec[:, b:e]
+                else:
+                    part = out[:, :e - b]
+                    bloch(tuple(c[b:e] for c in held), tuple(part[:nb]))
+                    part[nb:] = rec[:, b:e]
+                if r0 + b == 0:
+                    # Step 0 is the initial condition itself; record it
+                    # verbatim rather than the amplitude round trip, which
+                    # can be off by an ulp.
+                    for a, v in zip(part, cfg.initial.as_tuple()):
+                        a[0] = v
+                for name, a in zip(names, part):
+                    if not np.all(np.isfinite(a)):
+                        raise RuntimeError(f"trajectory kernel produced non-finite {name}")
+                yield part
+            r0 = r1
+
+    return blocks(), lambda i: final(state, i)
 
 
-def _simulate_chunk(args):
-    # Worker entry point: statistics need only the Bloch records.
-    cfg, indices = args
-    return _simulate(cfg, indices, _BLOCH_NAMES)[1]
+def _simulate(cfg: SimConfig, indices, names=_REC_NAMES):
+    """Run the given trajectory indices and join their records.
+
+    The full-record form of :func:`_slab_records`, whose blocks it joins:
+    returns (recorded_steps, rec, final), where rec maps each of
+    ``names`` to an array of shape (n_recorded, len(indices)) and
+    ``final(i)`` is the final PureState of column i.
+    """
+    n = len(indices)
+    blocks, final = _slab_records(
+        cfg, indices, _slab_steps(cfg.steps, n), max(1, _READOUT_CELLS // n), names
+    )
+    rec = np.concatenate([b.copy() for b in blocks], axis=1)
+    return _recorded_steps(cfg.steps, cfg.record_stride), dict(zip(names, rec)), final
+
+
+def _simulate_chunk(cfg: SimConfig, indices, block: int, rows: int, send) -> None:
+    # Worker entry point: sends each block of its chunk's Bloch records in
+    # order, or else the exception that stopped the run, for the parent to
+    # raise.
+    try:
+        for part in _slab_records(cfg, indices, block, rows)[0]:
+            send(part)
+    except Exception as exc:
+        send(exc)
+
+
+def _receive(proc, pipe) -> np.ndarray:
+    # A worker's next block of records; raises its error, or a RuntimeError
+    # when it died without sending one.
+    try:
+        msg = pipe.recv()
+    except EOFError:
+        proc.join()
+        raise RuntimeError(
+            f"worker process {proc.pid} exited with code {proc.exitcode} "
+            f"before it sent all its records"
+        ) from None
+    if isinstance(msg, Exception):
+        raise msg
+    return msg
+
+
+def _pool_blocks(cfg: SimConfig, chunks, block: int, rows: int):
+    # Yields the blocks of Bloch records of the whole ensemble.  One forked
+    # process per chunk sends its blocks through its own pipe, and the
+    # chunks' rows of each block are joined in index order.  The parent
+    # closes each write end once its child holds it, before it forks the
+    # next child, so a pipe reads EOF as soon as its own child dies.
+    methods = multiprocessing.get_all_start_methods()
+    ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
+    ends = _slab_ends(_recorded_steps(cfg.steps, cfg.record_stride), cfg.steps, block)
+    count = int(np.sum(-(-np.diff(ends, prepend=0) // rows)))
+    procs, pipes = [], []
+    try:
+        for chunk in chunks:
+            recv, send = ctx.Pipe(duplex=False)
+            pipes.append(recv)
+            proc = ctx.Process(target=_simulate_chunk, args=(cfg, chunk, block, rows, send.send),
+                               daemon=True)
+            proc.start()
+            procs.append(proc)
+            send.close()
+        for _ in range(count):
+            yield np.concatenate([_receive(p, c) for p, c in zip(procs, pipes)], axis=2)
+        for proc in procs:
+            proc.join()
+    finally:
+        for proc in procs:
+            proc.terminate()
+            proc.join()
+        for recv in pipes:
+            recv.close()
 
 
 def step_trajectory(
@@ -508,19 +609,26 @@ def _mem_available() -> int | None:
     return None
 
 
-def _check_memory(cfg: SimConfig, sizes, n_recorded: int) -> None:
+def _check_memory(cfg: SimConfig, sizes, n_recorded: int, block: int) -> None:
     # Raises ValueError when the run's estimated peak exceeds MemAvailable.
-    # Each process of n rows holds its noise slab, its generators, the
-    # Bloch records (and in the exact mode the amplitude rows the readout
-    # consumes) and the delay ring; the parent holds the chunks' records,
-    # their concatenation and the reduction's temporaries, three times the
-    # ensemble's Bloch records.
+    # Nothing in it grows with the run's length but the statistics: each
+    # process holds one slab of ``block`` steps at a time, and the records
+    # leave it in blocks of at most max(_READOUT_CELLS, trajectories) cells.
     start, _, bloch, _ = _kernel(cfg)(cfg, 1)
-    cell = 24 + (sum(c.itemsize for c in start) if bloch else 0)
-    need = 72 * cfg.trajectories * n_recorded + sum(
-        n * (8 * _slab_steps(cfg.steps, n) + _GENERATOR_BYTES + cell * n_recorded + 8 * cfg.delay)
-        for n in sizes
-    )
+    ends = _slab_ends(_recorded_steps(cfg.steps, cfg.record_stride), cfg.steps, block)
+    rows = int(np.max(np.diff(ends, prepend=0)))
+    # Per recorded cell of a slab: the exact mode's amplitudes, or else the
+    # Bloch vector.
+    cell = sum(c.itemsize for c in start) if bloch else 24
+    # Per process of n rows: its noise, generators and delay ring, and the
+    # slab's records.
+    need = sum(n * (8 * block + _GENERATOR_BYTES + 8 * cfg.delay + cell * rows) for n in sizes)
+    # Per cell of a block: the Bloch rows read out and the readout's or the
+    # reduction's temporaries; in a pool also the pickled copy a worker
+    # sends, and the parent's received rows, the pickle it is reading and
+    # their join.  Then the statistics of each recorded step.
+    need += (128 + 120 * (len(sizes) > 1)) * max(_READOUT_CELLS, cfg.trajectories)
+    need += 160 * n_recorded
     avail = _mem_available()
     if avail is not None and need > avail:
         raise ValueError(
@@ -541,8 +649,9 @@ def run_ensemble(cfg: SimConfig, workers: int = 1) -> EnsembleStats:
         ensemble of fewer than ``_POOL_MIN_TRAJECTORIES`` runs in this
         process whatever the count, since a pool does not pay for its
         start there.  Any value yields bitwise identical statistics:
-        trajectories own index-keyed streams, chunks are reassembled in
-        index order, and every reduction runs over the full arrays.
+        trajectories own index-keyed streams, each slab's records are
+        joined in index order, and every statistic reduces one recorded
+        row over all trajectories.
 
     Raises
     ------
@@ -560,33 +669,40 @@ def run_ensemble(cfg: SimConfig, workers: int = 1) -> EnsembleStats:
         workers = 1
     chunks = np.array_split(np.arange(cfg.trajectories), workers)
     ks = _recorded_steps(cfg.steps, cfg.record_stride)
-    _check_memory(cfg, [len(c) for c in chunks], len(ks))
+    # Every process draws slabs as long as the largest chunk's, and sends
+    # blocks of as many rows, so block b covers the same steps in all.
+    block = _slab_steps(cfg.steps, len(chunks[0]))
+    _check_memory(cfg, [len(c) for c in chunks], len(ks), block)
+    rows = max(1, _READOUT_CELLS // cfg.trajectories)
     if workers == 1:
-        parts = [_simulate_chunk((cfg, chunks[0]))]
+        blocks = _slab_records(cfg, chunks[0], block, rows)[0]
     else:
-        methods = multiprocessing.get_all_start_methods()
-        ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
-        with ctx.Pool(processes=workers) as pool:
-            parts = pool.map(_simulate_chunk, [(cfg, c) for c in chunks])
-    stacked = {c: np.concatenate([p[c] for p in parts], axis=1) for c in _BLOCH_NAMES}
-    stats = [_row_stats(stacked[c]) for c in _BLOCH_NAMES]
-    mean = np.column_stack([m for m, _ in stats])
-    var = np.column_stack([v for _, v in stats])
-    se = np.sqrt(var / cfg.trajectories)
+        blocks = _pool_blocks(cfg, chunks, block, rows)
     target = cfg.law.target if cfg.law.enabled else cfg.initial
-    # 1 - |s - t|^2/4 equals the target overlap for unit vectors; the
-    # subtracted form is exactly 1.0 for trajectories sitting on the target.
-    dev = (
-        (stacked["sx"] - target.sx) ** 2
-        + (stacked["sy"] - target.sy) ** 2
-        + (stacked["sz"] - target.sz) ** 2
-    )
-    fidelity = np.mean(1.0 - 0.25 * dev, axis=1)
+    mean = np.empty((len(ks), 3))
+    var = np.empty((len(ks), 3))
+    fidelity = np.empty(len(ks))
+    angle_var = np.empty(len(ks))
+    r0 = 0
+    try:
+        for part in blocks:
+            sx, sy, sz = part
+            r = slice(r0, r0 + len(sx))
+            r0 += len(sx)
+            for c, x in enumerate(part):
+                mean[r, c], var[r, c] = _row_stats(x)
+            # 1 - |s - t|^2/4 equals the target overlap for unit vectors; the
+            # subtracted form is exactly 1.0 for trajectories sitting on the
+            # target.
+            dev = (sx - target.sx) ** 2 + (sy - target.sy) ** 2 + (sz - target.sz) ** 2
+            fidelity[r] = np.mean(1.0 - 0.25 * dev, axis=1)
+            if angle_var is not None and np.all(np.abs(sy) <= PLANE_TOL):
+                angle_var[r] = _row_stats(np.arctan2(sx, sz))[1]
+            else:
+                angle_var = None
+    finally:
+        blocks.close()
     purity = 0.5 * (1.0 + mean[:, 0] ** 2 + mean[:, 1] ** 2 + mean[:, 2] ** 2)
-    if np.all(np.abs(stacked["sy"]) <= PLANE_TOL):
-        angle_var = _row_stats(np.arctan2(stacked["sx"], stacked["sz"]))[1]
-    else:
-        angle_var = None
     return EnsembleStats(
         n_trajectories=cfg.trajectories,
         target=target,
@@ -594,9 +710,8 @@ def run_ensemble(cfg: SimConfig, workers: int = 1) -> EnsembleStats:
         gamma_t=ks * cfg.homodyne.gamma_tau,
         mean=mean,
         var=var,
-        se=se,
+        se=np.sqrt(var / cfg.trajectories),
         fidelity=fidelity,
         purity=purity,
         angle_var=angle_var,
     )
-

@@ -90,6 +90,25 @@ def test_run_beyond_available_memory_exits_two(monkeypatch, capsys):
     assert re.search(r"estimated \d+ MB of memory, more than the 1 MB available", out.err)
 
 
+class _Started(Exception):
+    pass
+
+
+def _started(*args, **kwargs):
+    raise _Started
+
+
+def test_long_stride_one_stabilize_run_passes_the_memory_check(monkeypatch):
+    """Recorded at every one of 10^4 steps, a 10^4-trajectory stabilize run
+    holds one slab's records at a time, so the memory check passes it on
+    1 GB.  The run itself stops at its first seed, past the check."""
+    monkeypatch.setattr(trajectory, "_mem_available", lambda: 1 << 30)
+    monkeypatch.setattr(trajectory, "trajectory_seed", _started)
+    with pytest.raises(_Started):
+        cli.main(["--preset", "stabilize", "--trajectories", "10000", "--steps", "10000",
+                  "--record-stride", "1"])
+
+
 @pytest.mark.parametrize("flag,value,workers", [
     ("--alpha2", "-4", "1"),
     ("--alpha2", "0", "1"),
@@ -217,6 +236,29 @@ def test_reruns_and_worker_counts_are_byte_identical():
     c = run_cli(*_small_decay("--workers", "2"))
     assert a.returncode == b.returncode == c.returncode == 0
     assert a.stdout == b.stdout == c.stdout
+
+
+@pytest.mark.parametrize("mode", ["exact", "first-order"])
+def test_pool_output_is_byte_identical_to_one_worker(monkeypatch, tmp_path, mode):
+    """At 2048 trajectories, the pool floor, --workers 2 forks two workers,
+    whose records the parent joins in trajectory order: the CSV and JSON
+    bytes are those of --workers 1.  Two CPUs are made visible, so the
+    pool starts on any machine."""
+    monkeypatch.setattr(trajectory.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    contexts = []
+    get_context = trajectory.multiprocessing.get_context
+    monkeypatch.setattr(trajectory.multiprocessing, "get_context",
+                        lambda method=None: contexts.append(method) or get_context(method))
+    args = ["--mode", mode, "--feedback", "on", "--theta-bar", "1.2", "--initial", "0.6,0,0.8",
+            "--trajectories", str(trajectory._POOL_MIN_TRAJECTORIES), "--steps", "6",
+            "--delay", "2", "--seed", "17"]
+    for fmt in ("csv", "json"):
+        paths = [tmp_path / f"{fmt}-{workers}" for workers in (1, 2)]
+        for path, workers in zip(paths, (1, 2)):
+            assert cli.main(args + ["--format", fmt, "--workers", str(workers),
+                                    "--out", str(path)]) == 0
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+    assert len(contexts) == 2  # one pool per format, none for one worker
 
 
 @pytest.mark.parametrize("golden,args", [

@@ -1,17 +1,25 @@
 """In-process tests of the result table and its JSON rendering.
 
-The renderer must give exactly the bytes of ``json.dumps(..., indent=2)``
-on every table the CLI can emit, and the rows must hold plain Python
-ints, floats and None, so that both renderers see the same objects.
+The renderer writes the table in blocks of rows; the text it writes must
+be exactly the bytes of ``json.dumps(..., indent=2)`` on every table the
+CLI can emit, and the rows must hold plain Python ints, floats and None,
+so that both renderers see the same objects.
 """
 
+import io
 import json
 import math
 
 import pytest
 
 from monitored_atom import BlochVector, FeedbackLaw, HomodyneConfig, SimConfig, run_ensemble
-from monitored_atom.cli import ENSEMBLE_COLUMNS, SWEEP_COLUMNS, _render_json, _stats_rows
+from monitored_atom.cli import (
+    _EMIT_ROWS,
+    ENSEMBLE_COLUMNS,
+    SWEEP_COLUMNS,
+    _stats_rows,
+    _write_json,
+)
 
 CONFIG = {
     "preset": None,
@@ -26,6 +34,13 @@ def _reference(columns, rows, config):
     return json.dumps({"config": config, "columns": columns, "rows": rows}, indent=2) + "\n"
 
 
+def _render_json(columns, rows, config):
+    # Everything the JSON writer writes, joined.
+    stream = io.StringIO()
+    _write_json(stream, columns, rows, config)
+    return stream.getvalue()
+
+
 @pytest.mark.parametrize("columns,rows", [
     (ENSEMBLE_COLUMNS, []),
     (["step", "angle_var"], [[0, None], [1, None]]),
@@ -37,6 +52,17 @@ def _reference(columns, rows, config):
                      [50, 30, 0.003, 0.5, -0.0, 0.25, 1e-3, 0.0, 2e-3, 1e-5, 1.0, 1.0]]),
 ])
 def test_render_json_matches_indented_dumps(columns, rows):
+    assert _render_json(columns, rows, CONFIG) == _reference(columns, rows, CONFIG)
+
+
+@pytest.mark.parametrize("count", [0, 1, _EMIT_ROWS - 1, _EMIT_ROWS, _EMIT_ROWS + 1,
+                                   2 * _EMIT_ROWS + 1])
+def test_rows_written_in_blocks_match_indented_dumps(count):
+    """Row blocks that end exactly on the last row, one short of it or one
+    past it join into the bytes of one json.dumps call."""
+    rows = [[r, r * 1e-4, -0.5 / (r + 1), None if r % 3 else 1e-300, math.pi * r]
+            for r in range(count)]
+    columns = ["step", "gamma_t", "mean_sx", "angle_var", "fidelity"]
     assert _render_json(columns, rows, CONFIG) == _reference(columns, rows, CONFIG)
 
 

@@ -15,6 +15,8 @@ Oracles:
 import dataclasses
 import json
 import math
+import multiprocessing
+import os
 import pathlib
 import pickle
 import re
@@ -175,26 +177,49 @@ def test_rerun_is_bitwise_identical():
 
 @pytest.fixture
 def serial_pool(monkeypatch):
-    """Replaces the process pool with an in-process stand-in, so no process
-    is started; returns the list of the pool sizes requested."""
-    sizes = []
+    """Replaces the worker processes and their pipes with in-process
+    stand-ins, so no process is started; returns the list of the chunk
+    sizes of the workers started, in order."""
+    started = []
 
-    class SerialPool:
-        def __init__(self, processes):
-            sizes.append(processes)
+    class Pipe:
+        # Both ends of one pipe: messages are pickled, as a real pipe does.
+        def __init__(self):
+            self.messages = []
 
-        def __enter__(self):
-            return self
+        def send(self, obj):
+            self.messages.append(pickle.dumps(obj))
 
-        def __exit__(self, *exc):
-            return False
+        def recv(self):
+            if not self.messages:
+                raise EOFError
+            return pickle.loads(self.messages.pop(0))
 
-        def map(self, fn, items):
-            return [fn(item) for item in items]
+        def close(self):
+            pass
 
-    stub = types.SimpleNamespace(Pool=SerialPool)
+    class Process:
+        def __init__(self, target, args, daemon):
+            self.run = lambda: target(*args)
+            self.chunk = len(args[1])
+
+        def start(self):
+            started.append(self.chunk)
+            self.run()
+
+        def terminate(self):
+            pass
+
+        def join(self):
+            pass
+
+    def pipe(duplex):
+        end = Pipe()
+        return end, end
+
+    stub = types.SimpleNamespace(Pipe=pipe, Process=Process)
     monkeypatch.setattr(trajectory.multiprocessing, "get_context", lambda method=None: stub)
-    return sizes
+    return started
 
 
 @pytest.mark.parametrize("hom,law", [
@@ -231,7 +256,7 @@ def test_worker_count_is_capped_at_available_cpus(monkeypatch, serial_pool, affi
     )
     serial = run_ensemble(cfg, workers=1)
     capped = run_ensemble(cfg, workers=5000)
-    assert serial_pool == [3]  # 2048 trajectories split 683 + 683 + 682
+    assert serial_pool == [683, 683, 682]
     for x, y in zip(_stats_fields(serial), _stats_fields(capped)):
         assert np.array_equal(x, y)
 
@@ -246,7 +271,7 @@ def test_small_ensembles_run_in_process(monkeypatch, serial_pool, hom, below):
     cfg = SimConfig(homodyne=hom, initial=BlochVector(0.6, 0.0, 0.8), steps=3,
                     trajectories=n, master_seed=4)
     two = run_ensemble(cfg, workers=2)
-    assert serial_pool == ([] if below else [2])
+    assert serial_pool == ([] if below else [n // 2, n // 2])
     for x, y in zip(_stats_fields(run_ensemble(cfg, workers=1)), _stats_fields(two)):
         assert np.array_equal(x, y)
 
@@ -263,11 +288,17 @@ def test_single_trajectory_matches_its_ensemble_column(hom, law, delay):
         steps=40, trajectories=7, master_seed=2718, delay=delay, record_stride=5,
     )
     _, rec, _ = _simulate(cfg, np.arange(cfg.trajectories))
-    chunk = trajectory._simulate_chunk((cfg, np.arange(cfg.trajectories)))
-    # Ensemble chunks carry exactly the Bloch records, as the full run has them.
-    assert sorted(chunk) == ["sx", "sy", "sz"]
-    for name in chunk:
-        assert np.array_equal(chunk[name], rec[name])
+    sent = []
+    trajectory._simulate_chunk(cfg, np.arange(cfg.trajectories), 15, 2,
+                               lambda part: sent.append(part.copy()))
+    # A worker sends exactly the Bloch records, as the full run has them,
+    # in blocks of 2 rows that end with each slab of 15 steps (rows 0-3,
+    # 4-6 and 7-8).
+    assert [p.shape[1] for p in sent] == [2, 2, 2, 1, 2]
+    chunk = np.concatenate(sent, axis=1)
+    assert chunk.shape == (3, 9, cfg.trajectories)
+    for c, name in enumerate(("sx", "sy", "sz")):
+        assert np.array_equal(chunk[c], rec[name])
     for i in (0, 3, 6):
         single = run_trajectory(cfg, i)
         for c, name in enumerate(("sx", "sy", "sz")):
@@ -727,6 +758,99 @@ def test_noise_memory_is_bounded_by_the_slab(monkeypatch):
     assert peak < 1 << 20
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("stride", [1, 7])
+@pytest.mark.parametrize("block", [1, 3], ids=["1-step-slabs", "3-step-slabs"])
+@pytest.mark.parametrize("hom,initial", [
+    pytest.param(EXACT_CFG, BlochVector(0.6, 0.0, 0.8), id="exact-float64"),
+    pytest.param(EXACT_CFG, BlochVector(0.36, 0.48, 0.8), id="exact-complex128"),
+    pytest.param(FO_CFG, BlochVector(0.6, 0.0, 0.8), id="first-order"),
+])
+def test_per_slab_reduction_matches_one_slab(monkeypatch, hom, initial, block, stride, workers):
+    """Statistics reduced as each slab of 1 or 3 steps ends, in blocks of
+    2 recorded rows, are the bits of one slab and one block for the whole
+    run, in this process and on 2 forked workers.  7 trajectories split
+    into chunks of 4 and 3, so the workers' blocks cover the same steps
+    only because both draw the larger chunk's slab length."""
+    monkeypatch.setattr(trajectory.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(trajectory, "_POOL_MIN_TRAJECTORIES", 2)
+    cfg = SimConfig(
+        homodyne=hom, law=FeedbackLaw(theta_bar=1.2), initial=initial,
+        steps=40, trajectories=7, master_seed=8, delay=5, record_stride=stride,
+    )
+    assert trajectory._slab_steps(cfg.steps, cfg.trajectories) == cfg.steps
+    whole = run_ensemble(cfg)
+    largest = 4 if workers == 2 else 7
+    monkeypatch.setattr(trajectory, "_NOISE_BYTES", 8 * largest * block)
+    monkeypatch.setattr(trajectory, "_READOUT_CELLS", 2 * cfg.trajectories)
+    assert trajectory._slab_steps(cfg.steps, largest) == block
+    pools = []
+    pool_blocks = trajectory._pool_blocks
+    monkeypatch.setattr(trajectory, "_pool_blocks",
+                        lambda cfg, chunks, *a: pools.append(len(chunks)) or pool_blocks(cfg, chunks, *a))
+    sliced = run_ensemble(cfg, workers)
+    assert pools == ([2] if workers == 2 else [])
+    assert (sliced.angle_var is None) == (whole.angle_var is None) == (initial.sy != 0.0)
+    for x, y in zip(_stats_fields(whole), _stats_fields(sliced)):
+        assert np.array_equal(x, y)
+
+
+def test_in_process_peak_does_not_grow_with_the_run_length(monkeypatch):
+    """Recorded at every step, a run twice as long raises the traced peak
+    of run_ensemble by less than 10%: every process holds one slab's
+    records at a time, and only the statistics rows grow."""
+    monkeypatch.setattr(trajectory, "_NOISE_BYTES", 1 << 19)  # 128-step slabs
+    law = FeedbackLaw(theta_bar=1.2)
+    cfg = SimConfig(homodyne=EXACT_CFG, law=law, initial=law.target, steps=1000,
+                    trajectories=512, delay=3, record_stride=1)
+    # A first call fills numpy's one-time caches, which are not the run's.
+    run_ensemble(dataclasses.replace(cfg, steps=2))
+    peaks = []
+    for steps in (1000, 2000):
+        tracemalloc.start()
+        try:
+            run_ensemble(dataclasses.replace(cfg, steps=steps))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.1 * peaks[0]
+
+
+@pytest.mark.parametrize("dies", [False, True], ids=["raises", "exits"])
+def test_failing_worker_cannot_hang_the_parent(monkeypatch, dies):
+    """When the kernel fails in one worker's chunk midway through the run,
+    run_ensemble raises that error in the parent, or names the exit code
+    of a worker that died without a word, and no worker is left behind."""
+    monkeypatch.setattr(trajectory.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(trajectory, "_POOL_MIN_TRAJECTORIES", 2)
+    monkeypatch.setattr(trajectory, "_NOISE_BYTES", 8 * 4 * 3)  # 3-step slabs
+    kernel = trajectory._first_order_kernel
+
+    def failing_kernel(cfg, n):
+        start, step, bloch, final = kernel(cfg, n)
+        calls = []
+
+        def step_or_fail(state, shift, noise):
+            # Only the second chunk, of 3 trajectories, fails, in its 4th slab.
+            calls.append(None)
+            if n == 3 and len(calls) == 11:
+                if dies:
+                    os._exit(7)
+                raise FloatingPointError("kernel failed at step 10 of the second chunk")
+            return step(state, shift, noise)
+
+        return start, step_or_fail, bloch, final
+
+    monkeypatch.setattr(trajectory, "_first_order_kernel", failing_kernel)
+    cfg = SimConfig(homodyne=FO_CFG, initial=BlochVector(1.0, 0.0, 0.0), steps=30,
+                    trajectories=7, master_seed=3)
+    error, text = (RuntimeError, "exited with code 7") if dies else (
+        FloatingPointError, "kernel failed at step 10 of the second chunk")
+    with pytest.raises(error, match=text):
+        run_ensemble(cfg, workers=2)
+    assert multiprocessing.active_children() == []
+
+
 def _never(*args, **kwargs):
     raise AssertionError("called before the memory check")
 
@@ -736,24 +860,27 @@ def _never(*args, **kwargs):
     pytest.param(BlochVector(0.6, 0.0, 0.8), 16, id="float64"),
     pytest.param(BlochVector(0.36, 0.48, 0.8), 32, id="complex128"),
 ])
-def test_memory_check_runs_before_any_draw_or_fork(monkeypatch, initial, amp_bytes, workers):
+def test_memory_check_runs_before_any_draw_or_fork(monkeypatch, serial_pool, initial, amp_bytes,
+                                                    workers):
     """A run whose estimated peak exceeds the available memory is refused
-    with the estimate in MB, before any stream is seeded or pool started."""
+    with the estimate in MB, before any stream is seeded or worker started."""
     monkeypatch.setattr(trajectory.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(trajectory.multiprocessing, "get_context", _never)
     monkeypatch.setattr(trajectory, "trajectory_seed", _never)
     monkeypatch.setattr(trajectory, "_mem_available", lambda: 1 << 20)
     cfg = SimConfig(homodyne=EXACT_CFG, law=FeedbackLaw(theta_bar=1.2), initial=initial,
                     steps=1000, trajectories=4096, delay=3)
-    cells = 4096 * 1001  # recorded cells of the whole ensemble
-    # Per process: the noise slab (4096 rows x 512 steps, or 2048 rows x
-    # all 1000 steps), 1 KB of generator and 24 B of ring per row, and per
-    # recorded cell the Bloch records and the two amplitude rows.  The
-    # parent: the records received, their concatenation and temporaries.
-    slabs = 8 * 4096 * 512 if workers == 1 else 2 * 8 * 2048 * 1000
-    need = slabs + 4096 * (1024 + 24) + (24 + amp_bytes) * cells + 72 * cells
+    # One process draws slabs of 512 steps, whose first reaches 513 recorded
+    # rows (step 0 too); two draw all 1000 steps, 1001 rows, in one slab.
+    block, rows, sizes = (512, 513, [4096]) if workers == 1 else (1000, 1001, [2048, 2048])
+    # Per process: the noise slab, 1 KB of generator and 24 B of ring per
+    # trajectory, and the amplitudes of the slab's recorded cells.
+    need = sum(n * (8 * block + 1024 + 24 + amp_bytes * rows) for n in sizes)
+    # Per cell of a block of 2^16 cells: 128 B, and 120 B more in a pool;
+    # then the statistics of the 1001 recorded steps.
+    need += (128 if workers == 1 else 248) * 2**16 + 160 * 1001
     with pytest.raises(ValueError, match=rf"estimated {need / 2**20:.0f} MB .* the 1 MB available"):
         run_ensemble(cfg, workers)
+    assert serial_pool == []
 
 
 @pytest.mark.parametrize("hom,initial,n,steps,stride", [
