@@ -34,6 +34,7 @@ import csv
 import json
 import math
 import sys
+from itertools import islice
 from typing import Mapping
 
 from .state import BlochVector
@@ -49,7 +50,7 @@ ENSEMBLE_COLUMNS = [
 ]
 FIELD_COLUMNS = ["grid_sx", "grid_sy", "grid_sz", "dsx", "dsy", "dsz"]
 SWEEP_COLUMNS = ["delay"] + ENSEMBLE_COLUMNS
-# Table rows rendered per JSON write.
+# Table rows made from the statistics, and rendered, per JSON write.
 _EMIT_ROWS = 512
 _ROW_BOUNDARY = "\n    ],\n    [\n      "
 
@@ -213,17 +214,24 @@ def _config_block(settings: Mapping[str, object], cfg: SimConfig) -> dict:
     )
 
 
-def _stats_rows(stats: EnsembleStats, prefix: tuple = ()) -> list[list]:
-    # Column-wise: tolist() gives the same Python ints and floats as
-    # int()/float() per cell, in one call per column.
-    n = stats.steps.size
+def _stats_rows(stats: EnsembleStats, prefix: tuple = (), rows: slice = slice(None)) -> list[list]:
+    # The given rows of the table.  Column-wise: tolist() gives the same
+    # Python ints and floats as int()/float() per cell, in one call per
+    # column.
+    steps = stats.steps[rows].tolist()
     columns = [
-        stats.steps.tolist(), stats.gamma_t.tolist(),
-        *stats.mean.T.tolist(), *stats.se.T.tolist(),
-        [None] * n if stats.angle_var is None else stats.angle_var.tolist(),
-        stats.fidelity.tolist(), stats.purity.tolist(),
+        steps, stats.gamma_t[rows].tolist(),
+        *stats.mean[rows].T.tolist(), *stats.se[rows].T.tolist(),
+        [None] * len(steps) if stats.angle_var is None else stats.angle_var[rows].tolist(),
+        stats.fidelity[rows].tolist(), stats.purity[rows].tolist(),
     ]
     return [[*prefix, *row] for row in zip(*columns)]
+
+
+def _table_rows(stats: EnsembleStats):
+    # The whole table, made one block of rows at a time as it is written.
+    for b in range(0, stats.steps.size, _EMIT_ROWS):
+        yield from _stats_rows(stats, rows=slice(b, b + _EMIT_ROWS))
 
 
 def _sphere_grid(n: int) -> list[tuple[float, float, float]]:
@@ -261,7 +269,7 @@ def _field_table(settings: Mapping[str, object]):
 def _ensemble_table(settings: Mapping[str, object], workers: int):
     cfg = _build_sim_config(settings)
     stats = run_ensemble(cfg, workers)
-    return ENSEMBLE_COLUMNS, _stats_rows(stats), _config_block(settings, cfg)
+    return ENSEMBLE_COLUMNS, _table_rows(stats), _config_block(settings, cfg)
 
 
 def _sweep_table(settings: Mapping[str, object], workers: int):
@@ -269,7 +277,7 @@ def _sweep_table(settings: Mapping[str, object], workers: int):
     for d in SWEEP_DELAYS:
         cfg = _build_sim_config({**settings, "delay": d})
         stats = run_ensemble(cfg, workers)
-        rows.append(_stats_rows(stats, prefix=(d,))[-1])
+        rows += _stats_rows(stats, prefix=(d,), rows=slice(-1, None))
     config = _config_block(settings, cfg)
     del config["delay"]
     config["delays"] = list(SWEEP_DELAYS)
@@ -277,7 +285,10 @@ def _sweep_table(settings: Mapping[str, object], workers: int):
 
 
 def execute(settings: Mapping[str, object], workers: int = 1):
-    """Run the resolved experiment; returns (columns, rows, config)."""
+    """Run the resolved experiment; returns (columns, rows, config).
+
+    ``rows`` is an iterable of table rows, which may be read only once.
+    """
     preset = settings["preset"]
     if preset in ("fig1-field", "fig2-field"):
         return _field_table(settings)
@@ -310,21 +321,21 @@ def _write_json(f, columns, rows, config) -> None:
     # Cells are numbers or null, so "],\n      [" can only be a boundary.
     head = json.dumps({"config": config, "columns": columns}, indent=2)
     f.write(head[:-2] + ',\n  "rows": ')
-    if not rows:
-        f.write("[]\n}\n")
-        return
-    f.write("[\n    [\n      ")
-    for b in range(0, len(rows), _EMIT_ROWS):
-        body = json.dumps(rows[b:b + _EMIT_ROWS], separators=(",\n      ", ": "))
-        f.write(("" if b == 0 else _ROW_BOUNDARY) + body[2:-2].replace("],\n      [", _ROW_BOUNDARY))
-    f.write("\n    ]\n  ]\n}\n")
+    rows = iter(rows)
+    lead = "[\n    [\n      "
+    while block := list(islice(rows, _EMIT_ROWS)):
+        body = json.dumps(block, separators=(",\n      ", ": "))
+        f.write(lead + body[2:-2].replace("],\n      [", _ROW_BOUNDARY))
+        lead = _ROW_BOUNDARY
+    f.write("\n    ]\n  ]\n}\n" if lead == _ROW_BOUNDARY else "[]\n}\n")
 
 
 def emit_results(columns, rows, config, out: str = "-", fmt: str = "csv") -> None:
     """Write the result table to ``out`` ("-" for stdout).
 
-    The text is written in blocks of rows as it is rendered, so it never
-    exists whole.  Raises OSError if the path cannot be written.
+    ``rows`` may be any iterable of rows.  The text is written in blocks
+    of rows as it is rendered, so it never exists whole.  Raises OSError
+    if the path cannot be written.
     """
     write = {"csv": _write_csv, "json": _write_json}.get(fmt)
     if write is None:

@@ -35,11 +35,16 @@ Reproducibility
 ---------------
 Trajectory i draws its noise from
 ``numpy.random.default_rng(SeedSequence(master_seed, spawn_key=(i,)))``,
-one standard normal per interval.  Each process draws its trajectories'
-streams in slabs of consecutive intervals, every row from its own
-generator; numpy's Generator keeps no normal-draw state between calls, so
-the slabs join into the very stream one call would draw, whatever their
-size.  Every trajectory owns its stream, and every statistic reduces one
+one standard normal per interval.  That PCG64 is seeded with the four
+64-bit words ``generate_state(4, uint64)`` hashes from the SeedSequence's
+entropy pool.  The generators are built in chunks of indices: each chunk
+reads its SeedSequences' pools and hashes them in one vectorized pass of
+the same algorithm, so every generator starts on the very stream
+default_rng would give it.  Each process draws its trajectories' streams
+in slabs of consecutive intervals, every row from its own generator;
+numpy's Generator keeps no normal-draw state between calls, so the slabs
+join into the very stream one call would draw, whatever their size.
+Every trajectory owns its stream, and every statistic reduces one
 recorded row over all trajectories.  The rows reach the reduction in
 blocks, each joined across worker processes in index order, so neither
 the partition of an ensemble over processes nor the slab and block
@@ -48,6 +53,7 @@ lengths change a bit of the statistics.
 
 from __future__ import annotations
 
+import functools
 import math
 import multiprocessing
 import operator
@@ -95,9 +101,15 @@ _READOUT_CELLS = 1 << 16
 # bytes.  Smaller slabs cost one more draw call per row per slab: at 4 MB,
 # a 10^4-row run lost 16% of its throughput.
 _NOISE_BYTES = 1 << 24
-# Memory of one trajectory's Generator, its PCG64 and its SeedSequence
-# (tracemalloc: 9.9 MB per 10^4), for the memory check.
-_GENERATOR_BYTES = 1024
+# ... and of at most this many steps.  Longer rows buy nothing: a draw
+# call costs about 0.8 us of overhead against 4.2 us for 256 normals.
+_SLAB_STEPS = 256
+# Generators are seeded in chunks of this many indices, so that only one
+# chunk's SeedSequences are alive at a time.
+_SEED_CHUNK = 1024
+# Memory of one trajectory's Generator and its PCG64 (tracemalloc: 586 B
+# each over 10^4), for the memory check.
+_GENERATOR_BYTES = 640
 # Ensembles smaller than this run in one process whatever the worker
 # count.  On 2 cores (10 alternating pairs, 1000 steps) 2 workers lost to
 # 1 or tied at 1024 trajectories in both modes; at 2048 they won in the
@@ -258,6 +270,57 @@ def trajectory_seed(master_seed: int, index: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(master_seed, spawn_key=(operator.index(index),))
 
 
+def _seed_words(pools: np.ndarray) -> np.ndarray:
+    # SeedSequence.generate_state(4, np.uint64) of each row of an (n, 4)
+    # uint32 array of SeedSequence pools, in one pass over all rows.
+    # numpy's algorithm: output word k is (pool[k % 4] ^ h_k) * h_(k+1)
+    # mod 2^32, folded by x ^= x >> 16, where h_0 = INIT_B and each h is
+    # the last times MULT_B mod 2^32; words 2j and 2j+1 join little-endian
+    # into the j-th uint64.
+    h = [0x8B51F9DD]  # INIT_B
+    for _ in range(8):
+        h.append(h[-1] * 0x58F38DED & 0xFFFFFFFF)  # MULT_B
+    h = np.array(h, dtype=np.uint32)
+    x = (np.tile(pools, 2) ^ h[:-1]) * h[1:]
+    x ^= x >> 16
+    return np.ascontiguousarray(x, "<u4").view("<u8").astype(np.uint64)
+
+
+@functools.cache
+def _words_seed_sequence():
+    # The class is made on first use, so that importing this package does
+    # not load numpy.random.
+    from numpy.random.bit_generator import ISeedSequence
+
+    class WordsSeedSequence(ISeedSequence):
+        # Hands each PCG64 built from it the next row of precomputed
+        # generate_state(4, uint64) words.
+        def __init__(self, words: np.ndarray):
+            self._rows = iter(words)
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            assert (n_words, np.dtype(dtype)) == (4, np.dtype(np.uint64))
+            return next(self._rows)
+
+    return WordsSeedSequence
+
+
+def _generators(master_seed: int, indices) -> list:
+    # default_rng(trajectory_seed(master_seed, i)) for each index.  Per
+    # chunk of _SEED_CHUNK indices, the pools of their SeedSequences are
+    # hashed into PCG64 seed words in one pass, and one adapter hands the
+    # words to the chunk's PCG64s.
+    from numpy.random import PCG64, Generator
+
+    gens = []
+    for c in range(0, len(indices), _SEED_CHUNK):
+        chunk = indices[c:c + _SEED_CHUNK]
+        pools = np.array([trajectory_seed(master_seed, i).pool for i in chunk])
+        words = _words_seed_sequence()(_seed_words(pools))
+        gens += [Generator(PCG64(words)) for _ in chunk]
+    return gens
+
+
 def _recorded_steps(steps: int, stride: int) -> np.ndarray:
     ks = list(range(0, steps + 1, stride))
     if ks[-1] != steps:
@@ -266,8 +329,17 @@ def _recorded_steps(steps: int, stride: int) -> np.ndarray:
 
 
 def _slab_steps(steps: int, n: int) -> int:
-    # Steps per noise slab of n rows: the whole run when it fits the budget.
-    return max(1, min(steps, _NOISE_BYTES // (8 * n)))
+    # Steps per noise slab of n rows: the whole run when it fits both limits.
+    return max(1, min(steps, _SLAB_STEPS, _NOISE_BYTES // (8 * n)))
+
+
+def _slab_width(block: int) -> int:
+    # Row length of the noise buffer: ``block`` rounded up to an odd number
+    # of 64-byte lines.  Each step reads one column, an element of every
+    # row, and at a power-of-two row stride those elements share a few
+    # cache sets: reading 2000 rows cost 14.3 us per step at a stride of
+    # 256 floats and 5.5 us at 264.
+    return block + (8 - block) % 16
 
 
 def _exact_kernel(cfg: SimConfig, n: int):
@@ -386,11 +458,14 @@ def _slab_records(cfg: SimConfig, indices, block: int, rows: int, names=_BLOCH_N
     state, step, bloch, final = _kernel(cfg)(cfg, n)
     ends = _slab_ends(_recorded_steps(cfg.steps, stride), cfg.steps, block)
     size = int(np.max(np.diff(ends, prepend=0)))
+    # The first-order kernel never reads the shift, so its ring is filled
+    # only when the shift is recorded.
+    push = law.enabled and (hom.mode is UpdateMode.EXACT or "shift" in names)
 
     def blocks():
         nonlocal state
-        gens = [np.random.default_rng(trajectory_seed(cfg.master_seed, i)) for i in indices]
-        slab = np.empty((n, block), dtype=np.float64)
+        gens = _generators(cfg.master_seed, indices)
+        slab = np.empty((n, _slab_width(block)), dtype=np.float64)
         ring = np.zeros((n, cfg.delay), dtype=np.float64)
         # One slab's records.  A mode without a readout keeps its state in
         # the Bloch rows; the exact mode keeps its amplitudes and reads each
@@ -401,13 +476,14 @@ def _slab_records(cfg: SimConfig, indices, block: int, rows: int, names=_BLOCH_N
             held, kept = tuple(rec[:nb]), tuple(rec[nb:])
         else:
             held, kept = tuple(np.empty((size, n), c.dtype) for c in state), tuple(rec)
-            out = np.empty((len(names), rows, n), dtype=np.float64)
+            out = np.empty((len(names), min(rows, size), n), dtype=np.float64)
         for a, v in zip(held + kept, state + (0.0, 0.0)):
             a[0] = v
         r0 = 0
         for k0, r1 in zip(range(0, max(cfg.steps, 1), block), ends):
-            # A short last slab is a leading view of the same buffer, so two
-            # slabs never live at once; each row stays contiguous.
+            # Every slab, a short last one too, is a leading view of the same
+            # buffer, so two slabs never live at once; each row stays
+            # contiguous.
             xi = slab[:, :min(block, cfg.steps - k0)]
             for row, gen in zip(xi, gens):
                 gen.standard_normal(out=row)
@@ -421,7 +497,7 @@ def _slab_records(cfg: SimConfig, indices, block: int, rows: int, names=_BLOCH_N
                     r = -(-(k + 1) // stride) - r0
                     for a, v in zip(held + kept, state + (dn_qf, shift)):
                         a[r] = v
-                if law.enabled:
+                if push:
                     shift[:] = (2.0 * hom.alpha_mag) * feedback_amplitude(dn_qf, law, hom)
             for b in range(0, r1 - r0, rows):
                 e = min(b + rows, r1 - r0)
@@ -609,25 +685,27 @@ def _mem_available() -> int | None:
     return None
 
 
-def _check_memory(cfg: SimConfig, sizes, n_recorded: int, block: int) -> None:
+def _check_memory(cfg: SimConfig, sizes, n_recorded: int, block: int, rows: int) -> None:
     # Raises ValueError when the run's estimated peak exceeds MemAvailable.
     # Nothing in it grows with the run's length but the statistics: each
     # process holds one slab of ``block`` steps at a time, and the records
-    # leave it in blocks of at most max(_READOUT_CELLS, trajectories) cells.
+    # leave it in blocks of at most ``rows`` recorded steps.
     start, _, bloch, _ = _kernel(cfg)(cfg, 1)
     ends = _slab_ends(_recorded_steps(cfg.steps, cfg.record_stride), cfg.steps, block)
-    rows = int(np.max(np.diff(ends, prepend=0)))
+    size = int(np.max(np.diff(ends, prepend=0)))
     # Per recorded cell of a slab: the exact mode's amplitudes, or else the
     # Bloch vector.
     cell = sum(c.itemsize for c in start) if bloch else 24
-    # Per process of n rows: its noise, generators and delay ring, and the
-    # slab's records.
-    need = sum(n * (8 * block + _GENERATOR_BYTES + 8 * cfg.delay + cell * rows) for n in sizes)
-    # Per cell of a block: the Bloch rows read out and the readout's or the
-    # reduction's temporaries; in a pool also the pickled copy a worker
-    # sends, and the parent's received rows, the pickle it is reading and
-    # their join.  Then the statistics of each recorded step.
-    need += (128 + 120 * (len(sizes) > 1)) * max(_READOUT_CELLS, cfg.trajectories)
+    # Per trajectory, in whichever process runs it: its noise row,
+    # generator and delay ring, and its records of one slab.
+    per_row = 8 * _slab_width(block) + _GENERATOR_BYTES + 8 * cfg.delay + cell * size
+    need = per_row * sum(sizes)
+    # Per cell of a block, which never spans two slabs: the Bloch rows read
+    # out and the readout's or the reduction's temporaries; in a pool also
+    # the pickled copy a worker sends, and the parent's received rows, the
+    # pickle it is reading and their join.  Then the statistics of each
+    # recorded step.
+    need += (128 + 120 * (len(sizes) > 1)) * cfg.trajectories * min(rows, size)
     need += 160 * n_recorded
     avail = _mem_available()
     if avail is not None and need > avail:
@@ -661,10 +739,14 @@ def run_ensemble(cfg: SimConfig, workers: int = 1) -> EnsembleStats:
     """
     if cfg.trajectories < 2:
         raise ValueError("ensemble statistics need at least 2 trajectories")
-    if workers < 1:
+    try:
+        count = operator.index(workers)
+    except TypeError:
+        count = 0
+    if count < 1:
         raise ValueError(f"workers must be a positive int, got {workers!r}")
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(workers, cpus or 1)
+    workers = min(count, cpus or 1)
     if cfg.trajectories < max(_POOL_MIN_TRAJECTORIES, 2 * workers):
         workers = 1
     chunks = np.array_split(np.arange(cfg.trajectories), workers)
@@ -672,8 +754,8 @@ def run_ensemble(cfg: SimConfig, workers: int = 1) -> EnsembleStats:
     # Every process draws slabs as long as the largest chunk's, and sends
     # blocks of as many rows, so block b covers the same steps in all.
     block = _slab_steps(cfg.steps, len(chunks[0]))
-    _check_memory(cfg, [len(c) for c in chunks], len(ks), block)
     rows = max(1, _READOUT_CELLS // cfg.trajectories)
+    _check_memory(cfg, [len(c) for c in chunks], len(ks), block, rows)
     if workers == 1:
         blocks = _slab_records(cfg, chunks[0], block, rows)[0]
     else:

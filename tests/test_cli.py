@@ -394,3 +394,14 @@ def test_sweep_config_lists_its_delays():
     assert "delay" not in config
     assert config["delays"] == list(cli.SWEEP_DELAYS)
     assert [row[0] for row in rows] == list(cli.SWEEP_DELAYS)
+
+
+def test_importing_the_cli_does_not_load_numpy_random():
+    """numpy.random is loaded by the first run, not by the import, which
+    keeps it out of the CLI's set-up time."""
+    code = ("import sys, monitored_atom.cli; "
+            "assert 'numpy.random' not in sys.modules, "
+            "sorted(m for m in sys.modules if m.startswith('numpy.random'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=60)
+    assert out.returncode == 0, out.stderr

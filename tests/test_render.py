@@ -9,17 +9,22 @@ so that both renderers see the same objects.
 import io
 import json
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from monitored_atom import BlochVector, FeedbackLaw, HomodyneConfig, SimConfig, run_ensemble
+from monitored_atom import cli
 from monitored_atom.cli import (
     _EMIT_ROWS,
     ENSEMBLE_COLUMNS,
     SWEEP_COLUMNS,
     _stats_rows,
+    _write_csv,
     _write_json,
 )
+from monitored_atom.trajectory import EnsembleStats
 
 CONFIG = {
     "preset": None,
@@ -90,3 +95,34 @@ def test_stats_rows_hold_plain_python_cells(initial, law):
             assert type(row[9]) is float and row[9] == float(stats.angle_var[r])
     assert (stats.angle_var is None) == (initial.sy != 0.0)
     assert _render_json(SWEEP_COLUMNS, rows, CONFIG) == _reference(SWEEP_COLUMNS, rows, CONFIG)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_ensemble_table_is_streamed_from_the_statistics(monkeypatch, tmp_path, fmt):
+    """The CLI makes the ensemble table from the statistics arrays one
+    block of rows at a time as it writes: a 10001-row table peaks under
+    2 MB of traced memory (measured 0.4 MB as CSV, 0.95 MB as JSON), where
+    a list of all its rows took the peak to 5.2 MB, and its bytes are
+    those of the list written whole."""
+    n = 10_001
+    rng = np.random.default_rng(5)
+    stats = EnsembleStats(
+        n_trajectories=16, target=BlochVector(1.0, 0.0, 0.0),
+        steps=np.arange(n), gamma_t=np.arange(n) * 1e-4,
+        mean=rng.standard_normal((n, 3)), var=rng.random((n, 3)), se=rng.random((n, 3)),
+        fidelity=rng.random(n), purity=rng.random(n), angle_var=rng.random(n),
+    )
+    monkeypatch.setattr(cli, "run_ensemble", lambda cfg, workers: stats)
+    settings = cli.resolve_settings(cli.parse_args(["--preset", "stabilize"]))
+    path = tmp_path / f"table.{fmt}"
+    tracemalloc.start()
+    try:
+        columns, rows, config = cli.execute(settings)
+        cli.emit_results(columns, rows, config, str(path), fmt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
+    whole = io.StringIO()
+    {"csv": _write_csv, "json": _write_json}[fmt](whole, columns, _stats_rows(stats), config)
+    assert path.read_text(encoding="utf-8") == whole.getvalue()

@@ -869,15 +869,17 @@ def test_memory_check_runs_before_any_draw_or_fork(monkeypatch, serial_pool, ini
     monkeypatch.setattr(trajectory, "_mem_available", lambda: 1 << 20)
     cfg = SimConfig(homodyne=EXACT_CFG, law=FeedbackLaw(theta_bar=1.2), initial=initial,
                     steps=1000, trajectories=4096, delay=3)
-    # One process draws slabs of 512 steps, whose first reaches 513 recorded
-    # rows (step 0 too); two draw all 1000 steps, 1001 rows, in one slab.
-    block, rows, sizes = (512, 513, [4096]) if workers == 1 else (1000, 1001, [2048, 2048])
-    # Per process: the noise slab, 1 KB of generator and 24 B of ring per
-    # trajectory, and the amplitudes of the slab's recorded cells.
-    need = sum(n * (8 * block + 1024 + 24 + amp_bytes * rows) for n in sizes)
-    # Per cell of a block of 2^16 cells: 128 B, and 120 B more in a pool;
-    # then the statistics of the 1001 recorded steps.
-    need += (128 if workers == 1 else 248) * 2**16 + 160 * 1001
+    # Every process draws slabs of 256 steps (the step cap, below the 512
+    # and 1024 that 16 MB would allow), whose first reaches 257 recorded
+    # rows (step 0 too).
+    sizes = [4096] if workers == 1 else [2048, 2048]
+    # Per process: the noise slab, in rows padded to 264 floats, 640 B of
+    # generator and 24 B of ring per trajectory, and the amplitudes of the
+    # slab's recorded cells.
+    need = sum(n * (8 * 264 + 640 + 24 + amp_bytes * 257) for n in sizes)
+    # Per cell of a block of 2^16 // 4096 = 16 recorded rows: 128 B, and
+    # 120 B more in a pool; then the statistics of the 1001 recorded steps.
+    need += (128 if workers == 1 else 248) * 4096 * 16 + 160 * 1001
     with pytest.raises(ValueError, match=rf"estimated {need / 2**20:.0f} MB .* the 1 MB available"):
         run_ensemble(cfg, workers)
     assert serial_pool == []
@@ -923,3 +925,110 @@ def test_memory_check_is_skipped_without_meminfo(monkeypatch):
     assert trajectory._mem_available() is None
     cfg = SimConfig(homodyne=FO_CFG, steps=5, trajectories=4)
     assert run_ensemble(cfg).n_trajectories == 4
+
+
+@pytest.mark.parametrize("workers", [1.5, 2.0, "2"])
+def test_nonintegral_workers_are_rejected(workers):
+    """A worker count must be an integer: 1.5 must not run one process,
+    nor 2.0 two."""
+    cfg = SimConfig(homodyne=FO_CFG, steps=3, trajectories=4)
+    with pytest.raises(ValueError, match="workers must be a positive int"):
+        run_ensemble(cfg, workers)
+
+
+SEED_MASTERS = [0, 1, 2**32 - 1, 2**32, 2**64 + 1, 2**70 + 3]
+# The last two indices have spawn keys of two 32-bit words.
+SEED_INDICES = [0, 1, 2**31, 2**32 - 1, 2**32, 2**40 + 5]
+
+
+@pytest.mark.parametrize("master", SEED_MASTERS)
+def test_generators_seeded_in_one_pass_match_trajectory_seed(master):
+    """The seed words hashed for a chunk of pools in one pass are each
+    SeedSequence's generate_state(4, uint64), and the generators built on
+    them draw default_rng(trajectory_seed(m, i))'s normals bit for bit."""
+    pools = np.array([trajectory_seed(master, i).pool for i in SEED_INDICES])
+    words = trajectory._seed_words(pools)
+    assert words.dtype == np.uint64 and words.shape == (len(SEED_INDICES), 4)
+    for i, w in zip(SEED_INDICES, words):
+        assert np.array_equal(w, trajectory_seed(master, i).generate_state(4, np.uint64))
+    for i, gen in zip(SEED_INDICES, trajectory._generators(master, SEED_INDICES)):
+        want = np.random.default_rng(trajectory_seed(master, i)).standard_normal(1000)
+        assert np.array_equal(gen.standard_normal(1000), want)
+
+
+def test_generators_cross_a_seed_chunk_boundary(monkeypatch):
+    """Seeding 1030 indices takes two chunks, of 1024 and 6; every
+    generator on either side of the boundary starts its own stream, and
+    trajectory_seed is called once per index."""
+    assert trajectory._SEED_CHUNK == 1024
+    calls = []
+    seed = trajectory.trajectory_seed
+    monkeypatch.setattr(trajectory, "trajectory_seed", lambda m, i: calls.append(i) or seed(m, i))
+    indices = np.arange(1030)
+    gens = trajectory._generators(901, indices)
+    assert calls == list(indices)
+    for i, gen in zip(indices, gens):
+        want = np.random.default_rng(seed(901, i)).standard_normal(3)
+        assert np.array_equal(gen.standard_normal(3), want)
+
+
+def test_first_order_ensemble_skips_the_unread_ring(monkeypatch):
+    """With the law on, a first-order ensemble calls feedback_amplitude
+    not once, since its kernel never reads the shift, and its statistics
+    are the bits of the full-record run, which fills the ring."""
+    cfg = SimConfig(homodyne=FO_CFG, law=FeedbackLaw(theta_bar=1.2),
+                    initial=BlochVector(0.6, 0.0, 0.8), steps=40, trajectories=5,
+                    master_seed=8, delay=3, record_stride=3)
+    _, rec, _ = _simulate(cfg, np.arange(cfg.trajectories))
+    assert np.any(rec["shift"] != 0.0)
+    calls = []
+    amplitude = trajectory.feedback_amplitude
+    monkeypatch.setattr(trajectory, "feedback_amplitude",
+                        lambda *a: calls.append(None) or amplitude(*a))
+    stats = run_ensemble(cfg)
+    assert calls == []
+    for c, name in enumerate(("sx", "sy", "sz")):
+        mean, var = trajectory._row_stats(rec[name])
+        assert np.array_equal(stats.mean[:, c], mean)
+        assert np.array_equal(stats.var[:, c], var)
+
+
+def test_small_ensemble_long_run_memory_stays_near_one_slab(monkeypatch):
+    """16 trajectories recorded at each of 10^4 steps (the shape of a
+    delay trace): run_ensemble's traced peak stays under 3 MB (measured
+    1.4 MB: 1.3 MB of statistics rows, one 256-step slab and a readout of
+    its 257 rows), where a slab of the whole run and a readout of 4096
+    rows took 9.4 MB.  The memory check's estimate counts the same slab
+    and readout, and bounds the peak."""
+    law = FeedbackLaw(theta_bar=math.pi / 2)
+    cfg = SimConfig(homodyne=EXACT_CFG, law=law, initial=law.target, steps=10_000,
+                    trajectories=16, delay=20, record_stride=1)
+    monkeypatch.setattr(trajectory, "_mem_available", lambda: 1)
+    with pytest.raises(ValueError, match="estimated") as err:
+        run_ensemble(cfg)
+    # Per trajectory: a 256-step slab in a row of 264 floats, its
+    # generator, a 20-slot ring and the float64 amplitudes of 257 recorded
+    # steps; 128 B per cell of a readout block of 257 rows; 160 B per
+    # recorded step.
+    need = 16 * (8 * 264 + 640 + 8 * 20 + 16 * 257) + 128 * 16 * 257 + 160 * 10_001
+    assert f"estimated {need / 2**20:.0f} MB" in str(err.value)
+    monkeypatch.setattr(trajectory, "_mem_available", lambda: None)
+    # A first call fills numpy's one-time caches, which are not the run's.
+    run_ensemble(dataclasses.replace(cfg, steps=2))
+    tracemalloc.start()
+    try:
+        run_ensemble(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 << 20
+    assert peak <= need
+
+
+@pytest.mark.parametrize("block,width", [(1, 8), (8, 8), (9, 24), (24, 24), (25, 40),
+                                         (209, 216), (256, 264)])
+def test_noise_rows_span_an_odd_number_of_cache_lines(block, width):
+    """The noise buffer's rows are the slab rounded up to an odd number of
+    64-byte lines, the fewest floats that keep a column's elements out of
+    each other's cache sets."""
+    assert trajectory._slab_width(block) == width
