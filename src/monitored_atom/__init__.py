@@ -10,7 +10,7 @@ chosen point on the Bloch sphere.
 Layout
 ------
 state
-    Pure states, Bloch vectors, polar-angle parametrization.
+    Pure states, Bloch vectors and their conversions.
 homodyne
     Outcome laws, conditioned state updates, first-order diffusion steps.
 feedback
@@ -23,10 +23,8 @@ cli
 """
 
 from .state import (
-    BlochAngle,
     BlochVector,
     PureState,
-    angle_of,
     bloch_from_state,
     state_from_bloch,
 )
@@ -38,7 +36,6 @@ from .homodyne import (
     coherent_outcome_pdf,
     conditioned_update_exact,
     decompose_step,
-    delta_theta,
     diffusion_step_first_order,
     sample_outcome,
     sample_outcome_conditioned,
@@ -65,7 +62,6 @@ from .trajectory import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlochAngle",
     "BlochVector",
     "CoherentAmplitude",
     "DensityMatrix2",
@@ -79,13 +75,11 @@ __all__ = [
     "TrajectoryRecord",
     "UpdateMode",
     "advance_feedback",
-    "angle_of",
     "bloch_from_state",
     "coherent_outcome_pdf",
     "combined_diffusion_step",
     "conditioned_update_exact",
     "decompose_step",
-    "delta_theta",
     "diffusion_step_first_order",
     "feedback_amplitude",
     "master_evolve",

@@ -38,7 +38,7 @@ from itertools import islice
 from typing import Mapping
 
 from .state import BlochVector
-from .homodyne import HomodyneConfig, _step_field
+from .homodyne import HomodyneConfig, _rotation_field, _step_field
 from .feedback import FeedbackLaw
 from .trajectory import EnsembleStats, SimConfig, run_ensemble
 
@@ -258,10 +258,10 @@ def _field_table(settings: Mapping[str, object]):
     nonlinear = settings["preset"] == "fig2-field"
     rows = []
     for x, y, z in _sphere_grid(int(settings["grid_points"])):
-        fx, fy, fz = _step_field(x, y, z, -1.0)
+        f = _step_field(x, y, z, -1.0)
         if nonlinear:
-            fx, fy, fz = fx - z, fy - 0.0, fz + x
-        rows.append([x, y, z, fx, fy, fz])
+            f = [a - b for a, b in zip(f, _rotation_field(x, z))]
+        rows.append([x, y, z, *f])
     config = {"preset": settings["preset"], "grid_points": int(settings["grid_points"])}
     return FIELD_COLUMNS, rows, config
 

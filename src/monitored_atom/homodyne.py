@@ -44,7 +44,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .state import BlochAngle, BlochVector, PureState, _abs2
+from .state import BlochVector, PureState, _abs2
 
 WEAK_FIELD_CEILING = 0.1
 # Validity limits of the model: the Gaussian outcome law needs a strong
@@ -209,6 +209,26 @@ def _kappa(dn, cfg: HomodyneConfig):
     return cfg.sqrt_gamma_tau * (dn / cfg.alpha_mag)
 
 
+def _drive(c_e, c_g, shift, cfg: HomodyneConfig):
+    # Coherent rotation about s_y by sqrt(gamma tau) * shift / alpha, the
+    # first-order effect of the fed-back field on the atom.  Elementwise.
+    half = 0.5 * _kappa(shift, cfg)
+    hc = np.cos(half)
+    hs = np.sin(half)
+    return hc * c_e - hs * c_g, hs * c_e + hc * c_g
+
+
+def _condition(c_e, c_g, dn, cfg: HomodyneConfig):
+    # The conditioned update, elementwise on numpy amplitudes, then a
+    # multiply by the reciprocal norm.  Amplitudes of a real dtype take the
+    # real norm, which rounds as |c|^2 does on the complex ones.
+    k = _kappa(dn, cfg)
+    c_e, c_g = c_e * (1.0 - 0.5 * cfg.gamma_tau), c_g + c_e * k
+    n2 = c_e * c_e + c_g * c_g if c_e.dtype.kind == "f" else _abs2(c_e) + _abs2(c_g)
+    inv = 1.0 / np.sqrt(n2)
+    return c_e * inv, c_g * inv
+
+
 def conditioned_update_exact(psi: PureState, dn, cfg: HomodyneConfig) -> PureState:
     """Renormalized conditioned amplitude update for an observed record dn.
 
@@ -223,14 +243,13 @@ def conditioned_update_exact(psi: PureState, dn, cfg: HomodyneConfig) -> PureSta
     RuntimeError
         If the updated amplitudes cannot be normalized (internal error).
     """
-    k = _kappa(dn, cfg)
-    ce = psi.c_e * (1.0 - 0.5 * cfg.gamma_tau)
-    cg = psi.c_g + psi.c_e * k
+    # An unnormalizable pair comes out non-finite or zero, not as a warning.
+    with np.errstate(all="ignore"):
+        ce, cg = _condition(np.complex128(psi.c_e), np.complex128(psi.c_g), dn, cfg)
     n2 = _abs2(ce) + _abs2(cg)
     if not (math.isfinite(n2) and n2 > 0.0):
         raise RuntimeError("conditioned update produced an unnormalizable state")
-    n = math.sqrt(n2)
-    return PureState(ce / n, cg / n)
+    return PureState(ce, cg)
 
 
 def _step_field(sx, sy, sz, cz):
@@ -240,6 +259,12 @@ def _step_field(sx, sy, sz, cz):
     # factored so states with s_z = cz are exactly stationary in floating
     # point.  Accepts scalars or arrays.
     return (sy * sy + sz * (sz - cz), -(sx * sy), sx * (cz - sz))
+
+
+def _rotation_field(sx, sz):
+    # Per-unit-kappa linear part of the step, (s_z, 0, -s_x): the rotation
+    # about s_y that a classical field of amplitude dn/(2*alpha) drives.
+    return sz, 0.0, -sx
 
 
 def diffusion_step_first_order(s: BlochVector, dn, cfg: HomodyneConfig) -> BlochVector:
@@ -273,14 +298,6 @@ def decompose_step(
     """
     full = diffusion_step_first_order(s, dn, cfg)
     k = _kappa(dn, cfg)
-    lin = BlochVector(k * s.sz, 0.0, -(k * s.sx))
+    lin = BlochVector(*(k * c for c in _rotation_field(s.sx, s.sz)))
     return lin, BlochVector(full.sx - lin.sx, full.sy - lin.sy, full.sz - lin.sz)
 
-
-def delta_theta(angle: BlochAngle, dn, cfg: HomodyneConfig) -> float:
-    """Angle form of the first-order step for in-plane states.
-
-    d(theta) = kappa * (1 + cos(theta)): maximal at the excited state,
-    exactly zero at the ground state.
-    """
-    return _kappa(dn, cfg) * (1.0 + math.cos(angle.theta))

@@ -98,17 +98,6 @@ class BlochVector:
         return (self.sx, self.sy, self.sz)
 
 
-@dataclass(frozen=True)
-class BlochAngle:
-    """Polar angle of an s_y = 0 Bloch vector, restricted to [0, pi]."""
-
-    theta: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.theta) or not 0.0 <= self.theta <= math.pi:
-            raise ValueError(f"theta must lie in [0, pi], got {self.theta!r}")
-
-
 def bloch_from_state(psi: PureState) -> BlochVector:
     """Bloch vector of a pure state.
 
@@ -157,26 +146,3 @@ def state_from_bloch(s: BlochVector) -> PureState:
         c_g = complex(mg, 0.0)
     return PureState(complex(c_e, 0.0), c_g)
 
-
-def angle_of(s: BlochVector) -> BlochAngle:
-    """Polar angle theta = atan2(s_x, s_z) of an in-plane Bloch vector.
-
-    Defined only on the monitored half-plane: requires ``|s_y| <= 1e-9``
-    and ``s_x >= -1e-9``.  A rounding-level negative ``s_x`` is clamped
-    to 0 before the atan2 so that near-ground states map to theta = pi
-    rather than wrapping negative.
-
-    Raises
-    ------
-    ValueError
-        If the vector leaves the monitored half-plane.
-    """
-    if abs(s.sy) > PLANE_TOL:
-        raise ValueError(
-            f"angle is defined for s_y = 0 within {PLANE_TOL:g}, got s_y = {s.sy!r}"
-        )
-    if s.sx < -PLANE_TOL:
-        raise ValueError(
-            f"angle is defined for s_x >= 0 within {PLANE_TOL:g}, got s_x = {s.sx!r}"
-        )
-    return BlochAngle(math.atan2(max(s.sx, 0.0), s.sz))

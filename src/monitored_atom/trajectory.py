@@ -75,6 +75,8 @@ from .homodyne import (
     HomodyneConfig,
     MeasurementOutcome,
     UpdateMode,
+    _condition,
+    _drive,
     _kappa,
     _record_mean,
     _step_field,
@@ -189,16 +191,14 @@ class SimConfig:
     record_stride: int = 1
 
     def __post_init__(self):
-        if not isinstance(self.steps, int) or self.steps < 0:
-            raise ValueError(f"steps must be a nonnegative int, got {self.steps!r}")
-        if not isinstance(self.trajectories, int) or self.trajectories < 1:
-            raise ValueError(f"trajectories must be a positive int, got {self.trajectories!r}")
-        if not isinstance(self.master_seed, int) or self.master_seed < 0:
-            raise ValueError(f"master_seed must be a nonnegative int, got {self.master_seed!r}")
-        if not isinstance(self.delay, int) or self.delay < 1:
-            raise ValueError(f"delay must be an int >= 1, got {self.delay!r}")
-        if not isinstance(self.record_stride, int) or self.record_stride < 1:
-            raise ValueError(f"record_stride must be a positive int, got {self.record_stride!r}")
+        # Any integer type converts to int, as operator.index does; a bool
+        # is not a count.
+        for name, low in (("steps", 0), ("trajectories", 1), ("master_seed", 0),
+                          ("delay", 1), ("record_stride", 1)):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not hasattr(type(v), "__index__") or v < low:
+                raise ValueError(f"{name} must be an int >= {low}, got {v!r}")
+            object.__setattr__(self, name, operator.index(v))
         if abs(self.initial.norm() - 1.0) > UNIT_TOL:
             raise ValueError(
                 f"initial Bloch vector must be unit length within {UNIT_TOL:g}, "
@@ -347,11 +347,10 @@ def _exact_kernel(cfg: SimConfig, n: int):
     # kept up to a global phase, on float64 when the start's amplitudes are
     # real and on complex128 otherwise.  Each operation rounds alike on both
     # dtypes (numpy multiplies a complex by a real divisor's reciprocal, so
-    # real divisors are applied that way here too).  The step branches once
-    # on the dtype of the arrays it is handed.
+    # real divisors are applied that way here too).  The step and the
+    # conditioned update branch on the dtype of the arrays they are handed.
     hom = cfg.homodyne
     law = cfg.law
-    damp = 1.0 - 0.5 * hom.gamma_tau
     psi0 = state_from_bloch(cfg.initial)
     amps = (psi0.c_e, psi0.c_g)
     if not any(c.imag for c in amps):
@@ -359,18 +358,11 @@ def _exact_kernel(cfg: SimConfig, n: int):
 
     def step(state, shift, noise):
         cE, cG = state
-        real = cE.dtype.kind == "f"
         if law.enabled:
-            half = 0.5 * _kappa(shift, hom)
-            hc = np.cos(half)
-            hs = np.sin(half)
-            cE, cG = hc * cE - hs * cG, hs * cE + hc * cG
-        sx = 2.0 * (cE * cG) if real else 2.0 * (cE.conj() * cG).real
+            cE, cG = _drive(cE, cG, shift, hom)
+        sx = 2.0 * (cE * cG) if cE.dtype.kind == "f" else 2.0 * (cE.conj() * cG).real
         dn_qf = _record_mean(sx, hom) + noise
-        kap = _kappa(dn_qf, hom)
-        cE, cG = cE * damp, cG + cE * kap
-        inv = 1.0 / np.sqrt(cE * cE + cG * cG if real else _abs2(cE) + _abs2(cG))
-        return (cE * inv, cG * inv), dn_qf
+        return _condition(cE, cG, dn_qf, hom), dn_qf
 
     def bloch(state, out):
         # Writes (s_x, s_y, s_z) into ``out``, three float64 arrays of the
@@ -422,12 +414,15 @@ def _kernel(cfg: SimConfig):
     return _exact_kernel if cfg.homodyne.mode is UpdateMode.EXACT else _first_order_kernel
 
 
-def _slab_ends(ks: np.ndarray, steps: int, block: int) -> np.ndarray:
+def _slab_ends(cfg: SimConfig, block: int) -> tuple[np.ndarray, int]:
     # Per noise slab of ``block`` steps, one past the last recorded row it
-    # reaches.  Slab 0 also holds step 0, and a run of 0 steps is one slab
-    # of no steps, so every run has at least one.
-    ends = [min(k0 + block, steps) for k0 in range(0, max(steps, 1), block)]
-    return np.searchsorted(ks, ends, side="right")
+    # reaches, and the most recorded rows any slab holds.  Slab 0 also
+    # holds step 0, and a run of 0 steps is one slab of no steps, so every
+    # run has at least one.
+    ks = _recorded_steps(cfg.steps, cfg.record_stride)
+    ends = [min(k0 + block, cfg.steps) for k0 in range(0, max(cfg.steps, 1), block)]
+    ends = np.searchsorted(ks, ends, side="right")
+    return ends, int(np.max(np.diff(ends, prepend=0)))
 
 
 def _slab_records(cfg: SimConfig, indices, block: int, rows: int, names=_BLOCH_NAMES):
@@ -456,8 +451,7 @@ def _slab_records(cfg: SimConfig, indices, block: int, rows: int, names=_BLOCH_N
     stride = cfg.record_stride
     n = len(indices)
     state, step, bloch, final = _kernel(cfg)(cfg, n)
-    ends = _slab_ends(_recorded_steps(cfg.steps, stride), cfg.steps, block)
-    size = int(np.max(np.diff(ends, prepend=0)))
+    ends, size = _slab_ends(cfg, block)
     # The first-order kernel never reads the shift, so its ring is filled
     # only when the shift is recorded.
     push = law.enabled and (hom.mode is UpdateMode.EXACT or "shift" in names)
@@ -522,20 +516,20 @@ def _slab_records(cfg: SimConfig, indices, block: int, rows: int, names=_BLOCH_N
     return blocks(), lambda i: final(state, i)
 
 
-def _simulate(cfg: SimConfig, indices, names=_REC_NAMES):
+def _simulate(cfg: SimConfig, indices):
     """Run the given trajectory indices and join their records.
 
     The full-record form of :func:`_slab_records`, whose blocks it joins:
     returns (recorded_steps, rec, final), where rec maps each of
-    ``names`` to an array of shape (n_recorded, len(indices)) and
+    ``_REC_NAMES`` to an array of shape (n_recorded, len(indices)) and
     ``final(i)`` is the final PureState of column i.
     """
     n = len(indices)
     blocks, final = _slab_records(
-        cfg, indices, _slab_steps(cfg.steps, n), max(1, _READOUT_CELLS // n), names
+        cfg, indices, _slab_steps(cfg.steps, n), max(1, _READOUT_CELLS // n), _REC_NAMES
     )
     rec = np.concatenate([b.copy() for b in blocks], axis=1)
-    return _recorded_steps(cfg.steps, cfg.record_stride), dict(zip(names, rec)), final
+    return _recorded_steps(cfg.steps, cfg.record_stride), dict(zip(_REC_NAMES, rec)), final
 
 
 def _simulate_chunk(cfg: SimConfig, indices, block: int, rows: int, send) -> None:
@@ -573,8 +567,7 @@ def _pool_blocks(cfg: SimConfig, chunks, block: int, rows: int):
     # next child, so a pipe reads EOF as soon as its own child dies.
     methods = multiprocessing.get_all_start_methods()
     ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
-    ends = _slab_ends(_recorded_steps(cfg.steps, cfg.record_stride), cfg.steps, block)
-    count = int(np.sum(-(-np.diff(ends, prepend=0) // rows)))
+    count = int(np.sum(-(-np.diff(_slab_ends(cfg, block)[0], prepend=0) // rows)))
     procs, pipes = [], []
     try:
         for chunk in chunks:
@@ -618,7 +611,7 @@ def step_trajectory(
     shift = fb.pending[0]
     if hom.mode is UpdateMode.EXACT:
         if law.enabled:
-            psi = _drive(psi, shift, hom)
+            psi = PureState(*_drive(psi.c_e, psi.c_g, shift, hom))
         out = sample_outcome_conditioned(psi, shift, hom, rng)
         psi = conditioned_update_exact(psi, out.dn_qf, hom)
     else:
@@ -631,15 +624,6 @@ def step_trajectory(
     if law.enabled:
         fb = advance_feedback(fb, out.dn_qf, law, hom)
     return psi, fb, out
-
-
-def _drive(psi: PureState, shift: float, hom: HomodyneConfig) -> PureState:
-    # Coherent rotation about s_y by sqrt(gamma tau) * shift / alpha, the
-    # first-order effect of the fed-back field on the atom.
-    phi = hom.sqrt_gamma_tau * (shift / hom.alpha_mag)
-    hc = math.cos(0.5 * phi)
-    hs = math.sin(0.5 * phi)
-    return PureState(hc * psi.c_e - hs * psi.c_g, hs * psi.c_e + hc * psi.c_g)
 
 
 def run_trajectory(cfg: SimConfig, trajectory_index: int = 0) -> TrajectoryRecord:
@@ -691,8 +675,7 @@ def _check_memory(cfg: SimConfig, sizes, n_recorded: int, block: int, rows: int)
     # process holds one slab of ``block`` steps at a time, and the records
     # leave it in blocks of at most ``rows`` recorded steps.
     start, _, bloch, _ = _kernel(cfg)(cfg, 1)
-    ends = _slab_ends(_recorded_steps(cfg.steps, cfg.record_stride), cfg.steps, block)
-    size = int(np.max(np.diff(ends, prepend=0)))
+    size = _slab_ends(cfg, block)[1]
     # Per recorded cell of a slab: the exact mode's amplitudes, or else the
     # Bloch vector.
     cell = sum(c.itemsize for c in start) if bloch else 24

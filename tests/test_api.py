@@ -4,6 +4,7 @@ The README's library example is run as written, so the docs cannot keep
 citing a name the package no longer has.
 """
 
+import ast
 import importlib
 import re
 import subprocess
@@ -15,13 +16,14 @@ import pytest
 import monitored_atom
 
 README = Path(__file__).parent.parent / "README.md"
+SRC = Path(monitored_atom.__file__).parent
 
 
 def test_star_import_binds_exactly_all():
     ns = {}
     exec("from monitored_atom import *", ns)
     assert sorted(k for k in ns if k != "__builtins__") == sorted(monitored_atom.__all__)
-    assert len(set(monitored_atom.__all__)) == len(monitored_atom.__all__) == 31
+    assert len(set(monitored_atom.__all__)) == len(monitored_atom.__all__) == 28
 
 
 @pytest.mark.parametrize("module,owner,name", [
@@ -31,6 +33,9 @@ def test_star_import_binds_exactly_all():
     ("feedback", None, "RESIDUAL_GUARD"),
     ("state", "PureState", "excited_population"),
     ("trajectory", "DensityMatrix2", "purity"),
+    ("state", None, "BlochAngle"),
+    ("state", None, "angle_of"),
+    ("homodyne", None, "delta_theta"),
 ])
 def test_removed_helpers_are_gone(module, owner, name):
     """Each of these only restated another public name; none is left on
@@ -40,6 +45,24 @@ def test_removed_helpers_are_gone(module, owner, name):
     assert not hasattr(holder, name)
     if owner is None:
         assert not hasattr(monitored_atom, name)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    """A name a module imports and never reads is a leftover, such as a
+    removed helper still imported.  The package's own imports are its
+    re-exports, read through __all__."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (
+            isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        ):
+            imported |= {(a.asname or a.name).split(".")[0] for a in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    if path.name == "__init__.py":
+        used |= set(monitored_atom.__all__)
+    assert sorted(imported - used) == []
 
 
 def test_readme_library_example_runs():

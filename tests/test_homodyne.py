@@ -20,18 +20,15 @@ from scipy import integrate
 
 from monitored_atom import homodyne
 from monitored_atom import (
-    BlochAngle,
     BlochVector,
     CoherentAmplitude,
     HomodyneConfig,
     PureState,
     UpdateMode,
-    angle_of,
     bloch_from_state,
     coherent_outcome_pdf,
     conditioned_update_exact,
     decompose_step,
-    delta_theta,
     diffusion_step_first_order,
     sample_outcome,
     sample_outcome_conditioned,
@@ -206,6 +203,14 @@ def test_conditioned_update_excited_generic_record():
     assert abs(after.c_g - k / nrm) < 1e-15
 
 
+def test_conditioned_update_rejects_an_unnormalizable_record():
+    """A record too large to renormalize raises the documented error, and
+    no floating-point warning on the way."""
+    for dn in (math.inf, math.nan, 1e300):
+        with pytest.raises(RuntimeError, match="unnormalizable"):
+            conditioned_update_exact(PureState(1.0, 0.0), dn, CFG)
+
+
 def test_first_order_step_matches_exact_update():
     """Componentwise agreement within 10*gamma_tau for |dn| <= 3|alpha|
     (the regime where the first-order expansion is advertised)."""
@@ -296,6 +301,8 @@ def test_decompose_linear_part_is_a_rotation():
 
 
 def test_delta_theta_matches_vector_step_in_plane():
+    """The paper's angle form of the step, d(theta) = kappa*(1 + cos(theta)),
+    follows the in-plane vector step to second order in kappa."""
     rng = np.random.default_rng(73)
     for _ in range(200):
         theta = rng.uniform(0.0, math.pi)
@@ -303,22 +310,23 @@ def test_delta_theta_matches_vector_step_in_plane():
         k = CFG.sqrt_gamma_tau * (dn / CFG.alpha_mag)
         s = BlochVector(math.sin(theta), 0.0, math.cos(theta))
         ds = diffusion_step_first_order(s, dn, CFG)
-        # atan2 rather than angle_of: a large negative record can push the
-        # state just past the excited pole, where the continued angle is
-        # slightly negative.
+        # The continued angle: a large negative record can push the state
+        # just past the excited pole, where it is slightly negative.
         moved = math.atan2(s.sx + ds.sx, s.sz + ds.sz)
-        predicted = theta + delta_theta(BlochAngle(theta), dn, CFG)
-        assert abs(moved - predicted) <= 5.0 * k * k + 1e-12
+        assert abs(moved - (theta + k * (1.0 + math.cos(theta)))) <= 5.0 * k * k + 1e-12
 
 
 def test_delta_theta_examples():
+    """At the poles and the equator the in-plane vector step has length
+    d(theta) = kappa*(1 + cos(theta)) exactly: 0 at the ground state, 2*kappa
+    at the excited state and, since cos(pi/2) rounds below half an ulp of 1,
+    kappa at the equator."""
     dn = 200.0
     k = CFG.sqrt_gamma_tau * (dn / CFG.alpha_mag)
-    assert delta_theta(BlochAngle(math.pi), dn, CFG) == 0.0
-    assert delta_theta(BlochAngle(0.0), dn, CFG) == 2.0 * k
-    # cos(pi/2) rounds below half an ulp of 1, so the angle step at the
-    # equator is exactly kappa.
-    assert delta_theta(BlochAngle(math.pi / 2.0), dn, CFG) == k
+    for theta, d in ((math.pi, 0.0), (0.0, 2.0 * k), (math.pi / 2.0, k)):
+        ds = diffusion_step_first_order(
+            BlochVector(math.sin(theta), 0.0, math.cos(theta)), dn, CFG)
+        assert ds.norm() == k * (1.0 + math.cos(theta)) == d
 
 
 def test_config_validation_messages():

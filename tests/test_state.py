@@ -12,10 +12,8 @@ import numpy as np
 import pytest
 
 from monitored_atom import (
-    BlochAngle,
     BlochVector,
     PureState,
-    angle_of,
     bloch_from_state,
     state_from_bloch,
 )
@@ -136,34 +134,9 @@ def test_near_normalized_input_is_renormalized():
     assert abs(s.norm() - 1.0) < 1e-12
 
 
-def test_angle_of_examples():
-    assert angle_of(BlochVector(0.0, 0.0, 1.0)).theta == 0.0
-    assert angle_of(BlochVector(0.0, 0.0, -1.0)).theta == math.pi
-    assert math.isclose(angle_of(BlochVector(1.0, 0.0, 0.0)).theta, math.pi / 2.0,
-                        rel_tol=0.0, abs_tol=1e-15)
-
-
 def test_angle_round_trip_over_the_quadrant():
+    """The polar angle atan2(s_x, s_z), the one the angle_var column reads,
+    survives the round trip through the amplitude pair."""
     for theta in np.linspace(0.0, math.pi, 101):
-        s = BlochVector(math.sin(theta), 0.0, math.cos(theta))
-        assert abs(angle_of(s).theta - theta) < 1e-12
-
-
-def test_angle_of_domain_errors():
-    with pytest.raises(ValueError, match="s_y"):
-        angle_of(BlochVector(0.0, 0.5, math.sqrt(0.75)))
-    with pytest.raises(ValueError, match="s_x"):
-        angle_of(BlochVector(-0.5, 0.0, math.sqrt(0.75)))
-
-
-def test_angle_of_clamps_rounding_level_negative_sx():
-    """A hair below the ground pole must give pi, not wrap to -pi."""
-    th = angle_of(BlochVector(-1e-10, 0.0, -1.0)).theta
-    assert abs(th - math.pi) < 1e-9
-
-
-def test_bloch_angle_validation():
-    with pytest.raises(ValueError, match="0, pi"):
-        BlochAngle(-0.1)
-    with pytest.raises(ValueError, match="0, pi"):
-        BlochAngle(math.pi + 0.1)
+        s = bloch_from_state(state_from_bloch(BlochVector(math.sin(theta), 0.0, math.cos(theta))))
+        assert abs(math.atan2(s.sx, s.sz) - theta) < 1e-12

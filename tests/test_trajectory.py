@@ -594,6 +594,18 @@ def test_sim_config_validation():
         run_trajectory(SimConfig(**good), -1)
 
 
+def test_sim_config_integer_fields_take_any_integer_type():
+    """A numpy integer stands for the int it equals, as in the other integer
+    inputs, which go through operator.index; a bool is not a count."""
+    fields = dict(steps=10, trajectories=3, master_seed=7, delay=2, record_stride=5)
+    cfg = SimConfig(**{k: np.int64(v) for k, v in fields.items()})
+    assert cfg == SimConfig(**fields)
+    assert all(type(getattr(cfg, k)) is int for k in fields)
+    for k in fields:
+        with pytest.raises(ValueError, match=k):
+            SimConfig(**{k: True})
+
+
 def test_final_state_consistent_with_last_record():
     cfg = SimConfig(
         homodyne=EXACT_CFG, law=FeedbackLaw(enabled=False),
@@ -664,6 +676,39 @@ def test_delayed_feedback_undoes_the_first_record(theta_bar):
         defect = w @ (((sx - t.sx) ** 2 + (sy - t.sy) ** 2 + (sz - t.sz) ** 2) / 4.0)
         ratio = defect / (gt * (1.0 + law.cos_theta_bar) ** 2 / 4.0)
         assert abs(ratio - 1.0) <= 0.03, (gt, ratio)
+
+
+@pytest.mark.parametrize("theta_bar,intercept_tol", [
+    (math.pi / 3.0, None), (math.pi / 2.0, 0.10), (2.0 * math.pi / 3.0, None),
+], ids=["pi/3", "pi/2", "2pi/3"])
+def test_fidelity_defect_grows_linearly_with_the_delay(theta_bar, intercept_tol):
+    """Delay-law oracle.  Started on the target, each record's kick of angle
+    variance (1 + cos(theta_bar))^2 gamma_tau is undone d intervals later,
+    so d kicks are pending at any step and the stationary fidelity defect
+    is d (1 + cos(theta_bar))^2 gamma_tau / 4.  A second-order drift adds
+    the same excess at every delay (largest at 2 pi / 3), so the slope
+    [defect(d) - defect(1)] / (d - 1) is gated at every angle, within 5%
+    plus 3 SE of the per-trajectory differences (the runs share their
+    noise streams), and the value at d = 1 only at pi / 2.  gamma_t stays
+    at 0.02, where that drift is still small."""
+    law = FeedbackLaw(theta_bar=theta_bar)
+    t = law.target
+    unit = (1.0 + law.cos_theta_bar) ** 2 * EXACT_CFG.gamma_tau / 4.0
+    n = 2000
+    defect = {}
+    for d in (1, 2, 5, 20):
+        cfg = SimConfig(homodyne=EXACT_CFG, law=law, initial=t, steps=200, trajectories=n,
+                        master_seed=77, delay=d, record_stride=200)
+        _, rec, _ = _simulate(cfg, np.arange(n))
+        # 1 - fidelity of each trajectory at the last step.
+        defect[d] = ((rec["sx"][-1] - t.sx) ** 2 + (rec["sy"][-1] - t.sy) ** 2
+                     + (rec["sz"][-1] - t.sz) ** 2) / 4.0
+    for d in (2, 5, 20):
+        slope = (defect[d] - defect[1]) / (d - 1)
+        se = np.std(slope, ddof=1) / math.sqrt(n)
+        assert abs(np.mean(slope) - unit) <= 0.05 * unit + 3.0 * se, (d, np.mean(slope) / unit)
+    if intercept_tol is not None:
+        assert abs(np.mean(defect[1]) / unit - 1.0) <= intercept_tol
 
 
 @pytest.mark.parametrize("law,initial", [
