@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import sys
@@ -276,7 +277,8 @@ def _sweep_table(settings: Mapping[str, object], workers: int):
     rows = []
     for d in SWEEP_DELAYS:
         cfg = _build_sim_config({**settings, "delay": d})
-        stats = run_ensemble(cfg, workers)
+        # Only the last step is printed, so only it is recorded.
+        stats = run_ensemble(dataclasses.replace(cfg, record_stride=max(cfg.steps, 1)), workers)
         rows += _stats_rows(stats, prefix=(d,), rows=slice(-1, None))
     config = _config_block(settings, cfg)
     del config["delay"]

@@ -44,7 +44,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .state import BlochVector, PureState, _abs2
+from .state import BlochVector, PureState, _abs2, bloch_from_state
 
 WEAK_FIELD_CEILING = 0.1
 # Validity limits of the model: the Gaussian outcome law needs a strong
@@ -199,8 +199,7 @@ def sample_outcome_conditioned(
     reproduces the unconditional ensemble decay, which the centered law
     of :func:`sample_outcome` does not.
     """
-    d = psi.c_e.conjugate() * psi.c_g
-    dn_qf = _record_mean(2.0 * d.real, cfg) + cfg.alpha_mag * rng.standard_normal()
+    dn_qf = _record_mean(bloch_from_state(psi).sx, cfg) + cfg.alpha_mag * rng.standard_normal()
     return MeasurementOutcome(dn_qf, float(shift))
 
 

@@ -6,8 +6,8 @@ interval's record dn is drawn, the state update conditioned on the record
 is applied, and the fluctuation part of the record is pushed into the
 delay queue as the shift a later interval will apply.  One lockstep loop
 runs that cycle for every mode: the queue is a ring of ``delay`` slots
-per trajectory, and each mode supplies only its state and its
-one-interval step.  Two update modes:
+per trajectory, and each mode supplies only its state, its one-interval
+step and its Bloch readout.  Two update modes:
 
 * EXACT: the renormalized amplitude update.  The record mean carries the
   atomic dipole signal (see homodyne.sample_outcome_conditioned) so that
@@ -155,6 +155,14 @@ def master_evolve(rho: DensityMatrix2, gamma_t: float) -> DensityMatrix2:
     return DensityMatrix2(rho.ux * h, rho.uy * h, rho.uz * g + (g - 1.0))
 
 
+def _int_at_least(name: str, v, low: int) -> int:
+    # The rule for every integer input: any integer type converts to int,
+    # as operator.index does; a bool is not a count.
+    if isinstance(v, bool) or not hasattr(type(v), "__index__") or v < low:
+        raise ValueError(f"{name} must be an int >= {low}, got {v!r}")
+    return operator.index(v)
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Complete description of a trajectory experiment.
@@ -191,14 +199,9 @@ class SimConfig:
     record_stride: int = 1
 
     def __post_init__(self):
-        # Any integer type converts to int, as operator.index does; a bool
-        # is not a count.
         for name, low in (("steps", 0), ("trajectories", 1), ("master_seed", 0),
                           ("delay", 1), ("record_stride", 1)):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not hasattr(type(v), "__index__") or v < low:
-                raise ValueError(f"{name} must be an int >= {low}, got {v!r}")
-            object.__setattr__(self, name, operator.index(v))
+            object.__setattr__(self, name, _int_at_least(name, getattr(self, name), low))
         if abs(self.initial.norm() - 1.0) > UNIT_TOL:
             raise ValueError(
                 f"initial Bloch vector must be unit length within {UNIT_TOL:g}, "
@@ -386,9 +389,10 @@ def _exact_kernel(cfg: SimConfig, n: int):
 
 
 def _first_order_kernel(cfg: SimConfig, n: int):
-    # State: the Bloch components (s_x, s_y, s_z), so it needs no readout.
-    # The feedback law enters through cz in the same interval as the
-    # record, so the pending shift never acts on the atom here.
+    # State: the Bloch components (s_x, s_y, s_z), which the readout hands
+    # on as they are, without a copy.  The feedback law enters through cz
+    # in the same interval as the record, so the pending shift never acts
+    # on the atom here.
     hom = cfg.homodyne
     cz = cfg.law.cos_theta_bar if cfg.law.enabled else -1.0
 
@@ -407,7 +411,7 @@ def _first_order_kernel(cfg: SimConfig, n: int):
 
     s0 = cfg.initial
     start = tuple(np.full(n, c, dtype=np.float64) for c in (s0.sx, s0.sy, s0.sz))
-    return start, step, None, final
+    return start, step, lambda state, out: state, final
 
 
 def _kernel(cfg: SimConfig):
@@ -434,16 +438,17 @@ def _slab_records(cfg: SimConfig, indices, block: int, rows: int, names=_BLOCH_N
     records it, and only then overwrites that slot with the shift this
     interval's record calls for, which falls due ``delay`` steps later.
     The noise comes from an (n, block) slab of the per-row streams,
-    refilled every ``block`` steps.  The loop records the state itself;
-    at the end of each slab, that slab's recorded rows go out in blocks
-    of ``rows``, through the Bloch readout in the exact mode.
+    refilled every ``block`` steps.  The loop records the state itself,
+    in the kernel's dtype, next to the other records; at the end of each
+    slab, that slab's recorded rows go out in blocks of ``rows``, the
+    state rows through the mode's Bloch readout.
 
     ``names`` is a leading part of ``_REC_NAMES``: the records to keep.
-    Returns (blocks, final).  ``blocks`` yields arrays of shape
-    (len(names), at most rows, len(indices)) that hold those records at
-    consecutive recorded steps, in order from step 0; no block spans two
-    slabs, and each is valid only until the next is drawn.  Once
-    ``blocks`` is exhausted, ``final(i)`` is the final PureState of
+    Returns (blocks, final).  ``blocks`` yields tuples of one array per
+    name, each of shape (at most rows, len(indices)), that hold those
+    records at consecutive recorded steps, in order from step 0; no block
+    spans two slabs, and each is valid only until the next is drawn.
+    Once ``blocks`` is exhausted, ``final(i)`` is the final PureState of
     column i.
     """
     hom = cfg.homodyne
@@ -461,16 +466,12 @@ def _slab_records(cfg: SimConfig, indices, block: int, rows: int, names=_BLOCH_N
         gens = _generators(cfg.master_seed, indices)
         slab = np.empty((n, _slab_width(block)), dtype=np.float64)
         ring = np.zeros((n, cfg.delay), dtype=np.float64)
-        # One slab's records.  A mode without a readout keeps its state in
-        # the Bloch rows; the exact mode keeps its amplitudes and reads each
-        # block out into ``out``.
-        nb = len(_BLOCH_NAMES)
-        rec = np.empty((len(names) - (bloch is not None) * nb, size, n), dtype=np.float64)
-        if bloch is None:
-            held, kept = tuple(rec[:nb]), tuple(rec[nb:])
-        else:
-            held, kept = tuple(np.empty((size, n), c.dtype) for c in state), tuple(rec)
-            out = np.empty((len(names), min(rows, size), n), dtype=np.float64)
+        # One slab's records: the state rows, which the readout turns into
+        # a block's Bloch rows (in ``out`` if it computes them), and the
+        # other records.
+        held = tuple(np.empty((size, n), c.dtype) for c in state)
+        kept = tuple(np.empty((size, n)) for _ in names[len(_BLOCH_NAMES):])
+        out = tuple(np.empty((min(rows, size), n)) for _ in _BLOCH_NAMES)
         for a, v in zip(held + kept, state + (0.0, 0.0)):
             a[0] = v
         r0 = 0
@@ -495,12 +496,8 @@ def _slab_records(cfg: SimConfig, indices, block: int, rows: int, names=_BLOCH_N
                     shift[:] = (2.0 * hom.alpha_mag) * feedback_amplitude(dn_qf, law, hom)
             for b in range(0, r1 - r0, rows):
                 e = min(b + rows, r1 - r0)
-                if bloch is None:
-                    part = rec[:, b:e]
-                else:
-                    part = out[:, :e - b]
-                    bloch(tuple(c[b:e] for c in held), tuple(part[:nb]))
-                    part[nb:] = rec[:, b:e]
+                part = (bloch(tuple(c[b:e] for c in held), tuple(c[:e - b] for c in out))
+                        + tuple(c[b:e] for c in kept))
                 if r0 + b == 0:
                     # Step 0 is the initial condition itself; record it
                     # verbatim rather than the amplitude round trip, which
@@ -528,24 +525,26 @@ def _simulate(cfg: SimConfig, indices):
     blocks, final = _slab_records(
         cfg, indices, _slab_steps(cfg.steps, n), max(1, _READOUT_CELLS // n), _REC_NAMES
     )
-    rec = np.concatenate([b.copy() for b in blocks], axis=1)
-    return _recorded_steps(cfg.steps, cfg.record_stride), dict(zip(_REC_NAMES, rec)), final
+    parts = [[a.copy() for a in part] for part in blocks]
+    rec = dict(zip(_REC_NAMES, map(np.concatenate, zip(*parts))))
+    return _recorded_steps(cfg.steps, cfg.record_stride), rec, final
 
 
 def _simulate_chunk(cfg: SimConfig, indices, block: int, rows: int, send) -> None:
     # Worker entry point: sends each block of its chunk's Bloch records in
-    # order, or else the exception that stopped the run, for the parent to
-    # raise.
+    # order and then None, or else the exception that stopped the run, for
+    # the parent to raise.
     try:
         for part in _slab_records(cfg, indices, block, rows)[0]:
             send(part)
+        send(None)
     except Exception as exc:
         send(exc)
 
 
-def _receive(proc, pipe) -> np.ndarray:
-    # A worker's next block of records; raises its error, or a RuntimeError
-    # when it died without sending one.
+def _receive(proc, pipe):
+    # A worker's next block of records, or None after its last; raises its
+    # error, or a RuntimeError when it died without sending one.
     try:
         msg = pipe.recv()
     except EOFError:
@@ -562,12 +561,12 @@ def _receive(proc, pipe) -> np.ndarray:
 def _pool_blocks(cfg: SimConfig, chunks, block: int, rows: int):
     # Yields the blocks of Bloch records of the whole ensemble.  One forked
     # process per chunk sends its blocks through its own pipe, and the
-    # chunks' rows of each block are joined in index order.  The parent
-    # closes each write end once its child holds it, before it forks the
-    # next child, so a pipe reads EOF as soon as its own child dies.
+    # chunks' rows of each block are joined in index order, until every
+    # chunk has sent its end.  The parent closes each write end once its
+    # child holds it, before it forks the next child, so a pipe reads EOF
+    # as soon as its own child dies.
     methods = multiprocessing.get_all_start_methods()
     ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
-    count = int(np.sum(-(-np.diff(_slab_ends(cfg, block)[0], prepend=0) // rows)))
     procs, pipes = [], []
     try:
         for chunk in chunks:
@@ -578,8 +577,13 @@ def _pool_blocks(cfg: SimConfig, chunks, block: int, rows: int):
             proc.start()
             procs.append(proc)
             send.close()
-        for _ in range(count):
-            yield np.concatenate([_receive(p, c) for p, c in zip(procs, pipes)], axis=2)
+        while (parts := [_receive(p, c) for p, c in zip(procs, pipes)]) != [None] * len(procs):
+            if None in parts:
+                raise RuntimeError("the workers' record streams ended at different blocks")
+            # Rebound, so that the received rows are freed before the block
+            # is reduced.
+            parts = tuple(np.concatenate(c, axis=1) for c in zip(*parts))
+            yield parts
         for proc in procs:
             proc.join()
     finally:
@@ -632,8 +636,7 @@ def run_trajectory(cfg: SimConfig, trajectory_index: int = 0) -> TrajectoryRecor
     The result is bitwise identical to the corresponding column of an
     ensemble run containing the same index.
     """
-    if trajectory_index < 0:
-        raise ValueError(f"trajectory_index must be nonnegative, got {trajectory_index!r}")
+    trajectory_index = _int_at_least("trajectory_index", trajectory_index, 0)
     ks, rec, final = _simulate(cfg, [trajectory_index])
     bloch = np.column_stack((rec["sx"][:, 0], rec["sy"][:, 0], rec["sz"][:, 0]))
     return TrajectoryRecord(
@@ -674,11 +677,10 @@ def _check_memory(cfg: SimConfig, sizes, n_recorded: int, block: int, rows: int)
     # Nothing in it grows with the run's length but the statistics: each
     # process holds one slab of ``block`` steps at a time, and the records
     # leave it in blocks of at most ``rows`` recorded steps.
-    start, _, bloch, _ = _kernel(cfg)(cfg, 1)
+    start = _kernel(cfg)(cfg, 1)[0]
     size = _slab_ends(cfg, block)[1]
-    # Per recorded cell of a slab: the exact mode's amplitudes, or else the
-    # Bloch vector.
-    cell = sum(c.itemsize for c in start) if bloch else 24
+    # Per recorded cell of a slab: the kernel's state.
+    cell = sum(c.itemsize for c in start)
     # Per trajectory, in whichever process runs it: its noise row,
     # generator and delay ring, and its records of one slab.
     per_row = 8 * _slab_width(block) + _GENERATOR_BYTES + 8 * cfg.delay + cell * size
@@ -722,14 +724,8 @@ def run_ensemble(cfg: SimConfig, workers: int = 1) -> EnsembleStats:
     """
     if cfg.trajectories < 2:
         raise ValueError("ensemble statistics need at least 2 trajectories")
-    try:
-        count = operator.index(workers)
-    except TypeError:
-        count = 0
-    if count < 1:
-        raise ValueError(f"workers must be a positive int, got {workers!r}")
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(count, cpus or 1)
+    workers = min(_int_at_least("workers", workers, 1), cpus or 1)
     if cfg.trajectories < max(_POOL_MIN_TRAJECTORIES, 2 * workers):
         workers = 1
     chunks = np.array_split(np.arange(cfg.trajectories), workers)

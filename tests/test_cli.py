@@ -339,6 +339,23 @@ def test_delay_sweep_rows():
         assert row["step"] == 30
 
 
+def test_delay_sweep_rows_are_the_last_rows_of_full_record_runs():
+    """The sweep records only the last step of each run, the one row it
+    prints; that row is, bit for bit, the last of the run recorded at the
+    user's stride."""
+    settings = cli.resolve_settings(cli.parse_args(
+        ["--preset", "delay-sweep", "--steps", "60", "--trajectories", "12", "--seed", "9",
+         "--record-stride", "1"]))
+    _, rows, config = cli.execute(settings)
+    assert config["record_stride"] == 1
+    for d in (2, 20):
+        stats = trajectory.run_ensemble(cli._build_sim_config({**settings, "delay": d}))
+        assert len(stats.steps) == 61
+        want = cli._stats_rows(stats, prefix=(d,))[-1]
+        (got,) = [row for row in rows if row[0] == d]
+        assert [cli._cell(v) for v in got] == [cli._cell(v) for v in want]
+
+
 def test_explicit_flags_run_without_preset():
     out = run_cli(
         "--mode", "first-order", "--feedback", "on", "--theta-bar",

@@ -40,6 +40,7 @@ from monitored_atom import (
     master_evolve,
     run_ensemble,
     run_trajectory,
+    state_from_bloch,
     step_trajectory,
     trajectory_seed,
 )
@@ -289,16 +290,18 @@ def test_single_trajectory_matches_its_ensemble_column(hom, law, delay):
     )
     _, rec, _ = _simulate(cfg, np.arange(cfg.trajectories))
     sent = []
-    trajectory._simulate_chunk(cfg, np.arange(cfg.trajectories), 15, 2,
-                               lambda part: sent.append(part.copy()))
+
+    def send(part):
+        sent.append(None if part is None else tuple(a.copy() for a in part))
+
+    trajectory._simulate_chunk(cfg, np.arange(cfg.trajectories), 15, 2, send)
     # A worker sends exactly the Bloch records, as the full run has them,
     # in blocks of 2 rows that end with each slab of 15 steps (rows 0-3,
-    # 4-6 and 7-8).
-    assert [p.shape[1] for p in sent] == [2, 2, 2, 1, 2]
-    chunk = np.concatenate(sent, axis=1)
-    assert chunk.shape == (3, 9, cfg.trajectories)
-    for c, name in enumerate(("sx", "sy", "sz")):
-        assert np.array_equal(chunk[c], rec[name])
+    # 4-6 and 7-8), and then its end marker.
+    assert sent[-1] is None
+    assert [len(p[0]) for p in sent[:-1]] == [2, 2, 2, 1, 2]
+    for name, rows in zip(("sx", "sy", "sz"), zip(*sent[:-1])):
+        assert np.array_equal(np.concatenate(rows), rec[name])
     for i in (0, 3, 6):
         single = run_trajectory(cfg, i)
         for c, name in enumerate(("sx", "sy", "sz")):
@@ -306,6 +309,68 @@ def test_single_trajectory_matches_its_ensemble_column(hom, law, delay):
         assert np.array_equal(single.dn_qf, rec["dn_qf"][:, i])
         assert np.array_equal(single.shift, rec["shift"][:, i])
         assert np.array_equal(single.dn_total, rec["dn_qf"][:, i] + rec["shift"][:, i])
+
+
+@pytest.mark.parametrize("vectors", [
+    pytest.param([(0.0, 0.0, 1.0), (0.0, 0.0, -1.0), (0.6, 0.0, 0.8), (-0.8, 0.0, -0.6),
+                  (1.0, 0.0, 0.0)], id="float64"),
+    pytest.param([(0.0, 0.0, 1.0), (0.0, 0.0, -1.0), (0.36, 0.48, 0.8), (-0.48, -0.36, -0.8),
+                  (0.6, -0.8, 0.0)], id="complex128"),
+])
+def test_exact_readout_is_bloch_from_state(vectors):
+    """The exact kernel's block readout writes bloch_from_state's bits into
+    the buffers it is handed, on the real amplitudes an in-plane start runs
+    on and on complex ones, the excited and ground states included."""
+    states = [state_from_bloch(BlochVector(*v)) for v in vectors]
+    cfg = SimConfig(homodyne=EXACT_CFG, initial=BlochVector(*vectors[-1]), steps=1)
+    start, _, bloch, _ = trajectory._exact_kernel(cfg, len(states))
+    amps = tuple(np.array([getattr(psi, c) for psi in states]) for c in ("c_e", "c_g"))
+    if start[0].dtype == np.float64:
+        assert not any(np.any(a.imag) for a in amps)
+        amps = tuple(a.real.copy() for a in amps)
+    assert all(a.dtype == c.dtype for a, c in zip(amps, start))
+    out = tuple(np.full(len(states), np.nan) for _ in range(3))
+    got = bloch(amps, out)
+    assert all(g is o for g, o in zip(got, out))
+    want = np.array([bloch_from_state(psi).as_tuple() for psi in states]).T
+    assert np.array(got).tobytes() == want.tobytes()
+
+
+def test_first_order_readout_hands_on_its_own_rows():
+    """The first-order state is the Bloch vector: its readout returns the
+    state rows themselves and leaves the buffers it is handed untouched."""
+    cfg = SimConfig(homodyne=FO_CFG, initial=BlochVector(0.6, 0.0, 0.8), steps=1)
+    start, _, bloch, _ = trajectory._first_order_kernel(cfg, 4)
+    out = tuple(np.full(4, np.nan) for _ in range(3))
+    got = bloch(start, out)
+    assert len(got) == 3
+    assert all(np.shares_memory(g, s) for g, s in zip(got, start))
+    assert all(np.isnan(o).all() for o in out)
+
+
+@pytest.mark.parametrize("skew", [-1, 1], ids=["ends-early", "ends-late"])
+def test_workers_whose_record_streams_disagree_are_an_error(monkeypatch, serial_pool, skew):
+    """Each worker ends its own stream of blocks; one that ends before or
+    after the others makes the parent raise rather than drop or truncate
+    blocks.  Checked with the stub pool, so no process is started."""
+    monkeypatch.setattr(trajectory.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(trajectory, "_POOL_MIN_TRAJECTORIES", 2)
+    monkeypatch.setattr(trajectory, "_READOUT_CELLS", 4 * 7)  # blocks of 4 rows
+    slab_records = trajectory._slab_records
+
+    def skewed(cfg, indices, *args):
+        blocks, final = slab_records(cfg, indices, *args)
+        if indices[0] == 0:
+            return blocks, final
+        parts = [tuple(a.copy() for a in part) for part in blocks]
+        return iter(parts[:-1] if skew < 0 else parts + parts[-1:]), final
+
+    monkeypatch.setattr(trajectory, "_slab_records", skewed)
+    cfg = SimConfig(homodyne=FO_CFG, initial=BlochVector(1.0, 0.0, 0.0), steps=30,
+                    trajectories=7, master_seed=3)
+    with pytest.raises(RuntimeError, match="ended at different blocks"):
+        run_ensemble(cfg, workers=2)
+    assert serial_pool == [4, 3]
 
 
 @pytest.mark.parametrize("law,initial", [
@@ -406,12 +471,16 @@ def test_mode_value_selects_the_same_kernel(mode):
 
 
 def test_trajectory_index_must_be_an_integer():
-    """A float index is rejected instead of running int(index) under the
-    float's name; a numpy integer, as np.arange yields, is an index."""
+    """A float, string or bool index is rejected instead of running
+    int(index) under its name; a numpy integer, as np.arange yields, is an
+    index and is recorded as the int it equals."""
     cfg = SimConfig(homodyne=EXACT_CFG, initial=BlochVector(1.0, 0.0, 0.0), steps=20)
-    with pytest.raises(TypeError):
-        run_trajectory(cfg, 1.5)
-    _assert_same_record(run_trajectory(cfg, np.arange(3)[1]), run_trajectory(cfg, 1))
+    for index in (1.5, "1", True):
+        with pytest.raises(ValueError, match="trajectory_index must be an int >= 0"):
+            run_trajectory(cfg, index)
+    record = run_trajectory(cfg, np.arange(3)[1])
+    assert type(record.trajectory_index) is int
+    _assert_same_record(record, run_trajectory(cfg, 1))
 
 
 def test_states_stay_on_the_sphere():
@@ -588,9 +657,9 @@ def test_sim_config_validation():
         SimConfig(**{**good, "initial": BlochVector(0.0, 0.0, 0.5)})
     with pytest.raises(ValueError, match="at least 2"):
         run_ensemble(SimConfig(**{**good, "trajectories": 1}))
-    with pytest.raises(ValueError, match="workers"):
+    with pytest.raises(ValueError, match="workers must be an int >= 1"):
         run_ensemble(SimConfig(**good), workers=0)
-    with pytest.raises(ValueError, match="nonnegative"):
+    with pytest.raises(ValueError, match="trajectory_index must be an int >= 0"):
         run_trajectory(SimConfig(**good), -1)
 
 
@@ -972,12 +1041,12 @@ def test_memory_check_is_skipped_without_meminfo(monkeypatch):
     assert run_ensemble(cfg).n_trajectories == 4
 
 
-@pytest.mark.parametrize("workers", [1.5, 2.0, "2"])
+@pytest.mark.parametrize("workers", [1.5, 2.0, "2", True])
 def test_nonintegral_workers_are_rejected(workers):
     """A worker count must be an integer: 1.5 must not run one process,
-    nor 2.0 two."""
+    nor 2.0 two, nor True one."""
     cfg = SimConfig(homodyne=FO_CFG, steps=3, trajectories=4)
-    with pytest.raises(ValueError, match="workers must be a positive int"):
+    with pytest.raises(ValueError, match="workers must be an int >= 1"):
         run_ensemble(cfg, workers)
 
 
