@@ -41,7 +41,7 @@ from typing import Mapping
 from .state import BlochVector
 from .homodyne import HomodyneConfig, _rotation_field, _step_field
 from .feedback import FeedbackLaw
-from .trajectory import EnsembleStats, SimConfig, run_ensemble
+from .trajectory import EnsembleStats, SimConfig, _int_at_least, run_ensemble
 
 ENSEMBLE_COLUMNS = [
     "step", "gamma_t",
@@ -235,36 +235,36 @@ def _table_rows(stats: EnsembleStats):
         yield from _stats_rows(stats, rows=slice(b, b + _EMIT_ROWS))
 
 
-def _sphere_grid(n: int) -> list[tuple[float, float, float]]:
+def _sphere_grid(n: int):
     # Fibonacci lattice plus the six axis poles, so the special states
-    # (ground, excited, equator) always appear exactly.
-    if n < 1:
-        raise ValueError(f"grid_points must be positive, got {n!r}")
+    # (ground, excited, equator) always appear exactly; made point by point.
     golden = math.pi * (3.0 - math.sqrt(5.0))
-    pts = []
     for i in range(n):
         z = 1.0 - (2.0 * i + 1.0) / n
         r = math.sqrt(max(0.0, 1.0 - z * z))
         a = golden * i
-        pts.append((r * math.cos(a), r * math.sin(a), z))
-    pts += [
+        yield (r * math.cos(a), r * math.sin(a), z)
+    yield from [
         (1.0, 0.0, 0.0), (-1.0, 0.0, 0.0),
         (0.0, 1.0, 0.0), (0.0, -1.0, 0.0),
         (0.0, 0.0, 1.0), (0.0, 0.0, -1.0),
     ]
-    return pts
 
 
 def _field_table(settings: Mapping[str, object]):
+    # Checked here, before the first row is made or a byte written.
+    n = _int_at_least("grid_points", int(settings["grid_points"]), 1)
     nonlinear = settings["preset"] == "fig2-field"
-    rows = []
-    for x, y, z in _sphere_grid(int(settings["grid_points"])):
-        f = _step_field(x, y, z, -1.0)
-        if nonlinear:
-            f = [a - b for a, b in zip(f, _rotation_field(x, z))]
-        rows.append([x, y, z, *f])
-    config = {"preset": settings["preset"], "grid_points": int(settings["grid_points"])}
-    return FIELD_COLUMNS, rows, config
+
+    def rows():
+        # The table, made one row at a time as it is written.
+        for x, y, z in _sphere_grid(n):
+            f = _step_field(x, y, z, -1.0)
+            if nonlinear:
+                f = [a - b for a, b in zip(f, _rotation_field(x, z))]
+            yield [x, y, z, *f]
+
+    return FIELD_COLUMNS, rows(), {"preset": settings["preset"], "grid_points": n}
 
 
 def _ensemble_table(settings: Mapping[str, object], workers: int):

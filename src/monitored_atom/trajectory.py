@@ -106,8 +106,9 @@ _NOISE_BYTES = 1 << 24
 # ... and of at most this many steps.  Longer rows buy nothing: a draw
 # call costs about 0.8 us of overhead against 4.2 us for 256 normals.
 _SLAB_STEPS = 256
-# Generators are seeded in chunks of this many indices, so that only one
-# chunk's SeedSequences are alive at a time.
+# Generators are seeded in chunks of this many indices, which bounds the
+# list of pools alive at once (each SeedSequence is freed once its pool is
+# read): a traced peak of 5.7 MB against 5.9 MB unchunked per 10^4 indices.
 _SEED_CHUNK = 1024
 # Memory of one trajectory's Generator and its PCG64 (tracemalloc: 586 B
 # each over 10^4), for the memory check.
@@ -418,15 +419,21 @@ def _kernel(cfg: SimConfig):
     return _exact_kernel if cfg.homodyne.mode is UpdateMode.EXACT else _first_order_kernel
 
 
-def _slab_ends(cfg: SimConfig, block: int) -> tuple[np.ndarray, int]:
-    # Per noise slab of ``block`` steps, one past the last recorded row it
-    # reaches, and the most recorded rows any slab holds.  Slab 0 also
-    # holds step 0, and a run of 0 steps is one slab of no steps, so every
-    # run has at least one.
-    ks = _recorded_steps(cfg.steps, cfg.record_stride)
+def _slab_plan(cfg: SimConfig, state, block: int, rows: int, names=_BLOCH_NAMES):
+    # The loop's layout for slabs of ``block`` steps over the columns of the
+    # kernel's ``state``: the recorded steps, and the (shape, dtype) of each
+    # buffer: the noise slab in padded rows, the delay ring, one slab's
+    # state rows and other records, and one block's Bloch readout.  The
+    # records have a row for each recorded step of the fullest slab; slab 0
+    # also holds step 0, and a run of 0 steps is one slab of no steps.
+    n, f8 = len(state[0]), np.dtype(np.float64)
+    ks = _recorded_steps(cfg.steps, cfg.record_stride).tolist()
     ends = [min(k0 + block, cfg.steps) for k0 in range(0, max(cfg.steps, 1), block)]
-    ends = np.searchsorted(ks, ends, side="right")
-    return ends, int(np.max(np.diff(ends, prepend=0)))
+    size = int(np.max(np.diff(np.searchsorted(ks, ends, side="right"), prepend=0)))
+    plan = [((n, _slab_width(block)), f8), ((n, cfg.delay), f8)]
+    plan += [((size, n), c.dtype) for c in state]
+    plan += [((size, n), f8) for _ in names[len(_BLOCH_NAMES):]]
+    return ks, plan + [((min(rows, size), n), f8)] * len(_BLOCH_NAMES)
 
 
 def _slab_records(cfg: SimConfig, indices, block: int, rows: int, names=_BLOCH_NAMES):
@@ -453,10 +460,8 @@ def _slab_records(cfg: SimConfig, indices, block: int, rows: int, names=_BLOCH_N
     """
     hom = cfg.homodyne
     law = cfg.law
-    stride = cfg.record_stride
-    n = len(indices)
-    state, step, bloch, final = _kernel(cfg)(cfg, n)
-    ends, size = _slab_ends(cfg, block)
+    state, step, bloch, final = _kernel(cfg)(cfg, len(indices))
+    ks, plan = _slab_plan(cfg, state, block, rows, names)
     # The first-order kernel never reads the shift, so its ring is filled
     # only when the shift is recorded.
     push = law.enabled and (hom.mode is UpdateMode.EXACT or "shift" in names)
@@ -464,18 +469,20 @@ def _slab_records(cfg: SimConfig, indices, block: int, rows: int, names=_BLOCH_N
     def blocks():
         nonlocal state
         gens = _generators(cfg.master_seed, indices)
-        slab = np.empty((n, _slab_width(block)), dtype=np.float64)
-        ring = np.zeros((n, cfg.delay), dtype=np.float64)
+        slab, ring, *recs = (np.empty(shape, dtype) for shape, dtype in plan)
+        ring.fill(0.0)
         # One slab's records: the state rows, which the readout turns into
         # a block's Bloch rows (in ``out`` if it computes them), and the
         # other records.
-        held = tuple(np.empty((size, n), c.dtype) for c in state)
-        kept = tuple(np.empty((size, n)) for _ in names[len(_BLOCH_NAMES):])
-        out = tuple(np.empty((min(rows, size), n)) for _ in _BLOCH_NAMES)
-        for a, v in zip(held + kept, state + (0.0, 0.0)):
+        recs, out = recs[:-3], recs[-3:]
+        held, kept = recs[:len(state)], recs[len(state):]
+        for a, v in zip(recs, state + (0.0, 0.0)):
             a[0] = v
-        r0 = 0
-        for k0, r1 in zip(range(0, max(cfg.steps, 1), block), ends):
+        # Row r, the next to record, holds step ks[r]; the slab's records
+        # hold it in slot r - r0.  The last step is always recorded, so
+        # ks[r] exists at every step.
+        r0, r = 0, 1
+        for k0 in range(0, max(cfg.steps, 1), block):
             # Every slab, a short last one too, is a leading view of the same
             # buffer, so two slabs never live at once; each row stays
             # contiguous.
@@ -486,16 +493,14 @@ def _slab_records(cfg: SimConfig, indices, block: int, rows: int, names=_BLOCH_N
             for k, noise in enumerate(xi.T, k0):
                 shift = ring[:, k % cfg.delay]
                 state, dn_qf = step(state, shift, noise)
-                # The recorded steps are the stride's multiples and the
-                # last step, so step k + 1 is row ceil((k + 1) / stride).
-                if (k + 1) % stride == 0 or k + 1 == cfg.steps:
-                    r = -(-(k + 1) // stride) - r0
-                    for a, v in zip(held + kept, state + (dn_qf, shift)):
-                        a[r] = v
+                if k + 1 == ks[r]:
+                    for a, v in zip(recs, state + (dn_qf, shift)):
+                        a[r - r0] = v
+                    r += 1
                 if push:
                     shift[:] = (2.0 * hom.alpha_mag) * feedback_amplitude(dn_qf, law, hom)
-            for b in range(0, r1 - r0, rows):
-                e = min(b + rows, r1 - r0)
+            for b in range(0, r - r0, rows):
+                e = min(b + rows, r - r0)
                 part = (bloch(tuple(c[b:e] for c in held), tuple(c[:e - b] for c in out))
                         + tuple(c[b:e] for c in kept))
                 if r0 + b == 0:
@@ -508,7 +513,7 @@ def _slab_records(cfg: SimConfig, indices, block: int, rows: int, names=_BLOCH_N
                     if not np.all(np.isfinite(a)):
                         raise RuntimeError(f"trajectory kernel produced non-finite {name}")
                 yield part
-            r0 = r1
+            r0 = r
 
     return blocks(), lambda i: final(state, i)
 
@@ -672,26 +677,20 @@ def _mem_available() -> int | None:
     return None
 
 
-def _check_memory(cfg: SimConfig, sizes, n_recorded: int, block: int, rows: int) -> None:
+def _check_memory(cfg: SimConfig, pooled: bool, block: int, rows: int) -> None:
     # Raises ValueError when the run's estimated peak exceeds MemAvailable.
-    # Nothing in it grows with the run's length but the statistics: each
-    # process holds one slab of ``block`` steps at a time, and the records
-    # leave it in blocks of at most ``rows`` recorded steps.
-    start = _kernel(cfg)(cfg, 1)[0]
-    size = _slab_ends(cfg, block)[1]
-    # Per recorded cell of a slab: the kernel's state.
-    cell = sum(c.itemsize for c in start)
-    # Per trajectory, in whichever process runs it: its noise row,
-    # generator and delay ring, and its records of one slab.
-    per_row = 8 * _slab_width(block) + _GENERATOR_BYTES + 8 * cfg.delay + cell * size
-    need = per_row * sum(sizes)
-    # Per cell of a block, which never spans two slabs: the Bloch rows read
-    # out and the readout's or the reduction's temporaries; in a pool also
-    # the pickled copy a worker sends, and the parent's received rows, the
-    # pickle it is reading and their join.  Then the statistics of each
-    # recorded step.
-    need += (128 + 120 * (len(sizes) > 1)) * cfg.trajectories * min(rows, size)
-    need += 160 * n_recorded
+    # Nothing in it grows with the run's length but the statistics.  Per
+    # trajectory, in whichever process runs it: its part of every buffer
+    # of the slab plan, and its generator.
+    ks, plan = _slab_plan(cfg, _kernel(cfg)(cfg, 1)[0], block, rows)
+    need = cfg.trajectories * (_GENERATOR_BYTES + sum(
+        math.prod(shape) * dtype.itemsize for shape, dtype in plan))
+    # Per cell of a readout block, which never spans two slabs: the
+    # readout's or the reduction's temporaries; in a pool also the pickled
+    # copy a worker sends, and the parent's received rows, the pickle it
+    # is reading and their join.  Then the statistics of each recorded step.
+    need += (104 + 120 * pooled) * cfg.trajectories * plan[-1][0][0]
+    need += 160 * len(ks)
     avail = _mem_available()
     if avail is not None and need > avail:
         raise ValueError(
@@ -734,7 +733,7 @@ def run_ensemble(cfg: SimConfig, workers: int = 1) -> EnsembleStats:
     # blocks of as many rows, so block b covers the same steps in all.
     block = _slab_steps(cfg.steps, len(chunks[0]))
     rows = max(1, _READOUT_CELLS // cfg.trajectories)
-    _check_memory(cfg, [len(c) for c in chunks], len(ks), block, rows)
+    _check_memory(cfg, workers > 1, block, rows)
     if workers == 1:
         blocks = _slab_records(cfg, chunks[0], block, rows)[0]
     else:

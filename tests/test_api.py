@@ -1,12 +1,14 @@
 """Public-surface tests: what the package exports and what the docs cite.
 
-The README's library example is run as written, so the docs cannot keep
-citing a name the package no longer has.
+The README's library and command-line examples are run as written, so
+the docs cannot keep citing a name or a flag the package no longer has.
 """
 
 import ast
 import importlib
+import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -73,3 +75,24 @@ def test_readme_library_example_runs():
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip()
+
+
+def _readme_cli_examples():
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"Examples:\n\n```sh\n(.*?)```", text, re.S)
+    assert block is not None
+    return re.sub(r"\\\n\s*", " ", block.group(1)).splitlines()
+
+
+@pytest.mark.parametrize("line", _readme_cli_examples())
+def test_readme_cli_example_runs(tmp_path, line):
+    """Each command-line example runs as written, through the module entry
+    point, and writes a table to stdout or to its --out file."""
+    prog, *args = shlex.split(line)
+    assert prog == "monitored-atom"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-m", "monitored_atom", *args], cwd=tmp_path,
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    written = [p.read_text(encoding="utf-8") for p in tmp_path.iterdir()]
+    assert out.stdout.strip() or any(t.strip() for t in written)
