@@ -29,6 +29,12 @@ def _abs2(z):
     return z.real * z.real + z.imag * z.imag
 
 
+def _bloch(c_e, c_g):
+    # (s_x, s_y, s_z) of the amplitude pair; also works elementwise.
+    d = c_e.conjugate() * c_g
+    return 2.0 * d.real, 2.0 * d.imag, _abs2(c_e) - _abs2(c_g)
+
+
 @dataclass(frozen=True)
 class PureState:
     """Normalized two-level amplitude pair with a canonical global phase.
@@ -111,8 +117,7 @@ def bloch_from_state(psi: PureState) -> BlochVector:
         Unit vector (s_x, s_y, s_z); exactly (0, 0, 1) for the excited
         state and (0, 0, -1) for the ground state.
     """
-    d = psi.c_e.conjugate() * psi.c_g
-    return BlochVector(2.0 * d.real, 2.0 * d.imag, _abs2(psi.c_e) - _abs2(psi.c_g))
+    return BlochVector(*_bloch(psi.c_e, psi.c_g))
 
 
 def state_from_bloch(s: BlochVector) -> PureState:

@@ -55,7 +55,6 @@ from __future__ import annotations
 
 import functools
 import math
-import multiprocessing
 import operator
 import os
 from dataclasses import dataclass
@@ -67,7 +66,7 @@ from .state import (
     UNIT_TOL,
     BlochVector,
     PureState,
-    _abs2,
+    _bloch,
     bloch_from_state,
     state_from_bloch,
 )
@@ -97,8 +96,10 @@ LONG_RUN_CEILING = 1.0
 _BLOCH_NAMES = ("sx", "sy", "sz")
 _REC_NAMES = _BLOCH_NAMES + ("dn_qf", "shift")
 # The Bloch readout and the reduction run on blocks of about this many
-# recorded cells, so their temporaries stay small next to a slab's records.
-_READOUT_CELLS = 1 << 16
+# recorded cells, so that their temporaries, several arrays of 8 B per cell
+# alive at once, stay small next to a slab's records: on stabilize-exact,
+# run_ensemble's traced peak was 19.1 MB at 2^16 cells and 14.0 MB at 2^13.
+_READOUT_CELLS = 1 << 13
 # Each process draws its noise in (n, block) slabs of about this many
 # bytes.  Smaller slabs cost one more draw call per row per slab: at 4 MB,
 # a 10^4-row run lost 16% of its throughput.
@@ -368,25 +369,16 @@ def _exact_kernel(cfg: SimConfig, n: int):
         dn_qf = _record_mean(sx, hom) + noise
         return _condition(cE, cG, dn_qf, hom), dn_qf
 
-    def bloch(state, out):
-        # Writes (s_x, s_y, s_z) into ``out``, three float64 arrays of the
-        # amplitudes' shape, and returns them.  It runs once per block of
-        # recorded rows, not per step, so one form serves both dtypes: on
-        # real amplitudes the imaginary parts add exact zeros.
-        cE, cG = state
-        sx, sy, sz = out
-        prod = cE.conj() * cG
-        np.multiply(prod.real, 2.0, out=sx)
-        np.multiply(prod.imag, 2.0, out=sy)
-        np.subtract(_abs2(cE), _abs2(cG), out=sz)
-        return sx, sy, sz
-
     def final(state, i):
         # PureState fixes the global phase the kernel leaves free.
         return PureState(complex(state[0][i]), complex(state[1][i]))
 
     start = tuple(np.full(n, c) for c in amps)
-    return start, step, bloch, final
+    # The Bloch readout returns fresh arrays through bloch_from_state's
+    # formula.  It runs once per block of recorded rows, not per step, so
+    # one form serves both dtypes: on real amplitudes the imaginary parts
+    # add exact zeros.
+    return start, step, lambda state: _bloch(*state), final
 
 
 def _first_order_kernel(cfg: SimConfig, n: int):
@@ -412,28 +404,27 @@ def _first_order_kernel(cfg: SimConfig, n: int):
 
     s0 = cfg.initial
     start = tuple(np.full(n, c, dtype=np.float64) for c in (s0.sx, s0.sy, s0.sz))
-    return start, step, lambda state, out: state, final
+    return start, step, lambda state: state, final
 
 
 def _kernel(cfg: SimConfig):
     return _exact_kernel if cfg.homodyne.mode is UpdateMode.EXACT else _first_order_kernel
 
 
-def _slab_plan(cfg: SimConfig, state, block: int, rows: int, names=_BLOCH_NAMES):
+def _slab_plan(cfg: SimConfig, state, block: int, names=_BLOCH_NAMES):
     # The loop's layout for slabs of ``block`` steps over the columns of the
     # kernel's ``state``: the recorded steps, and the (shape, dtype) of each
-    # buffer: the noise slab in padded rows, the delay ring, one slab's
-    # state rows and other records, and one block's Bloch readout.  The
-    # records have a row for each recorded step of the fullest slab; slab 0
-    # also holds step 0, and a run of 0 steps is one slab of no steps.
+    # buffer: the noise slab in padded rows, the delay ring, and one slab's
+    # state rows and other records.  The records have a row for each
+    # recorded step of the fullest slab; slab 0 also holds step 0, and a
+    # run of 0 steps is one slab of no steps.
     n, f8 = len(state[0]), np.dtype(np.float64)
     ks = _recorded_steps(cfg.steps, cfg.record_stride).tolist()
     ends = [min(k0 + block, cfg.steps) for k0 in range(0, max(cfg.steps, 1), block)]
     size = int(np.max(np.diff(np.searchsorted(ks, ends, side="right"), prepend=0)))
     plan = [((n, _slab_width(block)), f8), ((n, cfg.delay), f8)]
     plan += [((size, n), c.dtype) for c in state]
-    plan += [((size, n), f8) for _ in names[len(_BLOCH_NAMES):]]
-    return ks, plan + [((min(rows, size), n), f8)] * len(_BLOCH_NAMES)
+    return ks, plan + [((size, n), f8) for _ in names[len(_BLOCH_NAMES):]]
 
 
 def _slab_records(cfg: SimConfig, indices, block: int, rows: int, names=_BLOCH_NAMES):
@@ -461,7 +452,7 @@ def _slab_records(cfg: SimConfig, indices, block: int, rows: int, names=_BLOCH_N
     hom = cfg.homodyne
     law = cfg.law
     state, step, bloch, final = _kernel(cfg)(cfg, len(indices))
-    ks, plan = _slab_plan(cfg, state, block, rows, names)
+    ks, plan = _slab_plan(cfg, state, block, names)
     # The first-order kernel never reads the shift, so its ring is filled
     # only when the shift is recorded.
     push = law.enabled and (hom.mode is UpdateMode.EXACT or "shift" in names)
@@ -472,9 +463,7 @@ def _slab_records(cfg: SimConfig, indices, block: int, rows: int, names=_BLOCH_N
         slab, ring, *recs = (np.empty(shape, dtype) for shape, dtype in plan)
         ring.fill(0.0)
         # One slab's records: the state rows, which the readout turns into
-        # a block's Bloch rows (in ``out`` if it computes them), and the
-        # other records.
-        recs, out = recs[:-3], recs[-3:]
+        # a block's Bloch rows, and the other records.
         held, kept = recs[:len(state)], recs[len(state):]
         for a, v in zip(recs, state + (0.0, 0.0)):
             a[0] = v
@@ -501,8 +490,7 @@ def _slab_records(cfg: SimConfig, indices, block: int, rows: int, names=_BLOCH_N
                     shift[:] = (2.0 * hom.alpha_mag) * feedback_amplitude(dn_qf, law, hom)
             for b in range(0, r - r0, rows):
                 e = min(b + rows, r - r0)
-                part = (bloch(tuple(c[b:e] for c in held), tuple(c[:e - b] for c in out))
-                        + tuple(c[b:e] for c in kept))
+                part = bloch(tuple(c[b:e] for c in held)) + tuple(c[b:e] for c in kept)
                 if r0 + b == 0:
                     # Step 0 is the initial condition itself; record it
                     # verbatim rather than the amplitude round trip, which
@@ -511,7 +499,12 @@ def _slab_records(cfg: SimConfig, indices, block: int, rows: int, names=_BLOCH_N
                         a[0] = v
                 for name, a in zip(names, part):
                     if not np.all(np.isfinite(a)):
-                        raise RuntimeError(f"trajectory kernel produced non-finite {name}")
+                        row, col = np.argwhere(~np.isfinite(a))[0]
+                        raise RuntimeError(
+                            f"trajectory kernel produced non-finite {name} in trajectory "
+                            f"{indices[col]} at step {ks[r0 + b + row]}; "
+                            f"run_trajectory(cfg, {indices[col]}) reproduces it"
+                        )
                 yield part
             r0 = r
 
@@ -570,6 +563,9 @@ def _pool_blocks(cfg: SimConfig, chunks, block: int, rows: int):
     # chunk has sent its end.  The parent closes each write end once its
     # child holds it, before it forks the next child, so a pipe reads EOF
     # as soon as its own child dies.
+    # Imported here, so that a run that never forks does not load it.
+    import multiprocessing
+
     methods = multiprocessing.get_all_start_methods()
     ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
     procs, pipes = [], []
@@ -682,14 +678,15 @@ def _check_memory(cfg: SimConfig, pooled: bool, block: int, rows: int) -> None:
     # Nothing in it grows with the run's length but the statistics.  Per
     # trajectory, in whichever process runs it: its part of every buffer
     # of the slab plan, and its generator.
-    ks, plan = _slab_plan(cfg, _kernel(cfg)(cfg, 1)[0], block, rows)
+    ks, plan = _slab_plan(cfg, _kernel(cfg)(cfg, 1)[0], block)
     need = cfg.trajectories * (_GENERATOR_BYTES + sum(
         math.prod(shape) * dtype.itemsize for shape, dtype in plan))
-    # Per cell of a readout block, which never spans two slabs: the
-    # readout's or the reduction's temporaries; in a pool also the pickled
-    # copy a worker sends, and the parent's received rows, the pickle it
-    # is reading and their join.  Then the statistics of each recorded step.
-    need += (104 + 120 * pooled) * cfg.trajectories * plan[-1][0][0]
+    # Per cell of a readout block, which never spans two slabs and so has
+    # at most a slab's recorded rows: the Bloch readout's 24 B and the
+    # reduction's temporaries; in a pool also the pickled copy a worker
+    # sends, and the parent's received rows, the pickle it is reading and
+    # their join.  Then the statistics of each recorded step.
+    need += (128 + 120 * pooled) * cfg.trajectories * min(rows, plan[-1][0][0])
     need += 160 * len(ks)
     avail = _mem_available()
     if avail is not None and need > avail:

@@ -10,6 +10,7 @@ import csv
 import io
 import json
 import math
+import multiprocessing
 import re
 import subprocess
 import sys
@@ -83,7 +84,7 @@ def test_run_beyond_available_memory_exits_two(monkeypatch, capsys):
 
     monkeypatch.setattr(trajectory, "_mem_available", lambda: 1 << 20)
     monkeypatch.setattr(trajectory, "trajectory_seed", never)
-    monkeypatch.setattr(trajectory.multiprocessing, "get_context", never)
+    monkeypatch.setattr(multiprocessing, "get_context", never)
     rc = cli.main(["--preset", "stabilize", "--initial", "0.36,0.48,0.8", "--workers", "2"])
     out = capsys.readouterr()
     assert rc == 2
@@ -275,8 +276,8 @@ def test_pool_output_is_byte_identical_to_one_worker(monkeypatch, tmp_path, mode
     pool starts on any machine."""
     monkeypatch.setattr(trajectory.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     contexts = []
-    get_context = trajectory.multiprocessing.get_context
-    monkeypatch.setattr(trajectory.multiprocessing, "get_context",
+    get_context = multiprocessing.get_context
+    monkeypatch.setattr(multiprocessing, "get_context",
                         lambda method=None: contexts.append(method) or get_context(method))
     args = ["--mode", mode, "--feedback", "on", "--theta-bar", "1.2", "--initial", "0.6,0,0.8",
             "--trajectories", str(trajectory._POOL_MIN_TRAJECTORIES), "--steps", "6",
@@ -443,11 +444,25 @@ def test_sweep_config_lists_its_delays():
 
 
 def test_importing_the_cli_does_not_load_numpy_random():
-    """numpy.random is loaded by the first run, not by the import, which
-    keeps it out of the CLI's set-up time."""
+    """numpy.random is loaded by the first run and multiprocessing by the
+    first pool, not by the import, which keeps both out of the CLI's set-up
+    time."""
     code = ("import sys, monitored_atom.cli; "
-            "assert 'numpy.random' not in sys.modules, "
-            "sorted(m for m in sys.modules if m.startswith('numpy.random'))")
+            "loaded = sorted(m for m in sys.modules "
+            "if m.startswith('numpy.random') or m.split('.')[0] == 'multiprocessing'); "
+            "assert not loaded, loaded")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=60)
+    assert out.returncode == 0, out.stderr
+
+
+def test_an_in_process_run_does_not_load_multiprocessing():
+    """An ensemble below the pool floor runs in this process, at any worker
+    count, and never loads multiprocessing."""
+    code = ("import sys; from monitored_atom import SimConfig, run_ensemble; "
+            "cfg = SimConfig(steps=5, trajectories=100); "
+            "run_ensemble(cfg, 1); run_ensemble(cfg, 2); "
+            "assert 'multiprocessing' not in sys.modules")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          timeout=60)
     assert out.returncode == 0, out.stderr

@@ -68,7 +68,7 @@ def _one_step(hom, law, initial, shift, xi):
     state, step, bloch, _ = kernel(cfg, 1)
     dtype = state[0].dtype
     state, _ = step(state, np.array([shift]), np.array([hom.alpha_mag * xi]))
-    state = bloch(state, tuple(np.empty(1) for _ in range(3)))
+    state = bloch(state)
     return tuple(float(c[0]) for c in state), dtype
 
 

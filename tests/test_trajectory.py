@@ -220,7 +220,7 @@ def serial_pool(monkeypatch):
         return end, end
 
     stub = types.SimpleNamespace(Pipe=pipe, Process=Process)
-    monkeypatch.setattr(trajectory.multiprocessing, "get_context", lambda method=None: stub)
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method=None: stub)
     return started
 
 
@@ -319,9 +319,9 @@ def test_single_trajectory_matches_its_ensemble_column(hom, law, delay):
                   (0.6, -0.8, 0.0)], id="complex128"),
 ])
 def test_exact_readout_is_bloch_from_state(vectors):
-    """The exact kernel's block readout writes bloch_from_state's bits into
-    the buffers it is handed, on the real amplitudes an in-plane start runs
-    on and on complex ones, the excited and ground states included."""
+    """The exact kernel's block readout returns bloch_from_state's bits, on
+    the real amplitudes an in-plane start runs on and on complex ones, the
+    excited and ground states included."""
     states = [state_from_bloch(BlochVector(*v)) for v in vectors]
     cfg = SimConfig(homodyne=EXACT_CFG, initial=BlochVector(*vectors[-1]), steps=1)
     start, _, bloch, _ = trajectory._exact_kernel(cfg, len(states))
@@ -330,23 +330,19 @@ def test_exact_readout_is_bloch_from_state(vectors):
         assert not any(np.any(a.imag) for a in amps)
         amps = tuple(a.real.copy() for a in amps)
     assert all(a.dtype == c.dtype for a, c in zip(amps, start))
-    out = tuple(np.full(len(states), np.nan) for _ in range(3))
-    got = bloch(amps, out)
-    assert all(g is o for g, o in zip(got, out))
+    got = bloch(amps)
     want = np.array([bloch_from_state(psi).as_tuple() for psi in states]).T
     assert np.array(got).tobytes() == want.tobytes()
 
 
 def test_first_order_readout_hands_on_its_own_rows():
     """The first-order state is the Bloch vector: its readout returns the
-    state rows themselves and leaves the buffers it is handed untouched."""
+    state rows themselves."""
     cfg = SimConfig(homodyne=FO_CFG, initial=BlochVector(0.6, 0.0, 0.8), steps=1)
     start, _, bloch, _ = trajectory._first_order_kernel(cfg, 4)
-    out = tuple(np.full(4, np.nan) for _ in range(3))
-    got = bloch(start, out)
+    got = bloch(start)
     assert len(got) == 3
     assert all(np.shares_memory(g, s) for g, s in zip(got, start))
-    assert all(np.isnan(o).all() for o in out)
 
 
 @pytest.mark.parametrize("skew", [-1, 1], ids=["ends-early", "ends-late"])
@@ -405,8 +401,7 @@ def test_real_amplitudes_match_their_complex_copies(law, initial):
             assert r.dtype == np.float64
             assert np.array_equal(c.real, r)
             assert np.all(c.imag == 0.0)
-        out_real, out_cplx = (tuple(np.empty(n) for _ in range(3)) for _ in range(2))
-        for r, c in zip(bloch(real, out_real), bloch(cplx, out_cplx)):
+        for r, c in zip(bloch(real), bloch(cplx)):
             assert np.array_equal(r, c)
 
 
@@ -715,8 +710,7 @@ def test_exact_step_is_weak_order_two(initial, bound):
                         steps=1, trajectories=nodes.size)
         start, step, bloch, _ = trajectory._exact_kernel(cfg, nodes.size)
         state, _ = step(start, np.zeros(nodes.size), hom.alpha_mag * nodes)
-        out = tuple(np.empty(nodes.size) for _ in range(3))
-        mean = np.array([weights @ c for c in bloch(state, out)])
+        mean = np.array([weights @ c for c in bloch(state)])
         want = master_evolve(rho, gt)
         defects.append(np.max(np.abs(mean - [want.ux, want.uy, want.uz])))
     order = np.polyfit(np.log(gts), np.log(defects), 1)[0]
@@ -766,13 +760,35 @@ def test_law_on_exact_cycle_is_weak_order_two(theta_bar, initial):
         state, dn_qf = step(start, np.zeros(nodes.size), hom.alpha_mag * nodes)
         shift = (2.0 * hom.alpha_mag) * feedback_amplitude(dn_qf, law, hom)
         state = _drive(*state, shift, hom)
-        out = tuple(np.empty(nodes.size) for _ in range(3))
-        mean = np.array([weights @ c for c in bloch(state, out)])
+        mean = np.array([weights @ c for c in bloch(state)])
         want = _feedback_master_evolve(initial, law.cos_theta_bar, gt)
         defects.append(np.max(np.abs(mean - want)))
     order = np.polyfit(np.log(gts), np.log(defects), 1)[0]
     assert order >= 1.9
     assert max(d / gt**2 for d, gt in zip(defects, gts)) <= 2.0
+
+
+@pytest.mark.parametrize("initial,theta_bar", [
+    pytest.param(BlochVector(0.0, 0.0, 1.0), math.pi / 3.0, id="z-pi/3"),
+    pytest.param(BlochVector(0.0, 0.0, 1.0), 2.0 * math.pi / 3.0, id="z-2pi/3"),
+    pytest.param(BlochVector(0.6, 0.8, 0.0), math.pi / 2.0, id="xy-pi/2"),
+    pytest.param(BlochVector(-1.0, 0.0, 0.0), 2.0 * math.pi / 3.0, id="minus-x-2pi/3"),
+])
+def test_law_on_ensemble_matches_the_feedback_master_equation(initial, theta_bar):
+    """Law-on exact-mode ensemble means at delay 1 follow the closed form of
+    the feedback master equation up to gamma_t = 0.25, within 3 standard
+    errors plus gamma_tau, the order of the discretization error the
+    delay-1 cycle accumulates (at pi / 2 the mean sits about 1e-4 off the
+    continuum value).  A flipped law sign misses every case by 30 SE or
+    more, a doubled drive by 20 SE or more."""
+    law = FeedbackLaw(theta_bar=theta_bar)
+    cfg = SimConfig(homodyne=EXACT_CFG, law=law, initial=initial, steps=2500,
+                    trajectories=2000, master_seed=5, record_stride=250)
+    st = run_ensemble(cfg)
+    for r, gt in enumerate(st.gamma_t):
+        want = _feedback_master_evolve(initial, law.cos_theta_bar, float(gt))
+        err = np.abs(st.mean[r] - want)
+        assert np.all(err <= 3.0 * st.se[r] + EXACT_CFG.gamma_tau), (int(st.steps[r]), err / st.se[r])
 
 
 @pytest.mark.parametrize("theta_bar", [math.pi / 3.0, math.pi / 2.0, 2.0 * math.pi / 3.0])
@@ -797,7 +813,7 @@ def test_delayed_feedback_undoes_the_first_record(theta_bar):
         state, dn_qf = step(state, np.zeros(x1.size), hom.alpha_mag * x1)
         shift = (2.0 * hom.alpha_mag) * feedback_amplitude(dn_qf, law, hom)
         state, _ = step(state, shift, hom.alpha_mag * x2)
-        sx, sy, sz = bloch(state, tuple(np.empty(x1.size) for _ in range(3)))
+        sx, sy, sz = bloch(state)
         defect = w @ (((sx - t.sx) ** 2 + (sy - t.sy) ** 2 + (sz - t.sz) ** 2) / 4.0)
         ratio = defect / (gt * (1.0 + law.cos_theta_bar) ** 2 / 4.0)
         assert abs(ratio - 1.0) <= 0.03, (gt, ratio)
@@ -1023,6 +1039,41 @@ def test_failing_worker_cannot_hang_the_parent(monkeypatch, dies):
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.parametrize("workers,steps,index,step", [
+    # 1 worker: the 10th call is step 10 of all 10 trajectories.
+    pytest.param(1, 12, 4, 10, id="in-process"),
+    # 2 workers of 5 trajectories each, run one after the other by the
+    # stub pool: the first makes 6 calls, so the 10th is step 4 of the
+    # second, whose column 4 is trajectory 5 + 4.
+    pytest.param(2, 6, 9, 4, id="pool"),
+])
+def test_non_finite_record_names_its_trajectory(monkeypatch, serial_pool, workers, steps, index,
+                                                 step):
+    """A non-finite record stops the run with the global trajectory index,
+    the recorded step and the run_trajectory call that reproduces it."""
+    monkeypatch.setattr(trajectory.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(trajectory, "_POOL_MIN_TRAJECTORIES", 2)
+    record_mean = trajectory._record_mean
+    calls = []
+
+    def poisoned(sx, hom):
+        calls.append(None)
+        mean = record_mean(sx, hom)
+        if len(calls) == 10:
+            mean[4] = np.nan
+        return mean
+
+    monkeypatch.setattr(trajectory, "_record_mean", poisoned)
+    law = FeedbackLaw(theta_bar=1.2)
+    cfg = SimConfig(homodyne=EXACT_CFG, law=law, initial=law.target, steps=steps,
+                    trajectories=10, master_seed=3)
+    text = (rf"non-finite sx in trajectory {index} at step {step}; "
+            rf"run_trajectory\(cfg, {index}\) reproduces it")
+    with pytest.raises(RuntimeError, match=text):
+        run_ensemble(cfg, workers)
+    assert serial_pool == ([] if workers == 1 else [5, 5])
+
+
 def _never(*args, **kwargs):
     raise AssertionError("called before the memory check")
 
@@ -1049,9 +1100,9 @@ def test_memory_check_runs_before_any_draw_or_fork(monkeypatch, serial_pool, ini
     # generator and 24 B of ring per trajectory, and the amplitudes of the
     # slab's recorded cells.
     need = sum(n * (8 * 264 + 640 + 24 + amp_bytes * 257) for n in sizes)
-    # Per cell of a block of 2^16 // 4096 = 16 recorded rows: 128 B, and
+    # Per cell of a block of 2^13 // 4096 = 2 recorded rows: 128 B, and
     # 120 B more in a pool; then the statistics of the 1001 recorded steps.
-    need += (128 if workers == 1 else 248) * 4096 * 16 + 160 * 1001
+    need += (128 if workers == 1 else 248) * 4096 * 2 + 160 * 1001
     with pytest.raises(ValueError, match=rf"estimated {need / 2**20:.0f} MB .* the 1 MB available"):
         run_ensemble(cfg, workers)
     assert serial_pool == []
@@ -1195,6 +1246,26 @@ def test_small_ensemble_long_run_memory_stays_near_one_slab(monkeypatch):
         tracemalloc.stop()
     assert peak < 3 << 20
     assert peak <= need
+
+
+def test_readout_blocks_keep_the_ensemble_peak_low():
+    """The Bloch readout and the reduction run on blocks of 2^13 cells,
+    whose temporaries stay small next to the slab's records: a 2000-
+    trajectory stabilize run of 512 steps keeps run_ensemble's traced peak
+    under 8 MB (measured 6.8 MB; blocks of 2^16 cells with preallocated
+    readout buffers read 10.2 MB)."""
+    law = FeedbackLaw(theta_bar=math.pi / 2)
+    cfg = SimConfig(homodyne=EXACT_CFG, law=law, initial=law.target, steps=512,
+                    trajectories=2000, record_stride=10)
+    # A first call fills numpy's one-time caches, which are not the run's.
+    run_ensemble(dataclasses.replace(cfg, steps=2))
+    tracemalloc.start()
+    try:
+        run_ensemble(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 << 20
 
 
 @pytest.mark.parametrize("block,width", [(1, 8), (8, 8), (9, 24), (24, 24), (25, 40),
