@@ -27,6 +27,9 @@ step and its Bloch readout.  Two update modes:
   is a strict fixed point of this mode.  The emitted records still honor
   the configured delay: the shift column is the slot of the queue due
   that interval and dn_total = dn_qf + shift holds exactly in every row.
+  The state is the Bloch vector; a start with s_y = +0.0 keeps s_y at
+  exactly +0.0, so it steps (s_x, s_z) only, and the output bits are those
+  the three-component run of the same start would give.
 
 :func:`step_trajectory` is a scalar reference for the same cycle, written
 independently of the lockstep loop so that each can check the other.
@@ -383,28 +386,43 @@ def _exact_kernel(cfg: SimConfig, n: int):
 
 def _first_order_kernel(cfg: SimConfig, n: int):
     # State: the Bloch components (s_x, s_y, s_z), which the readout hands
-    # on as they are, without a copy.  The feedback law enters through cz
-    # in the same interval as the record, so the pending shift never acts
-    # on the atom here.
+    # on as they are, without a copy.  A start with s_y = +0.0 keeps it bit
+    # for bit (f_y = -s_x*s_y is a zero, and +0.0 plus either zero is
+    # +0.0), so its state is (s_x, s_z) and its readout adds an s_y row of
+    # +0.0.  Its step still squares that s_y into f_x, which turns a -0.0
+    # there into +0.0.  The feedback law enters through cz in the same
+    # interval as the record, so the pending shift never acts on the atom.
     hom = cfg.homodyne
     cz = cfg.law.cos_theta_bar if cfg.law.enabled else -1.0
 
     def step(state, shift, noise):
-        sx, sy, sz = state
+        sx, *sy, sz = state
         kap = _kappa(noise, hom)
-        fx, fy, fz = _step_field(sx, sy, sz, cz)
-        sx = sx + kap * fx
-        sy = sy + kap * fy
-        sz = sz + kap * fz
-        nrm = np.sqrt(sx * sx + sy * sy + sz * sz)
-        return (sx / nrm, sy / nrm, sz / nrm), noise
+        fx, fy, fz = _step_field(sx, sy[0] if sy else 0.0, sz, cz)
+        # The field's arrays are fresh, so the update runs in them in place:
+        # f*kap + s is s + kap*f bit for bit.  The squares add in x, y, z order.
+        s = (fx, fy, fz) if sy else (fx, fz)
+        for v, c in zip(s, state):
+            v *= kap
+            v += c
+        nrm = functools.reduce(operator.iadd, (v * v for v in s))
+        np.sqrt(nrm, out=nrm)
+        for v in s:
+            v /= nrm
+        return s, noise
+
+    def bloch(state):
+        sx, *sy, sz = state
+        return sx, *(sy or [np.zeros_like(sx)]), sz
 
     def final(state, i):
-        return state_from_bloch(BlochVector(*(float(c[i]) for c in state)))
+        return state_from_bloch(BlochVector(*(float(c[i]) for c in bloch(state))))
 
     s0 = cfg.initial
-    start = tuple(np.full(n, c, dtype=np.float64) for c in (s0.sx, s0.sy, s0.sz))
-    return start, step, lambda state: state, final
+    plane = s0.sy == 0.0 and math.copysign(1.0, s0.sy) > 0.0
+    start = tuple(np.full(n, c, dtype=np.float64)
+                  for c in ((s0.sx, s0.sz) if plane else s0.as_tuple()))
+    return start, step, bloch, final
 
 
 def _kernel(cfg: SimConfig):
