@@ -58,6 +58,11 @@ class FeedbackLaw:
     def cos_theta_bar(self) -> float:
         return math.cos(self.theta_bar)
 
+    @cached_property
+    def gain(self) -> float:
+        # The fed-back field per unit dn_qf / (2 alpha), -(1 + cos(theta_bar)).
+        return -(1.0 + self.cos_theta_bar)
+
     @property
     def target(self) -> BlochVector:
         """The stabilized state (sin(theta_bar), 0, cos(theta_bar))."""
@@ -91,7 +96,7 @@ def feedback_amplitude(dn_qf, law: FeedbackLaw, cfg: HomodyneConfig):
     """
     if not law.enabled:
         return 0.0
-    return -(1.0 + law.cos_theta_bar) * (dn_qf / (2.0 * cfg.alpha_mag))
+    return law.gain * (dn_qf / cfg.two_alpha)
 
 
 def advance_feedback(
@@ -103,7 +108,7 @@ def advance_feedback(
     the appended shift is 2*alpha*feedback_amplitude(dn_qf); the queue
     length stays fixed.
     """
-    new = (2.0 * cfg.alpha_mag) * feedback_amplitude(dn_qf, law, cfg)
+    new = cfg.two_alpha * feedback_amplitude(dn_qf, law, cfg)
     return FeedbackState(fb.pending[1:] + (new,))
 
 

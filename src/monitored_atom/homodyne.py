@@ -109,8 +109,24 @@ class HomodyneConfig:
 
     @cached_property
     def sqrt_gamma_tau(self) -> float:
-        # Kept after the first read; not a field, so == and hash ignore it.
+        # Kept after the first read, like the products below that the laws
+        # multiply or divide by; none is a field, so == and hash ignore them.
         return math.sqrt(self.gamma_tau)
+
+    @cached_property
+    def record_gain(self) -> float:
+        # The record mean per unit s_x, sqrt(gamma tau) * |alpha|.
+        return self.sqrt_gamma_tau * self.alpha_mag
+
+    @cached_property
+    def damping(self) -> float:
+        # The excited amplitude's factor per interval, 1 - gamma tau / 2.
+        return 1.0 - 0.5 * self.gamma_tau
+
+    @cached_property
+    def two_alpha(self) -> float:
+        # The record shift per unit of fed-back field amplitude.
+        return 2.0 * self.alpha_mag
 
 
 @dataclass(frozen=True)
@@ -184,7 +200,7 @@ def sample_outcome(shift, cfg: HomodyneConfig, rng: np.random.Generator) -> Meas
 def _record_mean(sx, cfg: HomodyneConfig):
     # Dipole interference term of the record mean; shared by the scalar
     # sampler and the vectorized kernels so both produce identical values.
-    return (cfg.sqrt_gamma_tau * cfg.alpha_mag) * sx
+    return cfg.record_gain * sx
 
 
 def sample_outcome_conditioned(
@@ -208,12 +224,16 @@ def _kappa(dn, cfg: HomodyneConfig):
     return cfg.sqrt_gamma_tau * (dn / cfg.alpha_mag)
 
 
-def _drive(c_e, c_g, shift, cfg: HomodyneConfig):
-    # Coherent rotation about s_y by sqrt(gamma tau) * shift / alpha, the
-    # first-order effect of the fed-back field on the atom.  Elementwise.
+def _drive_factors(shift, cfg: HomodyneConfig):
+    # Cosine and sine of half the angle sqrt(gamma tau) * shift / alpha by
+    # which a shift's fed-back field rotates the atom about s_y, the
+    # first-order effect of that field.  Elementwise.
     half = 0.5 * _kappa(shift, cfg)
-    hc = np.cos(half)
-    hs = np.sin(half)
+    return np.cos(half), np.sin(half)
+
+
+def _rotate(c_e, c_g, hc, hs):
+    # The drive's rotation of the amplitudes, from its _drive_factors.
     return hc * c_e - hs * c_g, hs * c_e + hc * c_g
 
 
@@ -222,9 +242,10 @@ def _condition(c_e, c_g, dn, cfg: HomodyneConfig):
     # multiply by the reciprocal norm.  Amplitudes of a real dtype take the
     # real norm, which rounds as |c|^2 does on the complex ones.
     k = _kappa(dn, cfg)
-    c_e, c_g = c_e * (1.0 - 0.5 * cfg.gamma_tau), c_g + c_e * k
+    c_e, c_g = c_e * cfg.damping, c_g + c_e * k
     n2 = c_e * c_e + c_g * c_g if c_e.dtype.kind == "f" else _abs2(c_e) + _abs2(c_g)
-    inv = 1.0 / np.sqrt(n2)
+    # The correctly rounded 1 / x, without a Python float operand.
+    inv = np.reciprocal(np.sqrt(n2))
     return c_e * inv, c_g * inv
 
 
@@ -256,8 +277,11 @@ def _step_field(sx, sy, sz, cz):
     # folded in (cz = -1 recovers the bare step).  Equal to
     # (1 - s_x^2 - cz*s_z, -s_x*s_y, cz*s_x - s_x*s_z) on the unit sphere;
     # factored so states with s_z = cz are exactly stationary in floating
-    # point.  Accepts scalars or arrays.
-    return (sy * sy + sz * (sz - cz), -(sx * sy), sx * (cz - sz))
+    # point.  Accepts scalars or arrays.  sy = None stands for s_y = +0.0:
+    # f_y, a zero there, is None, and f_x still adds the +0.0 of s_y^2.
+    plane = sy is None
+    fx = (0.0 if plane else sy * sy) + sz * (sz - cz)
+    return fx, None if plane else -(sx * sy), sx * (cz - sz)
 
 
 def _rotation_field(sx, sz):

@@ -2,7 +2,7 @@
 
     PYTHONPATH=src python tests/data/write_goldens.py [OUT_DIR]
 
-Writes the five trajectory goldens (``golden_*.json``, read by
+Writes the six trajectory goldens (``golden_*.json``, read by
 ``test_golden_trajectory_bitwise``) and the two CLI byte goldens
 (``cli_*.json``, read by ``test_json_output_matches_byte_golden``) into
 OUT_DIR, by default the directory holding this script, in the layouts the
@@ -29,14 +29,16 @@ from monitored_atom import (
 from monitored_atom import cli
 
 SEED = 20260822
-STEPS = 100
-# (file, mode, start, theta_bar and delay when the law is on)
+# (file, mode, start, theta_bar and delay when the law is on, steps).  The
+# long-delay file's 300-step feedback windows straddle the 256-step noise
+# slabs, and its 700 steps end partway through a window.
 TRAJECTORIES = (
-    ("golden_exact.json", UpdateMode.EXACT, (1.0, 0.0, 0.0), None),
-    ("golden_first_order.json", UpdateMode.FIRST_ORDER, (1.0, 0.0, 0.0), None),
-    ("golden_exact_feedback.json", UpdateMode.EXACT, None, (math.pi / 3.0, 2)),
-    ("golden_first_order_feedback.json", UpdateMode.FIRST_ORDER, None, (math.pi / 3.0, 2)),
-    ("golden_exact_out_of_plane.json", UpdateMode.EXACT, (0.36, 0.48, 0.8), (1.2, 2)),
+    ("golden_exact.json", UpdateMode.EXACT, (1.0, 0.0, 0.0), None, 100),
+    ("golden_first_order.json", UpdateMode.FIRST_ORDER, (1.0, 0.0, 0.0), None, 100),
+    ("golden_exact_feedback.json", UpdateMode.EXACT, None, (math.pi / 3.0, 2), 100),
+    ("golden_first_order_feedback.json", UpdateMode.FIRST_ORDER, None, (math.pi / 3.0, 2), 100),
+    ("golden_exact_out_of_plane.json", UpdateMode.EXACT, (0.36, 0.48, 0.8), (1.2, 2), 100),
+    ("golden_exact_long_delay.json", UpdateMode.EXACT, None, (math.pi / 3.0, 300), 700),
 )
 # (file, CLI arguments before --format json)
 CLI_RUNS = (
@@ -48,12 +50,12 @@ CLI_RUNS = (
 )
 
 
-def trajectory_golden(mode, initial, law_on) -> str:
+def trajectory_golden(mode, initial, law_on, steps) -> str:
     law = FeedbackLaw(theta_bar=law_on[0]) if law_on else FeedbackLaw(enabled=False)
     start = BlochVector(*initial) if initial else law.target
     cfg = SimConfig(
         homodyne=HomodyneConfig(alpha_mag=100.0, gamma_tau=1e-4, mode=mode),
-        law=law, initial=start, steps=STEPS, trajectories=1, master_seed=SEED,
+        law=law, initial=start, steps=steps, trajectories=1, master_seed=SEED,
         delay=law_on[1] if law_on else 1, record_stride=1,
     )
     config = {
@@ -62,7 +64,7 @@ def trajectory_golden(mode, initial, law_on) -> str:
         "gamma_tau": 1e-4,
         "feedback": "on" if law_on else "off",
         "initial": list(start.as_tuple()),
-        "steps": STEPS,
+        "steps": steps,
         "master_seed": SEED,
         "trajectory_index": 0,
     }
@@ -87,8 +89,8 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     out = pathlib.Path(argv[0]) if argv else pathlib.Path(__file__).parent
     out.mkdir(parents=True, exist_ok=True)
-    for fname, mode, initial, law_on in TRAJECTORIES:
-        (out / fname).write_text(trajectory_golden(mode, initial, law_on))
+    for fname, mode, initial, law_on, steps in TRAJECTORIES:
+        (out / fname).write_text(trajectory_golden(mode, initial, law_on, steps))
     for fname, args in CLI_RUNS:
         rc = cli.main([*args, "--format", "json", "--out", str(out / fname)])
         if rc != 0:

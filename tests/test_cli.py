@@ -466,3 +466,32 @@ def test_an_in_process_run_does_not_load_multiprocessing():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          timeout=60)
     assert out.returncode == 0, out.stderr
+
+
+@pytest.mark.parametrize("args,exact", [
+    pytest.param(("--preset", "stabilize", "--delay", "20"), True, id="exact-law-on"),
+    pytest.param(("--mode", "first-order", "--feedback", "off", "--initial", "1,0,0"), False,
+                 id="first-order-in-plane"),
+])
+def test_traced_layers_are_called_as_predicted(monkeypatch, tmp_path, args, exact):
+    """A 1-worker run looks up each layer the benchmark traces as a
+    trajectory-module global at call time: trajectory_seed once per
+    trajectory, then once per step feedback_amplitude and _record_mean in
+    the exact mode with the law on, or _step_field in the first-order
+    mode.  The benchmark predicts these counts from the settings alone, so
+    a layer called through a name bound at import, such as a module-level
+    alias or a default argument, or feedback_amplitude batched over a
+    feedback window, fails its traced runs.  Here the run crosses a
+    256-step noise slab and ends partway through a 20-step window."""
+    calls = dict.fromkeys(["trajectory_seed", "feedback_amplitude", "_record_mean",
+                           "_step_field"], 0)
+    for name in calls:
+        def counted(*a, name=name, fn=getattr(trajectory, name)):
+            calls[name] += 1
+            return fn(*a)
+
+        monkeypatch.setattr(trajectory, name, counted)
+    n, steps = 12, 310
+    assert cli.main([*args, "--trajectories", str(n), "--steps", str(steps), "--workers", "1",
+                     "--out", str(tmp_path / "out.csv")]) == 0
+    assert list(calls.values()) == ([n, steps, steps, 0] if exact else [n, 0, 0, steps])

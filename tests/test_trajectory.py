@@ -45,7 +45,7 @@ from monitored_atom import (
     trajectory_seed,
 )
 from monitored_atom import trajectory
-from monitored_atom.homodyne import _drive
+from monitored_atom.homodyne import _drive_factors, _rotate
 from monitored_atom.trajectory import _REC_NAMES, _simulate
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -122,7 +122,7 @@ def _golden_cfg(mode, config):
         homodyne=HomodyneConfig(alpha_mag=100.0, gamma_tau=1e-4, mode=mode),
         law=law,
         initial=BlochVector(*config["initial"]),
-        steps=100,
+        steps=config["steps"],
         trajectories=1,
         master_seed=20260822,
         delay=config.get("delay", 1),
@@ -138,12 +138,15 @@ def _golden_cfg(mode, config):
         (UpdateMode.EXACT, "golden_exact_feedback.json"),
         (UpdateMode.FIRST_ORDER, "golden_first_order_feedback.json"),
         (UpdateMode.EXACT, "golden_exact_out_of_plane.json"),
+        (UpdateMode.EXACT, "golden_exact_long_delay.json"),
     ],
 )
 def test_golden_trajectory_bitwise(mode, fname):
     """The noise-to-record mapping is pinned bit for bit, with the feedback
     law off and, at theta_bar = pi/3 and delay 2, on; the out-of-plane
-    start (theta_bar = 1.2) pins the complex-amplitude path."""
+    start (theta_bar = 1.2) pins the complex-amplitude path.  The 700
+    steps at delay 300 pin feedback windows that straddle the 256-step
+    noise slabs and a run that ends partway through a window."""
     blob = json.loads((DATA / fname).read_text())
     assert blob["config"]["mode"] == mode.value
     rec = run_trajectory(_golden_cfg(mode, blob["config"]), 0)
@@ -403,8 +406,9 @@ def test_real_amplitudes_match_their_complex_copies(law, initial):
     # Shifts on the scale of fed-back records, 2*alpha*feedback_amplitude.
     shifts = 200.0 * rng.standard_normal((cfg.steps, n))
     for k in range(cfg.steps):
-        real, dn_real = step(real, shifts[k], EXACT_CFG.alpha_mag * xi[k])
-        cplx, dn_cplx = step(cplx, shifts[k], EXACT_CFG.alpha_mag * xi[k])
+        ring = shifts[k][:, None]
+        real, dn_real = step(real, ring, 0, EXACT_CFG.alpha_mag * xi[k])
+        cplx, dn_cplx = step(cplx, ring, 0, EXACT_CFG.alpha_mag * xi[k])
         assert np.array_equal(dn_real, dn_cplx)
         for r, c in zip(real, cplx):
             assert r.dtype == np.float64
@@ -438,10 +442,10 @@ def test_in_plane_first_order_state_matches_its_three_column_copy(law, initial):
     three = (two[0], np.zeros(n), two[1])
     rng = np.random.default_rng(77)
     xi = rng.standard_normal((cfg.steps, n))
-    shift = np.zeros(n)
+    ring = np.zeros((n, 1))
     for k in range(cfg.steps):
-        two, _ = step(two, shift, FO_CFG.alpha_mag * xi[k])
-        three, _ = step(three, shift, FO_CFG.alpha_mag * xi[k])
+        two, _ = step(two, ring, 0, FO_CFG.alpha_mag * xi[k])
+        three, _ = step(three, ring, 0, FO_CFG.alpha_mag * xi[k])
         assert two[0].tobytes() == three[0].tobytes()
         assert two[1].tobytes() == three[2].tobytes()
         assert np.all(three[1] == 0.0) and not np.any(np.signbit(three[1]))
@@ -753,7 +757,7 @@ def test_exact_step_is_weak_order_two(initial, bound):
         cfg = SimConfig(homodyne=hom, law=FeedbackLaw(enabled=False), initial=initial,
                         steps=1, trajectories=nodes.size)
         start, step, bloch, _ = trajectory._exact_kernel(cfg, nodes.size)
-        state, _ = step(start, np.zeros(nodes.size), hom.alpha_mag * nodes)
+        state, _ = step(start, np.zeros((nodes.size, 1)), 0, hom.alpha_mag * nodes)
         mean = np.array([weights @ c for c in bloch(state)])
         want = master_evolve(rho, gt)
         defects.append(np.max(np.abs(mean - [want.ux, want.uy, want.uz])))
@@ -801,9 +805,9 @@ def test_law_on_exact_cycle_is_weak_order_two(theta_bar, initial):
         cfg = SimConfig(homodyne=hom, law=law, initial=initial, steps=1,
                         trajectories=nodes.size)
         start, step, bloch, _ = trajectory._exact_kernel(cfg, nodes.size)
-        state, dn_qf = step(start, np.zeros(nodes.size), hom.alpha_mag * nodes)
+        state, dn_qf = step(start, np.zeros((nodes.size, 1)), 0, hom.alpha_mag * nodes)
         shift = (2.0 * hom.alpha_mag) * feedback_amplitude(dn_qf, law, hom)
-        state = _drive(*state, shift, hom)
+        state = _rotate(*state, *_drive_factors(shift, hom))
         mean = np.array([weights @ c for c in bloch(state)])
         want = _feedback_master_evolve(initial, law.cos_theta_bar, gt)
         defects.append(np.max(np.abs(mean - want)))
@@ -854,9 +858,9 @@ def test_delayed_feedback_undoes_the_first_record(theta_bar):
         hom = HomodyneConfig(alpha_mag=100.0, gamma_tau=gt, mode=UpdateMode.EXACT)
         cfg = SimConfig(homodyne=hom, law=law, initial=t, steps=2, trajectories=2)
         state, step, bloch, _ = trajectory._exact_kernel(cfg, x1.size)
-        state, dn_qf = step(state, np.zeros(x1.size), hom.alpha_mag * x1)
+        state, dn_qf = step(state, np.zeros((x1.size, 1)), 0, hom.alpha_mag * x1)
         shift = (2.0 * hom.alpha_mag) * feedback_amplitude(dn_qf, law, hom)
-        state, _ = step(state, shift, hom.alpha_mag * x2)
+        state, _ = step(state, shift[:, None], 0, hom.alpha_mag * x2)
         sx, sy, sz = bloch(state)
         defect = w @ (((sx - t.sx) ** 2 + (sy - t.sy) ** 2 + (sz - t.sz) ** 2) / 4.0)
         ratio = defect / (gt * (1.0 + law.cos_theta_bar) ** 2 / 4.0)
@@ -1067,14 +1071,14 @@ def test_failing_worker_cannot_hang_the_parent(monkeypatch, dies):
         start, step, bloch, final = kernel(cfg, n)
         calls = []
 
-        def step_or_fail(state, shift, noise):
+        def step_or_fail(state, ring, j, noise):
             # Only the second chunk, of 3 trajectories, fails, in its 4th slab.
             calls.append(None)
             if n == 3 and len(calls) == 11:
                 if dies:
                     os._exit(7)
                 raise FloatingPointError("kernel failed at step 10 of the second chunk")
-            return step(state, shift, noise)
+            return step(state, ring, j, noise)
 
         return start, step_or_fail, bloch, final
 
@@ -1146,9 +1150,9 @@ def test_memory_check_runs_before_any_draw_or_fork(monkeypatch, serial_pool, ini
     # rows (step 0 too).
     sizes = [4096] if workers == 1 else [2048, 2048]
     # Per process: the noise slab, in rows padded to 264 floats, 640 B of
-    # generator and 24 B of ring per trajectory, and the amplitudes of the
-    # slab's recorded cells.
-    need = sum(n * (8 * 264 + 640 + 24 + amp_bytes * 257) for n in sizes)
+    # generator, 24 B of ring and 120 B for the drive factors of a 3-step
+    # window per trajectory, and the amplitudes of the slab's recorded cells.
+    need = sum(n * (8 * 264 + 640 + 24 + 120 + amp_bytes * 257) for n in sizes)
     # Per cell of a block of 2^13 // 4096 = 2 recorded rows: 128 B, and
     # 120 B more in a pool; then the statistics of the 1001 recorded steps.
     need += (128 if workers == 1 else 248) * 4096 * 2 + 160 * 1001
@@ -1157,21 +1161,24 @@ def test_memory_check_runs_before_any_draw_or_fork(monkeypatch, serial_pool, ini
     assert serial_pool == []
 
 
-@pytest.mark.parametrize("hom,initial,n,steps,stride", [
-    pytest.param(EXACT_CFG, BlochVector(0.6, 0.0, 0.8), 64, 3000, 1, id="exact-float64"),
-    pytest.param(EXACT_CFG, BlochVector(0.36, 0.48, 0.8), 64, 2500, 1, id="exact-complex128"),
-    pytest.param(FO_CFG, BlochVector(0.6, 0.0, 0.8), 4096, 1000, 100, id="first-order"),
-    pytest.param(FO_CFG, BlochVector(0.36, 0.48, 0.8), 4096, 1000, 100,
+@pytest.mark.parametrize("hom,initial,n,steps,stride,delay", [
+    pytest.param(EXACT_CFG, BlochVector(0.6, 0.0, 0.8), 64, 3000, 1, 3, id="exact-float64"),
+    pytest.param(EXACT_CFG, BlochVector(0.36, 0.48, 0.8), 64, 2500, 1, 3, id="exact-complex128"),
+    pytest.param(EXACT_CFG, BlochVector(0.6, 0.0, 0.8), 64, 3000, 1, 2500, id="exact-long-delay"),
+    pytest.param(FO_CFG, BlochVector(0.6, 0.0, 0.8), 4096, 1000, 100, 3, id="first-order"),
+    pytest.param(FO_CFG, BlochVector(0.36, 0.48, 0.8), 4096, 1000, 100, 3,
                  id="first-order-out-of-plane"),
 ])
-def test_memory_estimate_bounds_the_traced_peak(monkeypatch, hom, initial, n, steps, stride):
+def test_memory_estimate_bounds_the_traced_peak(monkeypatch, hom, initial, n, steps, stride,
+                                                delay):
     """The memory check's estimate is at least what the run allocates:
     the traced peak of a one-worker run stays at or below it (measured
     1.5 MB against 2 MB, 1.7 against 2, and 11.4 and 11.5 against 12 for
-    the first-order state of two and three columns)."""
+    the first-order state of two and three columns).  At delay 2500 the
+    exact kernel's window of drive factors dominates: 8.3 MB against 9."""
     law = FeedbackLaw(theta_bar=1.2)
     cfg = SimConfig(homodyne=hom, law=law, initial=initial, steps=steps,
-                    trajectories=n, delay=3, record_stride=stride)
+                    trajectories=n, delay=delay, record_stride=stride)
     monkeypatch.setattr(trajectory, "_mem_available", lambda: 1)
     with pytest.raises(ValueError, match="estimated") as err:
         run_ensemble(cfg)
@@ -1282,10 +1289,11 @@ def test_small_ensemble_long_run_memory_stays_near_one_slab(monkeypatch):
     with pytest.raises(ValueError, match="estimated") as err:
         run_ensemble(cfg)
     # Per trajectory: a 256-step slab in a row of 264 floats, its
-    # generator, a 20-slot ring and the float64 amplitudes of 257 recorded
-    # steps; 128 B per cell of a readout block of 257 rows; 160 B per
-    # recorded step.
-    need = 16 * (8 * 264 + 640 + 8 * 20 + 16 * 257) + 128 * 16 * 257 + 160 * 10_001
+    # generator, a 20-slot ring, 40 B per slot for the window's drive
+    # factors and the float64 amplitudes of 257 recorded steps; 128 B per
+    # cell of a readout block of 257 rows; 160 B per recorded step.
+    need = (16 * (8 * 264 + 640 + 8 * 20 + 40 * 20 + 16 * 257) + 128 * 16 * 257
+            + 160 * 10_001)
     assert f"estimated {need / 2**20:.0f} MB" in str(err.value)
     monkeypatch.setattr(trajectory, "_mem_available", lambda: None)
     # A first call fills numpy's one-time caches, which are not the run's.
