@@ -55,10 +55,10 @@ Trajectory i draws its noise from
 ``numpy.random.default_rng(SeedSequence(master_seed, spawn_key=(i,)))``,
 one standard normal per interval.  That PCG64 is seeded with the four
 64-bit words ``generate_state(4, uint64)`` hashes from the SeedSequence's
-entropy pool.  The generators are built in chunks of indices: each chunk
-reads its SeedSequences' pools and hashes them in one vectorized pass of
-the same algorithm, so every generator starts on the very stream
-default_rng would give it.  Each process draws its trajectories' streams
+entropy pool.  Each process reads the pools of all its trajectories'
+SeedSequences and hashes them in one vectorized pass of the same
+algorithm, so every generator starts on the very stream default_rng
+would give it.  Each process draws its trajectories' streams
 in slabs of consecutive intervals, every row from its own generator;
 numpy's Generator keeps no normal-draw state between calls, so the slabs
 join into the very stream one call would draw, whatever their size.
@@ -127,10 +127,6 @@ _NOISE_BYTES = 1 << 24
 # ... and of at most this many steps.  Longer rows buy nothing: a draw
 # call costs about 0.8 us of overhead against 4.2 us for 256 normals.
 _SLAB_STEPS = 256
-# Generators are seeded in chunks of this many indices, which bounds the
-# list of pools alive at once (each SeedSequence is freed once its pool is
-# read): a traced peak of 5.7 MB against 5.9 MB unchunked per 10^4 indices.
-_SEED_CHUNK = 1024
 # Memory of one trajectory's Generator and its PCG64 (tracemalloc: 586 B
 # each over 10^4), for the memory check.
 _GENERATOR_BYTES = 640
@@ -311,15 +307,16 @@ def _seed_words(pools: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(x, "<u4").view("<u8").astype(np.uint64)
 
 
-@functools.cache
-def _words_seed_sequence():
-    # The class is made on first use, so that importing this package does
-    # not load numpy.random.
+def _generators(master_seed: int, indices) -> list:
+    # default_rng(trajectory_seed(master_seed, i)) for each index.  The
+    # pools of their SeedSequences are hashed into PCG64 seed words in one
+    # pass, and one adapter hands each PCG64 its row of the words.  The
+    # imports stay here, so that importing this package does not load
+    # numpy.random.
+    from numpy.random import PCG64, Generator
     from numpy.random.bit_generator import ISeedSequence
 
     class WordsSeedSequence(ISeedSequence):
-        # Hands each PCG64 built from it the next row of precomputed
-        # generate_state(4, uint64) words.
         def __init__(self, words: np.ndarray):
             self._rows = iter(words)
 
@@ -327,23 +324,9 @@ def _words_seed_sequence():
             assert (n_words, np.dtype(dtype)) == (4, np.dtype(np.uint64))
             return next(self._rows)
 
-    return WordsSeedSequence
-
-
-def _generators(master_seed: int, indices) -> list:
-    # default_rng(trajectory_seed(master_seed, i)) for each index.  Per
-    # chunk of _SEED_CHUNK indices, the pools of their SeedSequences are
-    # hashed into PCG64 seed words in one pass, and one adapter hands the
-    # words to the chunk's PCG64s.
-    from numpy.random import PCG64, Generator
-
-    gens = []
-    for c in range(0, len(indices), _SEED_CHUNK):
-        chunk = indices[c:c + _SEED_CHUNK]
-        pools = np.array([trajectory_seed(master_seed, i).pool for i in chunk])
-        words = _words_seed_sequence()(_seed_words(pools))
-        gens += [Generator(PCG64(words)) for _ in chunk]
-    return gens
+    pools = np.array([trajectory_seed(master_seed, i).pool for i in indices])
+    words = WordsSeedSequence(_seed_words(pools))
+    return [Generator(PCG64(words)) for _ in indices]
 
 
 def _recorded_steps(steps: int, stride: int) -> np.ndarray:
@@ -402,6 +385,8 @@ def _exact_kernel(cfg: SimConfig, n: int):
         cE, cG = state
         if ops.enabled:
             if j == 0:
+                # Freed first, so that two windows' factors never live at once.
+                window = None
                 window = _drive_factors(ring, ops)
             hc, hs = window
             cE, cG = _rotate(cE, cG, hc[:, j], hs[:, j])
@@ -735,12 +720,11 @@ def _check_memory(cfg: SimConfig, pooled: bool, block: int, rows: int) -> None:
     # Nothing in it grows with the run's length but the statistics.  Per
     # trajectory, in whichever process runs it: its part of every buffer
     # of the slab plan, and its generator.  An exact run with the law on
-    # also holds a window's drive factors, 16 B per delay slot, and while
-    # it computes the next window's, their half angles and the last
-    # window's too: 40 B per slot.
+    # also holds a window's two drive factor arrays, 16 B per delay slot,
+    # and while it computes them their half angles too: 24 B per slot.
     ks, plan = _slab_plan(cfg, _kernel(cfg)(cfg, 1)[0], block)
     window = cfg.law.enabled and cfg.homodyne.mode is UpdateMode.EXACT
-    need = cfg.trajectories * (_GENERATOR_BYTES + 40 * cfg.delay * window + sum(
+    need = cfg.trajectories * (_GENERATOR_BYTES + 24 * cfg.delay * window + sum(
         math.prod(shape) * dtype.itemsize for shape, dtype in plan))
     # Per cell of a readout block, which never spans two slabs and so has
     # at most a slab's recorded rows: the Bloch readout's 24 B and the

@@ -1150,9 +1150,10 @@ def test_memory_check_runs_before_any_draw_or_fork(monkeypatch, serial_pool, ini
     # rows (step 0 too).
     sizes = [4096] if workers == 1 else [2048, 2048]
     # Per process: the noise slab, in rows padded to 264 floats, 640 B of
-    # generator, 24 B of ring and 120 B for the drive factors of a 3-step
-    # window per trajectory, and the amplitudes of the slab's recorded cells.
-    need = sum(n * (8 * 264 + 640 + 24 + 120 + amp_bytes * 257) for n in sizes)
+    # generator, 24 B of ring and 72 B for the drive factors of a 3-step
+    # window and their half angles per trajectory, and the amplitudes of the
+    # slab's recorded cells.
+    need = sum(n * (8 * 264 + 640 + 24 + 72 + amp_bytes * 257) for n in sizes)
     # Per cell of a block of 2^13 // 4096 = 2 recorded rows: 128 B, and
     # 120 B more in a pool; then the statistics of the 1001 recorded steps.
     need += (128 if workers == 1 else 248) * 4096 * 2 + 160 * 1001
@@ -1165,6 +1166,8 @@ def test_memory_check_runs_before_any_draw_or_fork(monkeypatch, serial_pool, ini
     pytest.param(EXACT_CFG, BlochVector(0.6, 0.0, 0.8), 64, 3000, 1, 3, id="exact-float64"),
     pytest.param(EXACT_CFG, BlochVector(0.36, 0.48, 0.8), 64, 2500, 1, 3, id="exact-complex128"),
     pytest.param(EXACT_CFG, BlochVector(0.6, 0.0, 0.8), 64, 3000, 1, 2500, id="exact-long-delay"),
+    pytest.param(EXACT_CFG, BlochVector(0.36, 0.48, 0.8), 64, 3000, 1, 2500,
+                 id="exact-long-delay-complex128"),
     pytest.param(FO_CFG, BlochVector(0.6, 0.0, 0.8), 4096, 1000, 100, 3, id="first-order"),
     pytest.param(FO_CFG, BlochVector(0.36, 0.48, 0.8), 4096, 1000, 100, 3,
                  id="first-order-out-of-plane"),
@@ -1175,7 +1178,9 @@ def test_memory_estimate_bounds_the_traced_peak(monkeypatch, hom, initial, n, st
     the traced peak of a one-worker run stays at or below it (measured
     1.5 MB against 2 MB, 1.7 against 2, and 11.4 and 11.5 against 12 for
     the first-order state of two and three columns).  At delay 2500 the
-    exact kernel's window of drive factors dominates: 8.3 MB against 9."""
+    exact kernel's window of drive factors dominates, and 3000 steps
+    rebuild it once: 5.9 MB against 7 on float64 and 6.1 against 7 on
+    complex128."""
     law = FeedbackLaw(theta_bar=1.2)
     cfg = SimConfig(homodyne=hom, law=law, initial=initial, steps=steps,
                     trajectories=n, delay=delay, record_stride=stride)
@@ -1225,7 +1230,7 @@ SEED_INDICES = [0, 1, 2**31, 2**32 - 1, 2**32, 2**40 + 5]
 
 @pytest.mark.parametrize("master", SEED_MASTERS)
 def test_generators_seeded_in_one_pass_match_trajectory_seed(master):
-    """The seed words hashed for a chunk of pools in one pass are each
+    """The seed words hashed for a process's pools in one pass are each
     SeedSequence's generate_state(4, uint64), and the generators built on
     them draw default_rng(trajectory_seed(m, i))'s normals bit for bit."""
     pools = np.array([trajectory_seed(master, i).pool for i in SEED_INDICES])
@@ -1238,11 +1243,9 @@ def test_generators_seeded_in_one_pass_match_trajectory_seed(master):
         assert np.array_equal(gen.standard_normal(1000), want)
 
 
-def test_generators_cross_a_seed_chunk_boundary(monkeypatch):
-    """Seeding 1030 indices takes two chunks, of 1024 and 6; every
-    generator on either side of the boundary starts its own stream, and
-    trajectory_seed is called once per index."""
-    assert trajectory._SEED_CHUNK == 1024
+def test_generators_call_trajectory_seed_once_per_index(monkeypatch):
+    """Seeding 1030 indices calls trajectory_seed once per index, in
+    order, and every generator starts its own index's stream."""
     calls = []
     seed = trajectory.trajectory_seed
     monkeypatch.setattr(trajectory, "trajectory_seed", lambda m, i: calls.append(i) or seed(m, i))
@@ -1289,10 +1292,11 @@ def test_small_ensemble_long_run_memory_stays_near_one_slab(monkeypatch):
     with pytest.raises(ValueError, match="estimated") as err:
         run_ensemble(cfg)
     # Per trajectory: a 256-step slab in a row of 264 floats, its
-    # generator, a 20-slot ring, 40 B per slot for the window's drive
-    # factors and the float64 amplitudes of 257 recorded steps; 128 B per
-    # cell of a readout block of 257 rows; 160 B per recorded step.
-    need = (16 * (8 * 264 + 640 + 8 * 20 + 40 * 20 + 16 * 257) + 128 * 16 * 257
+    # generator, a 20-slot ring, 24 B per slot for the window's drive
+    # factors and their half angles and the float64 amplitudes of 257
+    # recorded steps; 128 B per cell of a readout block of 257 rows; 160 B
+    # per recorded step.
+    need = (16 * (8 * 264 + 640 + 8 * 20 + 24 * 20 + 16 * 257) + 128 * 16 * 257
             + 160 * 10_001)
     assert f"estimated {need / 2**20:.0f} MB" in str(err.value)
     monkeypatch.setattr(trajectory, "_mem_available", lambda: None)
