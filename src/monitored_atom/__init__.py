@@ -12,7 +12,7 @@ Layout
 state
     Pure states, Bloch vectors and their conversions.
 homodyne
-    Outcome laws, conditioned state updates, first-order diffusion steps.
+    Outcome laws, conditioned state updates, the step decomposition.
 feedback
     The diffusion-cancelling law and its delay queue.
 trajectory
@@ -36,7 +36,6 @@ from .homodyne import (
     coherent_outcome_pdf,
     conditioned_update_exact,
     decompose_step,
-    diffusion_step_first_order,
     sample_outcome,
     sample_outcome_conditioned,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "combined_diffusion_step",
     "conditioned_update_exact",
     "decompose_step",
-    "diffusion_step_first_order",
     "feedback_amplitude",
     "master_evolve",
     "run_ensemble",

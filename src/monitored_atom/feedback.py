@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .state import BlochVector
-from .homodyne import HomodyneConfig, _kappa, _step_field
+from .homodyne import HomodyneConfig, _diffusion_step
 
 
 @dataclass(frozen=True)
@@ -119,15 +119,13 @@ def combined_diffusion_step(
 
     This is the zero-delay idealization: the record's rotation and the
     compensating field act together, leaving the stationary circle
-    s_z = cos(theta_bar).  With the law disabled it reduces exactly to
-    :func:`diffusion_step_first_order`.
+    s_z = cos(theta_bar).  With the law disabled it is the bare
+    first-order step: tangent to the sphere for unit ``s``, the ground
+    state exactly stationary, the excited state moved by (2*kappa, 0, 0).
 
     Returns
     -------
     BlochVector
         The increment ds, not the updated vector.
     """
-    cz = law.cos_theta_bar if law.enabled else -1.0
-    k = _kappa(dn, cfg)
-    fx, fy, fz = _step_field(s.sx, s.sy, s.sz, cz)
-    return BlochVector(k * fx, k * fy, k * fz)
+    return _diffusion_step(s, dn, cfg, law.cos_theta_bar if law.enabled else -1.0)

@@ -290,19 +290,11 @@ def _rotation_field(sx, sz):
     return sz, 0.0, -sx
 
 
-def diffusion_step_first_order(s: BlochVector, dn, cfg: HomodyneConfig) -> BlochVector:
-    """First-order Bloch increment conditioned on record dn (no feedback).
-
-    Tangent to the sphere for unit ``s``.  The ground state is exactly
-    stationary; the excited state moves by (2*kappa, 0, 0).
-
-    Returns
-    -------
-    BlochVector
-        The increment ds, not the updated vector.
-    """
+def _diffusion_step(s: BlochVector, dn, cfg: HomodyneConfig, cz) -> BlochVector:
+    # First-order Bloch increment for record dn with feedback parameter cz;
+    # cz = -1 is the bare step.
     k = _kappa(dn, cfg)
-    fx, fy, fz = _step_field(s.sx, s.sy, s.sz, -1.0)
+    fx, fy, fz = _step_field(s.sx, s.sy, s.sz, cz)
     return BlochVector(k * fx, k * fy, k * fz)
 
 
@@ -314,12 +306,13 @@ def decompose_step(
     The linear part kappa*(s_z, 0, -s_x) is the rotation about s_y that a
     classical field of amplitude dn/(2*alpha) would produce; the remainder
     is the nonlinear measurement back-action, computed as the exact
-    floating-point difference between :func:`diffusion_step_first_order`
+    floating-point difference between the bare first-order step (that of
+    :func:`~monitored_atom.combined_diffusion_step` with the law disabled)
     and the linear part (re-summing the parts reconstructs the full step
     to within the rounding of that subtraction).  The remainder vanishes
     at the equator states s_z = 0, s_x = +-1.
     """
-    full = diffusion_step_first_order(s, dn, cfg)
+    full = _diffusion_step(s, dn, cfg, -1.0)
     k = _kappa(dn, cfg)
     lin = BlochVector(*(k * c for c in _rotation_field(s.sx, s.sz)))
     return lin, BlochVector(full.sx - lin.sx, full.sy - lin.sy, full.sz - lin.sz)

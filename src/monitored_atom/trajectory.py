@@ -471,11 +471,12 @@ def _slab_plan(cfg: SimConfig, state, block: int, names=_BLOCH_NAMES):
 def _slab_records(cfg: SimConfig, indices, block: int, rows: int, names=_BLOCH_NAMES):
     """Advance the given trajectory indices in lockstep, one noise slab at a time.
 
-    The update mode supplies only its state, its one-interval step and
-    its Bloch readout; the loop around them is shared.  Step k hands the
-    kernel the (n, delay) ring and the slot ``k % delay`` due now, records
-    that slot's shift, and only then overwrites it with the shift this
-    interval's record calls for, which falls due ``delay`` steps later.
+    The update mode supplies only its state, its one-interval step, its
+    Bloch readout and its final state; the loop around them is shared.
+    Step k hands the kernel the (n, delay) ring and the slot ``k % delay``
+    due now, records that slot's shift, and only then overwrites it with
+    the shift this interval's record calls for, which falls due ``delay``
+    steps later.
     The noise comes from an (n, block) slab of the per-row streams,
     refilled every ``block`` steps.  The loop records the state itself,
     in the kernel's dtype, next to the other records; at the end of each
@@ -562,9 +563,9 @@ def _simulate(cfg: SimConfig, indices):
     ``final(i)`` is the final PureState of column i.
     """
     n = len(indices)
-    blocks, final = _slab_records(
-        cfg, indices, _slab_steps(cfg.steps, n), max(1, _READOUT_CELLS // n), _REC_NAMES
-    )
+    block, rows = _slab_steps(cfg.steps, n), max(1, _READOUT_CELLS // n)
+    _check_memory(cfg, n, False, block, rows)
+    blocks, final = _slab_records(cfg, indices, block, rows, _REC_NAMES)
     parts = [[a.copy() for a in part] for part in blocks]
     rec = dict(zip(_REC_NAMES, map(np.concatenate, zip(*parts))))
     return _recorded_steps(cfg.steps, cfg.record_stride), rec, final
@@ -677,7 +678,9 @@ def run_trajectory(cfg: SimConfig, trajectory_index: int = 0) -> TrajectoryRecor
     """Run one trajectory and return its recorded history.
 
     The result is bitwise identical to the corresponding column of an
-    ensemble run containing the same index.
+    ensemble run containing the same index.  Raises ValueError, before any
+    stream is seeded, when the run's estimated peak memory exceeds what
+    the system reports available.
     """
     trajectory_index = _int_at_least("trajectory_index", trajectory_index, 0)
     ks, rec, final = _simulate(cfg, [trajectory_index])
@@ -715,23 +718,25 @@ def _mem_available() -> int | None:
     return None
 
 
-def _check_memory(cfg: SimConfig, pooled: bool, block: int, rows: int) -> None:
-    # Raises ValueError when the run's estimated peak exceeds MemAvailable.
-    # Nothing in it grows with the run's length but the statistics.  Per
-    # trajectory, in whichever process runs it: its part of every buffer
-    # of the slab plan, and its generator.  An exact run with the law on
-    # also holds a window's two drive factor arrays, 16 B per delay slot,
-    # and while it computes them their half angles too: 24 B per slot.
+def _check_memory(cfg: SimConfig, n: int, pooled: bool, block: int, rows: int) -> None:
+    # Raises ValueError when the estimated peak of a run of n trajectories
+    # exceeds MemAvailable.  Nothing in it grows with the run's length but
+    # the statistics.  Per trajectory, in whichever process runs it: its
+    # part of every buffer of the slab plan, and its generator.  An exact
+    # run with the law on also holds a window's two drive factor arrays,
+    # 16 B per delay slot, and while it computes them their half angles
+    # too: 24 B per slot.
     ks, plan = _slab_plan(cfg, _kernel(cfg)(cfg, 1)[0], block)
     window = cfg.law.enabled and cfg.homodyne.mode is UpdateMode.EXACT
-    need = cfg.trajectories * (_GENERATOR_BYTES + 24 * cfg.delay * window + sum(
+    need = n * (_GENERATOR_BYTES + 24 * cfg.delay * window + sum(
         math.prod(shape) * dtype.itemsize for shape, dtype in plan))
     # Per cell of a readout block, which never spans two slabs and so has
     # at most a slab's recorded rows: the Bloch readout's 24 B and the
     # reduction's temporaries; in a pool also the pickled copy a worker
     # sends, and the parent's received rows, the pickle it is reading and
-    # their join.  Then the statistics of each recorded step.
-    need += (128 + 120 * pooled) * cfg.trajectories * min(rows, plan[-1][0][0])
+    # their join.  Then the statistics of each recorded step, or in
+    # run_trajectory its one trajectory's joined records.
+    need += (128 + 120 * pooled) * n * min(rows, plan[-1][0][0])
     need += 160 * len(ks)
     avail = _mem_available()
     if avail is not None and need > avail:
@@ -775,7 +780,7 @@ def run_ensemble(cfg: SimConfig, workers: int = 1) -> EnsembleStats:
     # blocks of as many rows, so block b covers the same steps in all.
     block = _slab_steps(cfg.steps, len(chunks[0]))
     rows = max(1, _READOUT_CELLS // cfg.trajectories)
-    _check_memory(cfg, workers > 1, block, rows)
+    _check_memory(cfg, cfg.trajectories, workers > 1, block, rows)
     if workers == 1:
         blocks = _slab_records(cfg, chunks[0], block, rows)[0]
     else:

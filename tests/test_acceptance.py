@@ -27,7 +27,6 @@ from monitored_atom import (
     combined_diffusion_step,
     conditioned_update_exact,
     decompose_step,
-    diffusion_step_first_order,
     feedback_amplitude,
     master_evolve,
     run_ensemble,
@@ -39,6 +38,8 @@ ALPHA = 100.0
 GAMMA_TAU = 1e-4
 EXACT = HomodyneConfig(alpha_mag=ALPHA, gamma_tau=GAMMA_TAU, mode=UpdateMode.EXACT)
 FIRST = HomodyneConfig(alpha_mag=ALPHA, gamma_tau=GAMMA_TAU, mode=UpdateMode.FIRST_ORDER)
+# The bare first-order step is the combined step with the law off.
+OFF = FeedbackLaw(enabled=False)
 
 
 @pytest.fixture
@@ -120,7 +121,7 @@ def test_criterion_03_tangency_identity(report):
     t0 = time.perf_counter()
     for (sx, sy, sz), dn, tb in zip(v, dns, thetas):
         s = BlochVector(sx, sy, sz)
-        ds = diffusion_step_first_order(s, dn, FIRST)
+        ds = combined_diffusion_step(s, dn, OFF, FIRST)
         dot = sx * ds.sx + sy * ds.sy + sz * ds.sz
         worst = max(worst, abs(dot))
         law = FeedbackLaw(theta_bar=tb)
@@ -141,9 +142,9 @@ def test_criterion_04_special_case_states(report):
     worst = 0.0
     for dn in (-5.0 * ALPHA, -123.4, 0.0, 77.7, 5.0 * ALPHA):
         k = FIRST.sqrt_gamma_tau * (dn / ALPHA)
-        ground = diffusion_step_first_order(BlochVector(0.0, 0.0, -1.0), dn, FIRST)
+        ground = combined_diffusion_step(BlochVector(0.0, 0.0, -1.0), dn, OFF, FIRST)
         worst = max(worst, abs(ground.sx), abs(ground.sy), abs(ground.sz))
-        excited = diffusion_step_first_order(BlochVector(0.0, 0.0, 1.0), dn, FIRST)
+        excited = combined_diffusion_step(BlochVector(0.0, 0.0, 1.0), dn, OFF, FIRST)
         worst = max(
             worst, abs(excited.sx - 2.0 * k), abs(excited.sy), abs(excited.sz)
         )
@@ -308,7 +309,7 @@ def test_criterion_10_exact_vs_first_order_step(report):
         exact_after = bloch_from_state(
             conditioned_update_exact(state_from_bloch(s), float(dn), EXACT)
         )
-        ds = diffusion_step_first_order(s, float(dn), FIRST)
+        ds = combined_diffusion_step(s, float(dn), OFF, FIRST)
         vx, vy, vz = sx + ds.sx, sy + ds.sy, sz + ds.sz
         nrm = math.sqrt(vx * vx + vy * vy + vz * vz)
         worst = max(

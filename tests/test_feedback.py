@@ -21,7 +21,6 @@ from monitored_atom import (
     HomodyneConfig,
     advance_feedback,
     combined_diffusion_step,
-    diffusion_step_first_order,
     feedback_amplitude,
 )
 
@@ -107,7 +106,7 @@ def test_combined_step_keeps_the_target_circle():
 
 def test_combined_step_reduces_to_bare_step():
     """theta_bar = pi needs no feedback, and a disabled law must change
-    nothing: both reduce bitwise to the bare diffusion step."""
+    nothing: both reduce bitwise to the law-off (bare) diffusion step."""
     rng = np.random.default_rng(97)
     v = rng.standard_normal((100, 3))
     v /= np.linalg.norm(v, axis=1, keepdims=True)
@@ -116,7 +115,7 @@ def test_combined_step_reduces_to_bare_step():
     off_law = FeedbackLaw(theta_bar=0.42, enabled=False)
     for (sx, sy, sz), dn in zip(v, dns):
         s = BlochVector(sx, sy, sz)
-        bare = diffusion_step_first_order(s, float(dn), CFG)
+        bare = combined_diffusion_step(s, float(dn), FeedbackLaw(enabled=False), CFG)
         for law in (ground_law, off_law):
             ds = combined_diffusion_step(s, float(dn), law, CFG)
             assert (ds.sx, ds.sy, ds.sz) == (bare.sx, bare.sy, bare.sz)

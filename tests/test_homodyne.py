@@ -22,20 +22,22 @@ from monitored_atom import homodyne
 from monitored_atom import (
     BlochVector,
     CoherentAmplitude,
+    FeedbackLaw,
     HomodyneConfig,
     PureState,
     UpdateMode,
     bloch_from_state,
     coherent_outcome_pdf,
+    combined_diffusion_step,
     conditioned_update_exact,
     decompose_step,
-    diffusion_step_first_order,
     sample_outcome,
     sample_outcome_conditioned,
     state_from_bloch,
 )
 
 CFG = HomodyneConfig(alpha_mag=100.0, gamma_tau=1e-4)
+OFF = FeedbackLaw(enabled=False)
 VACUUM = CoherentAmplitude(0.0)
 
 
@@ -220,7 +222,7 @@ def test_first_order_step_matches_exact_update():
         dn = rng.uniform(-3.0 * CFG.alpha_mag, 3.0 * CFG.alpha_mag)
         s = bloch_from_state(psi)
         exact = bloch_from_state(conditioned_update_exact(psi, dn, CFG))
-        ds = diffusion_step_first_order(s, dn, CFG)
+        ds = combined_diffusion_step(s, dn, OFF, CFG)
         v = np.array([s.sx + ds.sx, s.sy + ds.sy, s.sz + ds.sz])
         v = v / np.linalg.norm(v)
         diff = np.max(np.abs(v - [exact.sx, exact.sy, exact.sz]))
@@ -235,10 +237,10 @@ def test_step_special_cases_exact():
     for dn in (-500.0, -37.0, 1.0, 250.0, 500.0):
         k = CFG.sqrt_gamma_tau * (dn / CFG.alpha_mag)
 
-        ds = diffusion_step_first_order(BlochVector(0.0, 0.0, -1.0), dn, CFG)
+        ds = combined_diffusion_step(BlochVector(0.0, 0.0, -1.0), dn, OFF, CFG)
         assert (ds.sx, ds.sy, ds.sz) == (0.0, 0.0, 0.0)
 
-        ds = diffusion_step_first_order(BlochVector(0.0, 0.0, 1.0), dn, CFG)
+        ds = combined_diffusion_step(BlochVector(0.0, 0.0, 1.0), dn, OFF, CFG)
         assert ds.sx == 2.0 * k and ds.sy == 0.0 and ds.sz == 0.0
 
         for sx in (1.0, -1.0):
@@ -255,7 +257,7 @@ def test_step_tangency():
     v /= np.linalg.norm(v, axis=1, keepdims=True)
     dns = rng.uniform(-5.0 * CFG.alpha_mag, 5.0 * CFG.alpha_mag, 2000)
     for (sx, sy, sz), dn in zip(v, dns):
-        ds = diffusion_step_first_order(BlochVector(sx, sy, sz), dn, CFG)
+        ds = combined_diffusion_step(BlochVector(sx, sy, sz), dn, OFF, CFG)
         assert abs(sx * ds.sx + sy * ds.sy + sz * ds.sz) <= 1e-12
 
 
@@ -270,7 +272,7 @@ def test_decompose_remainder_is_the_exact_difference():
     dns = rng.uniform(-5.0 * CFG.alpha_mag, 5.0 * CFG.alpha_mag, 200)
     for (sx, sy, sz), dn in zip(v, dns):
         s = BlochVector(sx, sy, sz)
-        full = diffusion_step_first_order(s, dn, CFG)
+        full = combined_diffusion_step(s, dn, OFF, CFG)
         lin, nl = decompose_step(s, dn, CFG)
         k = CFG.sqrt_gamma_tau * (dn / CFG.alpha_mag)
         assert lin.sx == k * s.sz and lin.sy == 0.0 and lin.sz == -(k * s.sx)
@@ -309,7 +311,7 @@ def test_delta_theta_matches_vector_step_in_plane():
         dn = rng.uniform(-CFG.alpha_mag, CFG.alpha_mag)
         k = CFG.sqrt_gamma_tau * (dn / CFG.alpha_mag)
         s = BlochVector(math.sin(theta), 0.0, math.cos(theta))
-        ds = diffusion_step_first_order(s, dn, CFG)
+        ds = combined_diffusion_step(s, dn, OFF, CFG)
         # The continued angle: a large negative record can push the state
         # just past the excited pole, where it is slightly negative.
         moved = math.atan2(s.sx + ds.sx, s.sz + ds.sz)
@@ -324,8 +326,8 @@ def test_delta_theta_examples():
     dn = 200.0
     k = CFG.sqrt_gamma_tau * (dn / CFG.alpha_mag)
     for theta, d in ((math.pi, 0.0), (0.0, 2.0 * k), (math.pi / 2.0, k)):
-        ds = diffusion_step_first_order(
-            BlochVector(math.sin(theta), 0.0, math.cos(theta)), dn, CFG)
+        ds = combined_diffusion_step(
+            BlochVector(math.sin(theta), 0.0, math.cos(theta)), dn, OFF, CFG)
         assert ds.norm() == k * (1.0 + math.cos(theta)) == d
 
 
@@ -340,6 +342,8 @@ def test_config_validation_messages():
         HomodyneConfig(alpha_mag=-100.0)
     with pytest.raises(ValueError, match="finite"):
         HomodyneConfig(gamma_tau=math.inf)
+    with pytest.raises(ValueError, match="beta must be finite"):
+        CoherentAmplitude(complex(math.inf, 0.0))
     assert UpdateMode("first-order") is UpdateMode.FIRST_ORDER
 
 

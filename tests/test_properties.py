@@ -18,7 +18,6 @@ from monitored_atom import (
     SimConfig,
     UpdateMode,
     combined_diffusion_step,
-    diffusion_step_first_order,
     feedback_amplitude,
 )
 from monitored_atom import cli, trajectory
@@ -90,7 +89,7 @@ def test_first_order_increments_are_tangent(gt, alpha, tb, s, xi):
     hom = HomodyneConfig(alpha_mag=alpha, gamma_tau=gt, mode=UpdateMode.FIRST_ORDER)
     dn = alpha * xi
     kappa = hom.sqrt_gamma_tau * (dn / alpha)
-    for ds in (diffusion_step_first_order(s, dn, hom),
+    for ds in (combined_diffusion_step(s, dn, FeedbackLaw(enabled=False), hom),
                combined_diffusion_step(s, dn, FeedbackLaw(theta_bar=tb), hom)):
         dot = s.sx * ds.sx + s.sy * ds.sy + s.sz * ds.sz
         # The floor covers subnormal records, whose products round in steps
@@ -105,7 +104,7 @@ def test_ground_state_is_stationary_for_every_record(gt, alpha, mode, xi):
     ground = BlochVector(0.0, 0.0, -1.0)
     s, _ = _one_step(hom, FeedbackLaw(enabled=False), ground, 0.0, xi)
     assert s == (0.0, 0.0, -1.0)
-    ds = diffusion_step_first_order(ground, alpha * xi, hom)
+    ds = combined_diffusion_step(ground, alpha * xi, FeedbackLaw(enabled=False), hom)
     assert ds.as_tuple() == (0.0, 0.0, 0.0)
 
 

@@ -80,6 +80,8 @@ def test_master_evolve_ground_is_stationary():
 def test_density_matrix_validation():
     with pytest.raises(ValueError, match="exceeds 1"):
         DensityMatrix2(1.0, 1.0, 0.0)
+    with pytest.raises(ValueError, match="component ux must be finite"):
+        DensityMatrix2(math.nan, 0.0, 0.0)
     with pytest.raises(ValueError, match="nonnegative"):
         master_evolve(DensityMatrix2(0.0, 0.0, 0.0), -0.1)
 
@@ -389,18 +391,24 @@ def test_workers_whose_record_streams_disagree_are_an_error(monkeypatch, serial_
     pytest.param(FeedbackLaw(theta_bar=math.pi / 3.0), BlochVector(-0.6, 0.0, 0.8), id="negative-sx"),
     pytest.param(FeedbackLaw(enabled=False), BlochVector(0.0, 0.0, -1.0), id="ground"),
     pytest.param(FeedbackLaw(theta_bar=2.5), BlochVector(0.0, 0.0, 1.0), id="excited"),
+    pytest.param(FeedbackLaw(theta_bar=math.pi / 3.0), BlochVector(1.0, -0.0, 0.0),
+                 id="equator-negative-zero-sy"),
+    pytest.param(FeedbackLaw(enabled=False), BlochVector(0.6, -0.0, 0.8),
+                 id="negative-zero-sy-law-off"),
 ])
 def test_real_amplitudes_match_their_complex_copies(law, initial):
-    """In-plane starts run the exact step on float64 amplitudes.  The same
-    start cast to complex128 must give the same bits with zero imaginary
-    parts, so the dtype never shows in the output."""
+    """In-plane starts run the exact step on float64 amplitudes, s_y = -0.0
+    too, whose c_g has an imaginary part of -0.0.  The start's own complex
+    amplitudes must give the same bits with zero imaginary parts, so the
+    dtype never shows in the output."""
     cfg = SimConfig(homodyne=EXACT_CFG, law=law, initial=initial, steps=200, trajectories=6)
     n = cfg.trajectories
     real, step, bloch, _ = trajectory._exact_kernel(cfg, n)
     assert [c.dtype for c in real] == [np.float64, np.float64]
     oop = SimConfig(homodyne=EXACT_CFG, law=law, initial=BlochVector(0.36, 0.48, 0.8))
     assert [c.dtype for c in trajectory._exact_kernel(oop, n)[0]] == [np.complex128] * 2
-    cplx = tuple(c.astype(np.complex128) for c in real)
+    psi = state_from_bloch(initial)
+    cplx = tuple(np.full(n, c, dtype=np.complex128) for c in (psi.c_e, psi.c_g))
     rng = np.random.default_rng(77)
     xi = rng.standard_normal((cfg.steps, n))
     # Shifts on the scale of fed-back records, 2*alpha*feedback_amplitude.
@@ -512,6 +520,21 @@ def test_mode_value_selects_the_same_kernel(mode):
                         run_trajectory(cfg, 0))
     with pytest.raises(ValueError, match="bogus"):
         HomodyneConfig(mode="bogus")
+
+
+@pytest.mark.parametrize("hom", [EXACT_CFG, FO_CFG], ids=lambda h: h.mode.value)
+def test_disabled_law_ignores_its_theta_bar(hom):
+    """A disabled law's theta_bar reaches no kernel: the records, final
+    state and ensemble statistics are the bits of the default disabled law."""
+    off, tilted = (SimConfig(homodyne=hom, law=law, initial=BlochVector(0.36, 0.48, 0.8),
+                             steps=300, trajectories=5, master_seed=12, delay=3)
+                   for law in (FeedbackLaw(enabled=False),
+                               FeedbackLaw(theta_bar=0.42, enabled=False)))
+    _assert_same_record(run_trajectory(off, 2), run_trajectory(tilted, 2))
+    a, b = run_ensemble(off), run_ensemble(tilted)
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        assert np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
 
 
 def test_trajectory_index_must_be_an_integer():
@@ -1160,6 +1183,36 @@ def test_memory_check_runs_before_any_draw_or_fork(monkeypatch, serial_pool, ini
     with pytest.raises(ValueError, match=rf"estimated {need / 2**20:.0f} MB .* the 1 MB available"):
         run_ensemble(cfg, workers)
     assert serial_pool == []
+
+
+def test_run_trajectory_checks_memory_for_its_one_trajectory(monkeypatch):
+    """run_trajectory runs the memory check before any stream is seeded,
+    and counts only the trajectory it runs, whatever cfg.trajectories."""
+    cfg = SimConfig(homodyne=EXACT_CFG, law=FeedbackLaw(theta_bar=1.2),
+                    initial=BlochVector(0.6, 0.0, 0.8), steps=100, delay=50_000)
+
+    def need(n, rows):
+        # Per trajectory: a 100-step slab in a row of 104 floats, its
+        # generator, the 50 000-slot ring, 24 B per slot for the window's
+        # drive factors and their half angles, and the float64 amplitudes
+        # of 101 recorded steps; 128 B per cell of a readout block; 160 B
+        # per recorded step.
+        per = 8 * 104 + 640 + 8 * 50_000 + 24 * 50_000 + 16 * 101
+        return f"estimated {(n * per + 128 * n * rows + 160 * 101) / 2**20:.0f} MB"
+
+    seed = trajectory.trajectory_seed
+    monkeypatch.setattr(trajectory, "trajectory_seed", _never)
+    monkeypatch.setattr(trajectory, "_mem_available", lambda: 1 << 20)
+    assert need(1, 101) == "estimated 2 MB"
+    with pytest.raises(ValueError, match=rf"{need(1, 101)} .* the 1 MB available"):
+        run_trajectory(cfg, 0)
+    monkeypatch.setattr(trajectory, "trajectory_seed", seed)
+    monkeypatch.setattr(trajectory, "_mem_available", lambda: 64 << 20)
+    wide = dataclasses.replace(cfg, trajectories=4096)
+    assert run_trajectory(wide, 0).steps[-1] == 100
+    assert need(4096, 2) == "estimated 6263 MB"
+    with pytest.raises(ValueError, match=rf"{need(4096, 2)} .* the 64 MB available"):
+        run_ensemble(wide)
 
 
 @pytest.mark.parametrize("hom,initial,n,steps,stride,delay", [
