@@ -219,34 +219,58 @@ def sample_outcome_conditioned(
     return MeasurementOutcome(dn_qf, float(shift))
 
 
-def _kappa(dn, cfg: HomodyneConfig):
-    # Pinned evaluation order: sqrt(gamma tau) * (dn / alpha).
-    return cfg.sqrt_gamma_tau * (dn / cfg.alpha_mag)
+def _kappa(dn, cfg: HomodyneConfig, out=None):
+    # Pinned evaluation order: sqrt(gamma tau) * (dn / alpha).  This law and
+    # those below take an optional ``out``: arrays to write in place of fresh
+    # ones, passed as positional ufunc arguments.  The same ufuncs run
+    # either way, so the bits do not depend on it.  Without one, the
+    # operators keep Python floats for Python floats, and the first-order
+    # step's per-call cost: np.multiply(x, y, None) took 320 ns at 16
+    # trajectories against 277 ns for x * y (numpy 2.4, 2-core x86-64).
+    if out is None:
+        return cfg.sqrt_gamma_tau * (dn / cfg.alpha_mag)
+    return np.multiply(cfg.sqrt_gamma_tau, np.divide(dn, cfg.alpha_mag, out), out)
 
 
-def _drive_factors(shift, cfg: HomodyneConfig):
+def _drive_factors(shift, cfg: HomodyneConfig, out=None):
     # Cosine and sine of half the angle sqrt(gamma tau) * shift / alpha by
     # which a shift's fed-back field rotates the atom about s_y, the
-    # first-order effect of that field.  Elementwise.
-    half = 0.5 * _kappa(shift, cfg)
-    return np.cos(half), np.sin(half)
+    # first-order effect of that field.  Elementwise; ``out`` is the
+    # (cosines, sines) pair, and the half angles pass through the sines.
+    hc, hs = out or (None, None)
+    half = np.multiply(0.5, _kappa(shift, cfg, hs), hs)
+    return np.cos(half, hc), np.sin(half, hs)
 
 
-def _rotate(c_e, c_g, hc, hs):
-    # The drive's rotation of the amplitudes, from its _drive_factors.
-    return hc * c_e - hs * c_g, hs * c_e + hc * c_g
+def _rotate(c_e, c_g, hc, hs, out=None):
+    # The drive's rotation of the amplitudes, from its _drive_factors;
+    # ``out`` is the rotated pair and a scratch array of their dtype, none
+    # of them one of c_e and c_g.
+    e, g, t = out or (None,) * 3
+    return (np.subtract(np.multiply(hc, c_e, e), np.multiply(hs, c_g, t), e),
+            np.add(np.multiply(hs, c_e, g), np.multiply(hc, c_g, t), g))
 
 
-def _condition(c_e, c_g, dn, cfg: HomodyneConfig):
+def _condition(c_e, c_g, dn, cfg: HomodyneConfig, out=None):
     # The conditioned update, elementwise on numpy amplitudes, then a
     # multiply by the reciprocal norm.  Amplitudes of a real dtype take the
-    # real norm, which rounds as |c|^2 does on the complex ones.
-    k = _kappa(dn, cfg)
-    c_e, c_g = c_e * cfg.damping, c_g + c_e * k
-    n2 = c_e * c_e + c_g * c_g if c_e.dtype.kind == "f" else _abs2(c_e) + _abs2(c_g)
+    # real norm, which rounds as |c|^2 does on the complex ones.  ``out``
+    # is the updated pair, which may be c_e and c_g themselves, and scratch:
+    # t of their dtype and float64 u, v and w; on real amplitudes t may be
+    # u, and w goes unused.
+    oe, og, t, u, v, w = out or (None,) * 6
+    k = _kappa(dn, cfg, u)
+    g = np.add(c_g, np.multiply(c_e, k, t), og)
+    e = np.multiply(c_e, cfg.damping, oe)
+    if e.dtype.kind == "f":
+        n2 = np.add(np.multiply(e, e, u), np.multiply(g, g, v), u)
+    else:
+        # _abs2(e) + _abs2(g), each into its own array.
+        n2 = np.add(np.add(np.multiply(e.real, e.real, u), np.multiply(e.imag, e.imag, w), u),
+                    np.add(np.multiply(g.real, g.real, v), np.multiply(g.imag, g.imag, w), v), u)
     # The correctly rounded 1 / x, without a Python float operand.
-    inv = np.reciprocal(np.sqrt(n2))
-    return c_e * inv, c_g * inv
+    inv = np.reciprocal(np.sqrt(n2, u), u)
+    return np.multiply(e, inv, oe), np.multiply(g, inv, og)
 
 
 def conditioned_update_exact(psi: PureState, dn, cfg: HomodyneConfig) -> PureState:

@@ -37,7 +37,7 @@ independently of the lockstep loop so that each can check the other.
 Per-step cost
 -------------
 For small ensembles a step's time goes to numpy's per-call dispatch, not
-to arithmetic, and two rules cut the calls of the exact step with the
+to arithmetic, and three rules cut the cost of the exact step with the
 law on, without moving a bit.  The window rule: a record's shift falls
 due ``delay`` intervals after it is made, so when slot 0 of the ring
 falls due, the ring holds every shift of the next ``delay`` steps, and
@@ -47,7 +47,15 @@ multiply or divide by are 0-d float64 arrays, built once per run.  At 16
 trajectories a ufunc call with a Python float operand took about 590 ns
 and one with a 0-d array about 410 ns (numpy 2.4, 2-core x86-64); under
 NEP 50 both select the same float64 or complex128 loop, so the bits are
-those of the Python floats that the scalar reference keeps.
+those of the Python floats that the scalar reference keeps.  The buffer
+rule: the exact step writes its rotation, its conditioned update and
+each window's factors into arrays the kernel builds once per run, on
+64-byte boundaries, with positional ufunc ``out`` arguments, where each
+operation would otherwise return a fresh array; the only arrays a step
+allocates are the record mean's and the feedback amplitude's.  At 2000
+trajectories and delay 1 a loop of 1000 steps and pushes went from
+44.8 to 36.9 ms (median of 8, numpy 2.4, 2-core x86-64); the same
+ufuncs run, so the bits are those of the fresh arrays.
 
 Reproducibility
 ---------------
@@ -363,6 +371,35 @@ def _operands(cfg: SimConfig) -> types.SimpleNamespace:
                                  **{name: np.array(v) for name, v in consts.items()})
 
 
+def _aligned_empty(shape, dtype=np.float64) -> np.ndarray:
+    # An uninitialized array whose data starts on a 64-byte boundary, a
+    # cache line.  At 2000 float64 elements a multiply took 0.63 us aligned
+    # and 0.96-1.11 us at offsets of 8, 16 or 32 bytes (numpy 2.4, 2-core
+    # x86-64), and an array built once per run keeps its offset for every
+    # step, where malloc's 16-byte alignment would leave it to chance.
+    dtype = np.dtype(dtype)
+    nbytes = math.prod(shape) * dtype.itemsize
+    raw = np.empty(nbytes + 64, np.uint8)
+    start = -raw.ctypes.data % 64
+    return raw[start:start + nbytes].view(dtype).reshape(shape)
+
+
+def _exact_buffers(n: int, dtype) -> tuple:
+    # The arrays an exact step of n trajectories writes on amplitudes of
+    # one dtype: two amplitude pairs, which the steps fill in turn, and
+    # their scratch, given as each pair's _condition ``out``, whose first
+    # three are its _rotate ``out``.  Real amplitudes need two float64
+    # scratch arrays (t is u, and w, which _condition leaves unused on
+    # them, is v), complex ones a complex128 t and three float64.
+    e0, g0, e1, g1 = (_aligned_empty((n,), dtype) for _ in range(4))
+    u, v = _aligned_empty((n,)), _aligned_empty((n,))
+    if np.dtype(dtype).kind == "f":
+        t, w = u, v
+    else:
+        t, w = _aligned_empty((n,), dtype), _aligned_empty((n,))
+    return (e0, g0, t, u, v, w), (e1, g1, t, u, v, w)
+
+
 def _exact_kernel(cfg: SimConfig, n: int):
     # State: the amplitude pair (c_e, c_g), renormalized every interval and
     # kept up to a global phase, on float64 when the start's amplitudes are
@@ -370,35 +407,60 @@ def _exact_kernel(cfg: SimConfig, n: int):
     # dtypes (numpy multiplies a complex by a real divisor's reciprocal, so
     # real divisors are applied that way here too).  The step and the
     # conditioned update branch on the dtype of the arrays they are handed.
+    # The step writes only arrays the kernel owns, built once per run: for
+    # each dtype it is handed, two pairs and their scratch (_exact_buffers).
+    # It reads the pair it is handed, never writes it, and returns the
+    # other pair, valid until its next call; the start is the first pair.
     # With the law on, the drive follows the window rule: its factors are
-    # computed for the whole ring when slot 0 falls due, and each step
-    # rotates by its own slot's column of them.
+    # computed for the whole ring when slot 0 falls due, into two arrays of
+    # the ring's shape built at the first window, and each step rotates by
+    # its own slot's column of them.
     ops = _operands(cfg)
     psi0 = state_from_bloch(cfg.initial)
     amps = (psi0.c_e, psi0.c_g)
     if not any(c.imag for c in amps):
         amps = tuple(c.real for c in amps)
     window = None
+    # id of a pair's c_e -> the other pair's _rotate out, _condition out
+    # and scratch t and u, and whether the dtype is real; for each dtype,
+    # the same of its first pair.
+    succ, first = {}, {}
+
+    def own(dtype):
+        if dtype not in first:
+            a, b = ((o[:3], o, o[2], o[3], o[0].dtype.kind == "f")
+                    for o in _exact_buffers(n, dtype))
+            succ.update({id(a[1][0]): b, id(b[1][0]): a})
+            first[dtype] = a
+        return first[dtype]
 
     def step(state, ring, j, noise):
         nonlocal window
         cE, cG = state
+        rot, out, t, u, real = succ.get(id(cE)) or own(cE.dtype)
         if ops.enabled:
             if j == 0:
-                # Freed first, so that two windows' factors never live at once.
-                window = None
-                window = _drive_factors(ring, ops)
+                if window is None:
+                    window = _aligned_empty(ring.shape), _aligned_empty(ring.shape)
+                _drive_factors(ring, ops, window)
             hc, hs = window
-            cE, cG = _rotate(cE, cG, hc[:, j], hs[:, j])
-        sx = ops.two * (cE * cG) if cE.dtype.kind == "f" else ops.two * (cE.conj() * cG).real
-        dn_qf = _record_mean(sx, ops) + noise
-        return _condition(cE, cG, dn_qf, ops), dn_qf
+            cE, cG = _rotate(cE, cG, hc[:, j], hs[:, j], rot)
+        if real:
+            sx = np.multiply(ops.two, np.multiply(cE, cG, u), u)
+        else:
+            sx = np.multiply(ops.two, np.multiply(np.conjugate(cE, t), cG, t).real, u)
+        # The record mean's own fresh array takes the noise, and is dn_qf.
+        dn_qf = _record_mean(sx, ops)
+        np.add(dn_qf, noise, dn_qf)
+        return _condition(cE, cG, dn_qf, ops, out), dn_qf
 
     def final(state, i):
         # PureState fixes the global phase the kernel leaves free.
         return PureState(complex(state[0][i]), complex(state[1][i]))
 
-    start = tuple(np.full(n, c) for c in amps)
+    start = own(np.result_type(*amps))[1][:2]
+    for a, c in zip(start, amps):
+        a.fill(c)
     # The Bloch readout returns fresh arrays through bloch_from_state's
     # formula.  It runs once per block of recorded rows, not per step, so
     # one form serves both dtypes: on real amplitudes the imaginary parts
@@ -564,7 +626,7 @@ def _simulate(cfg: SimConfig, indices):
     """
     n = len(indices)
     block, rows = _slab_steps(cfg.steps, n), max(1, _READOUT_CELLS // n)
-    _check_memory(cfg, n, False, block, rows)
+    _check_memory(cfg, n, False, block, rows, _REC_NAMES)
     blocks, final = _slab_records(cfg, indices, block, rows, _REC_NAMES)
     parts = [[a.copy() for a in part] for part in blocks]
     rec = dict(zip(_REC_NAMES, map(np.concatenate, zip(*parts))))
@@ -718,26 +780,35 @@ def _mem_available() -> int | None:
     return None
 
 
-def _check_memory(cfg: SimConfig, n: int, pooled: bool, block: int, rows: int) -> None:
+def _check_memory(cfg: SimConfig, n: int, pooled: bool, block: int, rows: int,
+                  names=_BLOCH_NAMES) -> None:
     # Raises ValueError when the estimated peak of a run of n trajectories
-    # exceeds MemAvailable.  Nothing in it grows with the run's length but
-    # the statistics.  Per trajectory, in whichever process runs it: its
-    # part of every buffer of the slab plan, and its generator.  An exact
-    # run with the law on also holds a window's two drive factor arrays,
-    # 16 B per delay slot, and while it computes them their half angles
-    # too: 24 B per slot.
-    ks, plan = _slab_plan(cfg, _kernel(cfg)(cfg, 1)[0], block)
-    window = cfg.law.enabled and cfg.homodyne.mode is UpdateMode.EXACT
-    need = n * (_GENERATOR_BYTES + 24 * cfg.delay * window + sum(
+    # that keeps the records ``names`` (as _slab_records does) exceeds
+    # MemAvailable.  Nothing in it grows with the run's length but the
+    # statistics, or the joined records of a run that keeps them all.  Per
+    # trajectory, in whichever process runs it: its part of every buffer of
+    # the slab plan, its generator, and in exact mode the kernel's own
+    # arrays (_exact_buffers), with the law on also a window's two drive
+    # factor arrays, 16 B per delay slot.
+    start = _kernel(cfg)(cfg, 1)[0]
+    ks, plan = _slab_plan(cfg, start, block, names)
+    own = 0
+    if cfg.homodyne.mode is UpdateMode.EXACT:
+        # Each array once: the two pairs share their scratch.
+        arrays = {id(a): a.nbytes for out in _exact_buffers(1, start[0].dtype) for a in out}
+        own = sum(arrays.values()) + 16 * cfg.delay * cfg.law.enabled
+    need = n * (_GENERATOR_BYTES + own + sum(
         math.prod(shape) * dtype.itemsize for shape, dtype in plan))
     # Per cell of a readout block, which never spans two slabs and so has
     # at most a slab's recorded rows: the Bloch readout's 24 B and the
     # reduction's temporaries; in a pool also the pickled copy a worker
     # sends, and the parent's received rows, the pickle it is reading and
-    # their join.  Then the statistics of each recorded step, or in
-    # run_trajectory its one trajectory's joined records.
+    # their join.  Then 160 B per recorded step, for the statistics or
+    # run_trajectory's record, and where every record is kept (_simulate),
+    # each block's copy of them and their join: 16 B per record, recorded
+    # step and trajectory.
     need += (128 + 120 * pooled) * n * min(rows, plan[-1][0][0])
-    need += 160 * len(ks)
+    need += (160 + 16 * n * len(names) * (names == _REC_NAMES)) * len(ks)
     avail = _mem_available()
     if avail is not None and need > avail:
         raise ValueError(

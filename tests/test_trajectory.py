@@ -426,6 +426,54 @@ def test_real_amplitudes_match_their_complex_copies(law, initial):
             assert np.array_equal(r, c)
 
 
+@pytest.mark.parametrize("initial,arrays", [
+    pytest.param(BlochVector(0.6, 0.0, 0.8), 2, id="float64"),
+    pytest.param(BlochVector(0.36, 0.48, 0.8), 3, id="complex128"),
+])
+def test_exact_step_writes_only_arrays_the_kernel_owns(initial, arrays):
+    """Over 300 exact law-on steps at delay 5, each step, with the loop's
+    feedback push after it, leaves the pair it is handed unchanged and
+    returns the kernel's other pair: the start and one more pair, in turn.
+    After the first window, tracemalloc sees each step and push hold at
+    most ``arrays`` float64 arrays of n elements at once beyond what was
+    live before them, and never half an array more (measured 2.006 and
+    3.006; a step returning fresh arrays read 11.0 and 19.0).  On float64
+    those are _record_mean's result, which the step returns as dn_qf, and
+    then feedback_amplitude's result and the quotient it computes first.
+    On complex128 the step also holds numpy's buffer of 16 B per element
+    while a real factor of the conditioned update is cast to complex."""
+    n, delay = 4096, 5
+    cfg = SimConfig(homodyne=EXACT_CFG, law=FeedbackLaw(theta_bar=1.2), initial=initial,
+                    steps=300, trajectories=n, delay=delay)
+    ops = trajectory._operands(cfg)
+    state, step, _, _ = trajectory._exact_kernel(cfg, n)
+    pairs = [state]
+    ring = np.zeros((n, delay))
+    rng = np.random.default_rng(5)
+    held = []
+    tracemalloc.start()
+    try:
+        for k in range(cfg.steps):
+            j = k % delay
+            noise = EXACT_CFG.alpha_mag * rng.standard_normal(n)
+            handed = [c.tobytes() for c in state]
+            live = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            new, dn_qf = step(state, ring, j, noise)
+            np.multiply(ops.two_alpha, feedback_amplitude(dn_qf, ops, ops), out=ring[:, j])
+            if k >= delay:
+                held.append(tracemalloc.get_traced_memory()[1] - live)
+            assert [c.tobytes() for c in state] == handed
+            if k == 0:
+                pairs.append(new)
+            assert new is not state
+            assert all(c is p for c, p in zip(new, pairs[(k + 1) % 2]))
+            state = new
+    finally:
+        tracemalloc.stop()
+    assert max(held) < (arrays + 0.5) * 8 * n
+
+
 @pytest.mark.parametrize("law,initial", [
     pytest.param(FeedbackLaw(enabled=False), BlochVector(1.0, 0.0, 0.0), id="equator-law-off"),
     pytest.param(FeedbackLaw(theta_bar=math.pi / 3.0), FeedbackLaw(theta_bar=math.pi / 3.0).target,
@@ -489,6 +537,32 @@ def test_step_trajectory_agrees_with_kernel(mode):
         )
         assert math.isclose(out.dn_qf, kernel.dn_qf[k + 1], rel_tol=0.0, abs_tol=1e-8)
         assert math.isclose(out.shift, kernel.shift[k + 1], rel_tol=0.0, abs_tol=1e-8)
+
+
+def test_step_trajectory_golden_bitwise():
+    """The scalar reference is pinned bit for bit too: its states, records
+    and shifts over 300 exact law-on steps at delay 2, from the in-plane
+    target at theta_bar = pi/3 and from an out-of-plane start at 1.2."""
+    blob = json.loads((DATA / "golden_step_trajectory.json").read_text())
+    config = blob["config"]
+    hom = HomodyneConfig(alpha_mag=100.0, gamma_tau=config["gamma_tau"], mode=config["mode"])
+    for run in blob["runs"]:
+        start = BlochVector(*run["initial"])
+        cfg = SimConfig(homodyne=hom, law=FeedbackLaw(theta_bar=run["theta_bar"]),
+                        initial=start, steps=config["steps"], master_seed=config["master_seed"],
+                        delay=config["delay"])
+        psi, fb = state_from_bloch(start), FeedbackState((0.0,) * cfg.delay)
+        rng = np.random.default_rng(trajectory_seed(cfg.master_seed, config["trajectory_index"]))
+        got = {name: [] for name in ("c_e", "c_g", "dn_qf", "shift")}
+        for _ in range(cfg.steps):
+            psi, fb, out = step_trajectory(psi, fb, cfg, rng)
+            got["c_e"].append([psi.c_e.real, psi.c_e.imag])
+            got["c_g"].append([psi.c_g.real, psi.c_g.imag])
+            got["dn_qf"].append(out.dn_qf)
+            got["shift"].append(out.shift)
+        # Compared as bytes, so that the sign of a zero counts too.
+        for name, values in got.items():
+            assert np.array(values).tobytes() == np.array(run[name]).tobytes(), name
 
 
 def test_step_trajectory_rejects_a_queue_of_another_delay():
@@ -1155,12 +1229,12 @@ def _never(*args, **kwargs):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("initial,amp_bytes", [
-    pytest.param(BlochVector(0.6, 0.0, 0.8), 16, id="float64"),
-    pytest.param(BlochVector(0.36, 0.48, 0.8), 32, id="complex128"),
+@pytest.mark.parametrize("initial,amp_bytes,own_bytes", [
+    pytest.param(BlochVector(0.6, 0.0, 0.8), 16, 48, id="float64"),
+    pytest.param(BlochVector(0.36, 0.48, 0.8), 32, 104, id="complex128"),
 ])
 def test_memory_check_runs_before_any_draw_or_fork(monkeypatch, serial_pool, initial, amp_bytes,
-                                                    workers):
+                                                    own_bytes, workers):
     """A run whose estimated peak exceeds the available memory is refused
     with the estimate in MB, before any stream is seeded or worker started."""
     monkeypatch.setattr(trajectory.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
@@ -1173,10 +1247,12 @@ def test_memory_check_runs_before_any_draw_or_fork(monkeypatch, serial_pool, ini
     # rows (step 0 too).
     sizes = [4096] if workers == 1 else [2048, 2048]
     # Per process: the noise slab, in rows padded to 264 floats, 640 B of
-    # generator, 24 B of ring and 72 B for the drive factors of a 3-step
-    # window and their half angles per trajectory, and the amplitudes of the
-    # slab's recorded cells.
-    need = sum(n * (8 * 264 + 640 + 24 + 72 + amp_bytes * 257) for n in sizes)
+    # generator, 24 B of ring and 48 B for the drive factors of a 3-step
+    # window per trajectory, the kernel's own arrays (two amplitude pairs
+    # and their scratch: two float64 arrays on real amplitudes, one
+    # complex128 and three float64 on complex ones), and the amplitudes of
+    # the slab's recorded cells.
+    need = sum(n * (8 * 264 + 640 + 24 + 48 + own_bytes + amp_bytes * 257) for n in sizes)
     # Per cell of a block of 2^13 // 4096 = 2 recorded rows: 128 B, and
     # 120 B more in a pool; then the statistics of the 1001 recorded steps.
     need += (128 if workers == 1 else 248) * 4096 * 2 + 160 * 1001
@@ -1191,62 +1267,76 @@ def test_run_trajectory_checks_memory_for_its_one_trajectory(monkeypatch):
     cfg = SimConfig(homodyne=EXACT_CFG, law=FeedbackLaw(theta_bar=1.2),
                     initial=BlochVector(0.6, 0.0, 0.8), steps=100, delay=50_000)
 
-    def need(n, rows):
+    def need(n, rows, kept):
         # Per trajectory: a 100-step slab in a row of 104 floats, its
-        # generator, the 50 000-slot ring, 24 B per slot for the window's
-        # drive factors and their half angles, and the float64 amplitudes
-        # of 101 recorded steps; 128 B per cell of a readout block; 160 B
-        # per recorded step.
-        per = 8 * 104 + 640 + 8 * 50_000 + 24 * 50_000 + 16 * 101
-        return f"estimated {(n * per + 128 * n * rows + 160 * 101) / 2**20:.0f} MB"
+        # generator, the 50 000-slot ring, 16 B per slot for the window's
+        # drive factors, the kernel's two float64 amplitude pairs and two
+        # scratch arrays, and the float64 amplitudes and the other kept
+        # records of 101 recorded steps; 128 B per cell of a readout block;
+        # 160 B per recorded step, and where all 5 records are kept, 16 B
+        # per record, recorded step and trajectory.
+        per = 8 * 104 + 640 + 8 * 50_000 + 16 * 50_000 + 48 + (16 + 8 * (kept - 3)) * 101
+        total = n * per + 128 * n * rows + (160 + 16 * n * kept * (kept == 5)) * 101
+        return f"estimated {total / 2**20:.0f} MB"
 
     seed = trajectory.trajectory_seed
     monkeypatch.setattr(trajectory, "trajectory_seed", _never)
     monkeypatch.setattr(trajectory, "_mem_available", lambda: 1 << 20)
-    assert need(1, 101) == "estimated 2 MB"
-    with pytest.raises(ValueError, match=rf"{need(1, 101)} .* the 1 MB available"):
+    assert need(1, 101, 5) == "estimated 1 MB"
+    with pytest.raises(ValueError, match=rf"{need(1, 101, 5)} .* the 1 MB available"):
         run_trajectory(cfg, 0)
     monkeypatch.setattr(trajectory, "trajectory_seed", seed)
     monkeypatch.setattr(trajectory, "_mem_available", lambda: 64 << 20)
     wide = dataclasses.replace(cfg, trajectories=4096)
     assert run_trajectory(wide, 0).steps[-1] == 100
-    assert need(4096, 2) == "estimated 6263 MB"
-    with pytest.raises(ValueError, match=rf"{need(4096, 2)} .* the 64 MB available"):
+    assert need(4096, 2, 3) == "estimated 4701 MB"
+    with pytest.raises(ValueError, match=rf"{need(4096, 2, 3)} .* the 64 MB available"):
         run_ensemble(wide)
 
 
-@pytest.mark.parametrize("hom,initial,n,steps,stride,delay", [
-    pytest.param(EXACT_CFG, BlochVector(0.6, 0.0, 0.8), 64, 3000, 1, 3, id="exact-float64"),
-    pytest.param(EXACT_CFG, BlochVector(0.36, 0.48, 0.8), 64, 2500, 1, 3, id="exact-complex128"),
-    pytest.param(EXACT_CFG, BlochVector(0.6, 0.0, 0.8), 64, 3000, 1, 2500, id="exact-long-delay"),
-    pytest.param(EXACT_CFG, BlochVector(0.36, 0.48, 0.8), 64, 3000, 1, 2500,
+def _simulate_all(cfg):
+    return _simulate(cfg, np.arange(cfg.trajectories))
+
+
+@pytest.mark.parametrize("run,hom,initial,n,steps,stride,delay", [
+    pytest.param(run_ensemble, EXACT_CFG, BlochVector(0.6, 0.0, 0.8), 64, 3000, 1, 3,
+                 id="exact-float64"),
+    pytest.param(run_ensemble, EXACT_CFG, BlochVector(0.36, 0.48, 0.8), 64, 2500, 1, 3,
+                 id="exact-complex128"),
+    pytest.param(run_ensemble, EXACT_CFG, BlochVector(0.6, 0.0, 0.8), 64, 3000, 1, 2500,
+                 id="exact-long-delay"),
+    pytest.param(run_ensemble, EXACT_CFG, BlochVector(0.36, 0.48, 0.8), 64, 3000, 1, 2500,
                  id="exact-long-delay-complex128"),
-    pytest.param(FO_CFG, BlochVector(0.6, 0.0, 0.8), 4096, 1000, 100, 3, id="first-order"),
-    pytest.param(FO_CFG, BlochVector(0.36, 0.48, 0.8), 4096, 1000, 100, 3,
+    pytest.param(run_ensemble, FO_CFG, BlochVector(0.6, 0.0, 0.8), 4096, 1000, 100, 3,
+                 id="first-order"),
+    pytest.param(run_ensemble, FO_CFG, BlochVector(0.36, 0.48, 0.8), 4096, 1000, 100, 3,
                  id="first-order-out-of-plane"),
+    pytest.param(_simulate_all, dataclasses.replace(EXACT_CFG, gamma_tau=5e-5),
+                 BlochVector(0.6, 0.0, 0.8), 64, 20_000, 1, 3, id="simulate-exact-all-records"),
 ])
-def test_memory_estimate_bounds_the_traced_peak(monkeypatch, hom, initial, n, steps, stride,
+def test_memory_estimate_bounds_the_traced_peak(monkeypatch, run, hom, initial, n, steps, stride,
                                                 delay):
     """The memory check's estimate is at least what the run allocates:
     the traced peak of a one-worker run stays at or below it (measured
     1.5 MB against 2 MB, 1.7 against 2, and 11.4 and 11.5 against 12 for
     the first-order state of two and three columns).  At delay 2500 the
-    exact kernel's window of drive factors dominates, and 3000 steps
-    rebuild it once: 5.9 MB against 7 on float64 and 6.1 against 7 on
-    complex128."""
+    exact kernel's window of drive factors and the ring dominate: 5.2 MB
+    against 6 on float64 and 5.4 against 6 on complex128.  _simulate,
+    which keeps every record of its 64 trajectories over 20 000 steps,
+    holds each block's copy and their join: 98.7 MB against 102."""
     law = FeedbackLaw(theta_bar=1.2)
     cfg = SimConfig(homodyne=hom, law=law, initial=initial, steps=steps,
                     trajectories=n, delay=delay, record_stride=stride)
     monkeypatch.setattr(trajectory, "_mem_available", lambda: 1)
     with pytest.raises(ValueError, match="estimated") as err:
-        run_ensemble(cfg)
+        run(cfg)
     need_mb = float(re.search(r"estimated (\d+) MB", str(err.value)).group(1))
     monkeypatch.setattr(trajectory, "_mem_available", lambda: None)
     # A first call fills numpy's one-time caches, which are not the run's.
-    run_ensemble(dataclasses.replace(cfg, steps=2, trajectories=2, record_stride=1))
+    run(dataclasses.replace(cfg, steps=2, trajectories=2, record_stride=1))
     tracemalloc.start()
     try:
-        run_ensemble(cfg)
+        run(cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1345,11 +1435,11 @@ def test_small_ensemble_long_run_memory_stays_near_one_slab(monkeypatch):
     with pytest.raises(ValueError, match="estimated") as err:
         run_ensemble(cfg)
     # Per trajectory: a 256-step slab in a row of 264 floats, its
-    # generator, a 20-slot ring, 24 B per slot for the window's drive
-    # factors and their half angles and the float64 amplitudes of 257
-    # recorded steps; 128 B per cell of a readout block of 257 rows; 160 B
-    # per recorded step.
-    need = (16 * (8 * 264 + 640 + 8 * 20 + 24 * 20 + 16 * 257) + 128 * 16 * 257
+    # generator, a 20-slot ring, 16 B per slot for the window's drive
+    # factors, the kernel's two float64 amplitude pairs and two scratch
+    # arrays, and the float64 amplitudes of 257 recorded steps; 128 B per
+    # cell of a readout block of 257 rows; 160 B per recorded step.
+    need = (16 * (8 * 264 + 640 + 8 * 20 + 16 * 20 + 48 + 16 * 257) + 128 * 16 * 257
             + 160 * 10_001)
     assert f"estimated {need / 2**20:.0f} MB" in str(err.value)
     monkeypatch.setattr(trajectory, "_mem_available", lambda: None)
