@@ -384,20 +384,23 @@ def _aligned_empty(shape, dtype=np.float64) -> np.ndarray:
     return raw[start:start + nbytes].view(dtype).reshape(shape)
 
 
-def _exact_buffers(n: int, dtype) -> tuple:
+def _exact_buffers(n: int, dtype, slots: int) -> tuple:
     # The arrays an exact step of n trajectories writes on amplitudes of
     # one dtype: two amplitude pairs, which the steps fill in turn, and
     # their scratch, given as each pair's _condition ``out``, whose first
-    # three are its _rotate ``out``.  Real amplitudes need two float64
-    # scratch arrays (t is u, and w, which _condition leaves unused on
-    # them, is v), complex ones a complex128 t and three float64.
+    # three are its _rotate ``out``; then the window, the (cosines, sines)
+    # of the drive for ``slots`` delay slots, 16 B per slot.  Real
+    # amplitudes need two float64 scratch arrays (t is u, and w, which
+    # _condition leaves unused on them, is v), complex ones a complex128 t
+    # and three float64.
     e0, g0, e1, g1 = (_aligned_empty((n,), dtype) for _ in range(4))
     u, v = _aligned_empty((n,)), _aligned_empty((n,))
     if np.dtype(dtype).kind == "f":
         t, w = u, v
     else:
         t, w = _aligned_empty((n,), dtype), _aligned_empty((n,))
-    return (e0, g0, t, u, v, w), (e1, g1, t, u, v, w)
+    window = _aligned_empty((n, slots)), _aligned_empty((n, slots))
+    return (e0, g0, t, u, v, w), (e1, g1, t, u, v, w), window
 
 
 def _exact_kernel(cfg: SimConfig, n: int):
@@ -406,44 +409,36 @@ def _exact_kernel(cfg: SimConfig, n: int):
     # real and on complex128 otherwise.  Each operation rounds alike on both
     # dtypes (numpy multiplies a complex by a real divisor's reciprocal, so
     # real divisors are applied that way here too).  The step and the
-    # conditioned update branch on the dtype of the arrays they are handed.
-    # The step writes only arrays the kernel owns, built once per run: for
-    # each dtype it is handed, two pairs and their scratch (_exact_buffers).
-    # It reads the pair it is handed, never writes it, and returns the
-    # other pair, valid until its next call; the start is the first pair.
+    # conditioned update branch on the start's dtype.
+    # The step writes only arrays the kernel owns, built once per run for
+    # the start's dtype: two pairs and their scratch (_exact_buffers).  It
+    # reads the pair it is handed, never writes it, and returns the other
+    # pair, valid until its next call: the second when it is handed the
+    # first, which is the start, and the first otherwise.
     # With the law on, the drive follows the window rule: its factors are
-    # computed for the whole ring when slot 0 falls due, into two arrays of
-    # the ring's shape built at the first window, and each step rotates by
-    # its own slot's column of them.
+    # computed for the whole ring when slot 0 falls due, into the window of
+    # the ring's shape, and each step rotates by its own slot's column of
+    # them.
     ops = _operands(cfg)
     psi0 = state_from_bloch(cfg.initial)
     amps = (psi0.c_e, psi0.c_g)
     if not any(c.imag for c in amps):
         amps = tuple(c.real for c in amps)
-    window = None
-    # id of a pair's c_e -> the other pair's _rotate out, _condition out
-    # and scratch t and u, and whether the dtype is real; for each dtype,
-    # the same of its first pair.
-    succ, first = {}, {}
-
-    def own(dtype):
-        if dtype not in first:
-            a, b = ((o[:3], o, o[2], o[3], o[0].dtype.kind == "f")
-                    for o in _exact_buffers(n, dtype))
-            succ.update({id(a[1][0]): b, id(b[1][0]): a})
-            first[dtype] = a
-        return first[dtype]
+    dtype = np.result_type(*amps)
+    real = dtype.kind == "f"
+    a, b, window = _exact_buffers(n, dtype, cfg.delay if ops.enabled else 0)
+    hc, hs = window
+    # Each pair as a step writes it: its _rotate out, its _condition out
+    # and the scratch t and u, taken apart once per run; slicing them in
+    # each step made trace-delay about 1% slower.
+    into_a, into_b = ((o[:3], o, o[2], o[3]) for o in (a, b))
 
     def step(state, ring, j, noise):
-        nonlocal window
         cE, cG = state
-        rot, out, t, u, real = succ.get(id(cE)) or own(cE.dtype)
+        rot, out, t, u = into_b if cE is a[0] else into_a
         if ops.enabled:
             if j == 0:
-                if window is None:
-                    window = _aligned_empty(ring.shape), _aligned_empty(ring.shape)
                 _drive_factors(ring, ops, window)
-            hc, hs = window
             cE, cG = _rotate(cE, cG, hc[:, j], hs[:, j], rot)
         if real:
             sx = np.multiply(ops.two, np.multiply(cE, cG, u), u)
@@ -458,9 +453,9 @@ def _exact_kernel(cfg: SimConfig, n: int):
         # PureState fixes the global phase the kernel leaves free.
         return PureState(complex(state[0][i]), complex(state[1][i]))
 
-    start = own(np.result_type(*amps))[1][:2]
-    for a, c in zip(start, amps):
-        a.fill(c)
+    start = a[:2]
+    for x, c in zip(start, amps):
+        x.fill(c)
     # The Bloch readout returns fresh arrays through bloch_from_state's
     # formula.  It runs once per block of recorded rows, not per step, so
     # one form serves both dtypes: on real amplitudes the imaginary parts
@@ -788,15 +783,14 @@ def _check_memory(cfg: SimConfig, n: int, pooled: bool, block: int, rows: int,
     # statistics, or the joined records of a run that keeps them all.  Per
     # trajectory, in whichever process runs it: its part of every buffer of
     # the slab plan, its generator, and in exact mode the kernel's own
-    # arrays (_exact_buffers), with the law on also a window's two drive
-    # factor arrays, 16 B per delay slot.
+    # arrays (_exact_buffers), the window of drive factors included.
     start = _kernel(cfg)(cfg, 1)[0]
     ks, plan = _slab_plan(cfg, start, block, names)
     own = 0
     if cfg.homodyne.mode is UpdateMode.EXACT:
         # Each array once: the two pairs share their scratch.
-        arrays = {id(a): a.nbytes for out in _exact_buffers(1, start[0].dtype) for a in out}
-        own = sum(arrays.values()) + 16 * cfg.delay * cfg.law.enabled
+        bufs = _exact_buffers(1, start[0].dtype, cfg.delay if cfg.law.enabled else 0)
+        own = sum({id(a): a.nbytes for out in bufs for a in out}.values())
     need = n * (_GENERATOR_BYTES + own + sum(
         math.prod(shape) * dtype.itemsize for shape, dtype in plan))
     # Per cell of a readout block, which never spans two slabs and so has
@@ -812,8 +806,8 @@ def _check_memory(cfg: SimConfig, n: int, pooled: bool, block: int, rows: int,
     avail = _mem_available()
     if avail is not None and need > avail:
         raise ValueError(
-            f"the run needs an estimated {need / 2**20:.0f} MB of memory, "
-            f"more than the {avail / 2**20:.0f} MB available"
+            f"the run needs an estimated {math.ceil(10 * need / 2**20) / 10:.1f} MB of memory, "
+            f"more than the {math.floor(10 * avail / 2**20) / 10:.1f} MB available"
         )
 
 

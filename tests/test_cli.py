@@ -89,7 +89,7 @@ def test_run_beyond_available_memory_exits_two(monkeypatch, capsys):
     out = capsys.readouterr()
     assert rc == 2
     assert out.out == ""
-    assert re.search(r"estimated \d+ MB of memory, more than the 1 MB available", out.err)
+    assert re.search(r"estimated \d+\.\d MB of memory, more than the 1\.0 MB available", out.err)
 
 
 class _Started(Exception):

@@ -399,14 +399,16 @@ def test_workers_whose_record_streams_disagree_are_an_error(monkeypatch, serial_
 def test_real_amplitudes_match_their_complex_copies(law, initial):
     """In-plane starts run the exact step on float64 amplitudes, s_y = -0.0
     too, whose c_g has an imaginary part of -0.0.  The start's own complex
-    amplitudes must give the same bits with zero imaginary parts, so the
-    dtype never shows in the output."""
+    amplitudes, stepped by the complex128 kernel of an out-of-plane start
+    with the same homodyne config and law, must give the same bits with
+    zero imaginary parts, so the dtype never shows in the output."""
     cfg = SimConfig(homodyne=EXACT_CFG, law=law, initial=initial, steps=200, trajectories=6)
     n = cfg.trajectories
     real, step, bloch, _ = trajectory._exact_kernel(cfg, n)
     assert [c.dtype for c in real] == [np.float64, np.float64]
     oop = SimConfig(homodyne=EXACT_CFG, law=law, initial=BlochVector(0.36, 0.48, 0.8))
-    assert [c.dtype for c in trajectory._exact_kernel(oop, n)[0]] == [np.complex128] * 2
+    start, cplx_step, _, _ = trajectory._exact_kernel(oop, n)
+    assert [c.dtype for c in start] == [np.complex128] * 2
     psi = state_from_bloch(initial)
     cplx = tuple(np.full(n, c, dtype=np.complex128) for c in (psi.c_e, psi.c_g))
     rng = np.random.default_rng(77)
@@ -416,7 +418,7 @@ def test_real_amplitudes_match_their_complex_copies(law, initial):
     for k in range(cfg.steps):
         ring = shifts[k][:, None]
         real, dn_real = step(real, ring, 0, EXACT_CFG.alpha_mag * xi[k])
-        cplx, dn_cplx = step(cplx, ring, 0, EXACT_CFG.alpha_mag * xi[k])
+        cplx, dn_cplx = cplx_step(cplx, ring, 0, EXACT_CFG.alpha_mag * xi[k])
         assert np.array_equal(dn_real, dn_cplx)
         for r, c in zip(real, cplx):
             assert r.dtype == np.float64
@@ -424,6 +426,24 @@ def test_real_amplitudes_match_their_complex_copies(law, initial):
             assert np.all(c.imag == 0.0)
         for r, c in zip(bloch(real), bloch(cplx)):
             assert np.array_equal(r, c)
+
+
+@pytest.mark.parametrize("law", [
+    pytest.param(FeedbackLaw(theta_bar=1.2), id="law-on"),
+    pytest.param(FeedbackLaw(enabled=False), id="law-off"),
+])
+def test_float64_kernel_rejects_complex_amplitudes(law):
+    """An exact kernel owns buffers of its start's dtype only, so a float64
+    kernel handed complex128 amplitudes raises numpy's casting error where
+    it would write them into its float64 arrays."""
+    n = 4
+    cfg = SimConfig(homodyne=EXACT_CFG, law=law, initial=BlochVector(0.6, 0.0, 0.8),
+                    trajectories=n)
+    real, step, _, _ = trajectory._exact_kernel(cfg, n)
+    assert [c.dtype for c in real] == [np.float64, np.float64]
+    cplx = tuple(c.astype(np.complex128) for c in real)
+    with pytest.raises(TypeError):
+        step(cplx, np.zeros((n, 1)), 0, np.zeros(n))
 
 
 @pytest.mark.parametrize("initial,arrays", [
@@ -1228,6 +1248,12 @@ def _never(*args, **kwargs):
     raise AssertionError("called before the memory check")
 
 
+def _estimated(need):
+    # The memory check's figure for an estimate of ``need`` bytes, rounded
+    # up to 0.1 MB.
+    return f"estimated {math.ceil(10 * need / 2**20) / 10:.1f} MB"
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("initial,amp_bytes,own_bytes", [
     pytest.param(BlochVector(0.6, 0.0, 0.8), 16, 48, id="float64"),
@@ -1256,7 +1282,7 @@ def test_memory_check_runs_before_any_draw_or_fork(monkeypatch, serial_pool, ini
     # Per cell of a block of 2^13 // 4096 = 2 recorded rows: 128 B, and
     # 120 B more in a pool; then the statistics of the 1001 recorded steps.
     need += (128 if workers == 1 else 248) * 4096 * 2 + 160 * 1001
-    with pytest.raises(ValueError, match=rf"estimated {need / 2**20:.0f} MB .* the 1 MB available"):
+    with pytest.raises(ValueError, match=rf"{re.escape(_estimated(need))} .* the 1\.0 MB available"):
         run_ensemble(cfg, workers)
     assert serial_pool == []
 
@@ -1277,20 +1303,20 @@ def test_run_trajectory_checks_memory_for_its_one_trajectory(monkeypatch):
         # per record, recorded step and trajectory.
         per = 8 * 104 + 640 + 8 * 50_000 + 16 * 50_000 + 48 + (16 + 8 * (kept - 3)) * 101
         total = n * per + 128 * n * rows + (160 + 16 * n * kept * (kept == 5)) * 101
-        return f"estimated {total / 2**20:.0f} MB"
+        return _estimated(total)
 
     seed = trajectory.trajectory_seed
     monkeypatch.setattr(trajectory, "trajectory_seed", _never)
     monkeypatch.setattr(trajectory, "_mem_available", lambda: 1 << 20)
-    assert need(1, 101, 5) == "estimated 1 MB"
-    with pytest.raises(ValueError, match=rf"{need(1, 101, 5)} .* the 1 MB available"):
+    assert need(1, 101, 5) == "estimated 1.2 MB"
+    with pytest.raises(ValueError, match=rf"{re.escape(need(1, 101, 5))} .* the 1\.0 MB available"):
         run_trajectory(cfg, 0)
     monkeypatch.setattr(trajectory, "trajectory_seed", seed)
     monkeypatch.setattr(trajectory, "_mem_available", lambda: 64 << 20)
     wide = dataclasses.replace(cfg, trajectories=4096)
     assert run_trajectory(wide, 0).steps[-1] == 100
-    assert need(4096, 2, 3) == "estimated 4701 MB"
-    with pytest.raises(ValueError, match=rf"{need(4096, 2, 3)} .* the 64 MB available"):
+    assert need(4096, 2, 3) == "estimated 4700.8 MB"
+    with pytest.raises(ValueError, match=rf"{re.escape(need(4096, 2, 3))} .* the 64\.0 MB available"):
         run_ensemble(wide)
 
 
@@ -1318,19 +1344,20 @@ def test_memory_estimate_bounds_the_traced_peak(monkeypatch, run, hom, initial, 
                                                 delay):
     """The memory check's estimate is at least what the run allocates:
     the traced peak of a one-worker run stays at or below it (measured
-    1.5 MB against 2 MB, 1.7 against 2, and 11.4 and 11.5 against 12 for
-    the first-order state of two and three columns).  At delay 2500 the
-    exact kernel's window of drive factors and the ring dominate: 5.2 MB
-    against 6 on float64 and 5.4 against 6 on complex128.  _simulate,
-    which keeps every record of its 64 trajectories over 20 000 steps,
-    holds each block's copy and their join: 98.7 MB against 102."""
+    1.5 MB against 1.9 MB, 1.7 against 2.1, and 11.3 and 11.4 against
+    12.1 and 12.2 for the first-order state of two and three columns).  At
+    delay 2500 the exact kernel's window of drive factors and the ring
+    dominate: 5.2 MB against 5.6 on float64 and 5.4 against 5.8 on
+    complex128.  _simulate, which keeps every record of its 64
+    trajectories over 20 000 steps, holds each block's copy and their
+    join: 98.7 MB against 102.4."""
     law = FeedbackLaw(theta_bar=1.2)
     cfg = SimConfig(homodyne=hom, law=law, initial=initial, steps=steps,
                     trajectories=n, delay=delay, record_stride=stride)
     monkeypatch.setattr(trajectory, "_mem_available", lambda: 1)
     with pytest.raises(ValueError, match="estimated") as err:
         run(cfg)
-    need_mb = float(re.search(r"estimated (\d+) MB", str(err.value)).group(1))
+    need_mb = float(re.search(r"estimated (\d+\.\d) MB", str(err.value)).group(1))
     monkeypatch.setattr(trajectory, "_mem_available", lambda: None)
     # A first call fills numpy's one-time caches, which are not the run's.
     run(dataclasses.replace(cfg, steps=2, trajectories=2, record_stride=1))
@@ -1340,8 +1367,8 @@ def test_memory_estimate_bounds_the_traced_peak(monkeypatch, run, hom, initial, 
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # The message rounds the estimate to whole MB.
-    assert peak / 2**20 <= need_mb + 0.5
+    # The message rounds the estimate up to 0.1 MB.
+    assert peak / 2**20 <= need_mb
 
 
 def test_memory_check_is_skipped_without_meminfo(monkeypatch):
@@ -1441,7 +1468,7 @@ def test_small_ensemble_long_run_memory_stays_near_one_slab(monkeypatch):
     # cell of a readout block of 257 rows; 160 B per recorded step.
     need = (16 * (8 * 264 + 640 + 8 * 20 + 16 * 20 + 48 + 16 * 257) + 128 * 16 * 257
             + 160 * 10_001)
-    assert f"estimated {need / 2**20:.0f} MB" in str(err.value)
+    assert _estimated(need) in str(err.value)
     monkeypatch.setattr(trajectory, "_mem_available", lambda: None)
     # A first call fills numpy's one-time caches, which are not the run's.
     run_ensemble(dataclasses.replace(cfg, steps=2))
