@@ -29,11 +29,9 @@ from .state import (
     state_from_bloch,
 )
 from .homodyne import (
-    CoherentAmplitude,
     HomodyneConfig,
     MeasurementOutcome,
     UpdateMode,
-    coherent_outcome_pdf,
     conditioned_update_exact,
     decompose_step,
     sample_outcome,
@@ -62,7 +60,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BlochVector",
-    "CoherentAmplitude",
     "DensityMatrix2",
     "EnsembleStats",
     "FeedbackLaw",
@@ -75,7 +72,6 @@ __all__ = [
     "UpdateMode",
     "advance_feedback",
     "bloch_from_state",
-    "coherent_outcome_pdf",
     "combined_diffusion_step",
     "conditioned_update_exact",
     "decompose_step",

@@ -153,8 +153,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def parse_args(argv=None) -> argparse.Namespace:
-    """Parse the command line; argparse exits with code 2 on usage errors."""
-    return build_parser().parse_args(argv)
+    """Parse the command line; argparse exits with code 2 on usage errors.
+
+    A flag that takes a value takes the next token, even one that starts
+    with "-" (``--initial -1,0,0``), which argparse would read as a flag.
+    """
+    p = build_parser()
+    takes = {s for a in p._actions if a.nargs is None for s in a.option_strings}
+    args = []
+    for a in sys.argv[1:] if argv is None else argv:
+        if args and args[-1] in takes and a.startswith("-"):
+            args[-1] += "=" + a
+        else:
+            args.append(a)
+    return p.parse_args(args)
 
 
 def resolve_settings(ns: argparse.Namespace) -> dict:

@@ -13,7 +13,9 @@ measured quadrature.  For gamma*tau << 1 and |alpha|^2 >> 1:
   variance |alpha|^2;
 * a weak coherent field beta in the mode shifts the mean to
   2*|alpha|*Re(beta) and leaves the variance unchanged, so only the
-  in-phase quadrature is visible.
+  in-phase quadrature is visible.  The fed-back field f is real, so the
+  code applies this law as the shift 2*alpha*f, in
+  :func:`~monitored_atom.advance_feedback`.
 
 Conditioning the atomic state on the observed dn gives the unnormalized
 amplitude update
@@ -37,7 +39,6 @@ d(theta) = kappa * (1 + cos(theta)).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -46,7 +47,6 @@ import numpy as np
 
 from .state import BlochVector, PureState, _abs2, bloch_from_state
 
-WEAK_FIELD_CEILING = 0.1
 # Validity limits of the model: the Gaussian outcome law needs a strong
 # local oscillator, and the update laws keep only the leading orders in
 # gamma*tau.
@@ -130,31 +130,6 @@ class HomodyneConfig:
 
 
 @dataclass(frozen=True)
-class CoherentAmplitude:
-    """Weak coherent field amplitude in the monitored mode.
-
-    The one-photon-per-interval treatment assumes |beta|^2 << 1;
-    construction warns when |beta|^2 exceeds 0.1.
-    """
-
-    beta: complex
-
-    def __post_init__(self):
-        # complex() would parse a string, which the outcome law cannot use.
-        if isinstance(self.beta, (str, bytes)):
-            raise TypeError(f"beta must be a number, got {self.beta!r}")
-        b = complex(self.beta)
-        if not (math.isfinite(b.real) and math.isfinite(b.imag)):
-            raise ValueError(f"beta must be finite, got {b!r}")
-        if _abs2(b) > WEAK_FIELD_CEILING:
-            warnings.warn(
-                f"|beta|^2 = {_abs2(b):g} exceeds the weak-field ceiling "
-                f"{WEAK_FIELD_CEILING:g}; the Gaussian outcome law degrades",
-                stacklevel=2,
-            )
-
-
-@dataclass(frozen=True)
 class MeasurementOutcome:
     """One interval's record, split into fluctuation and known shift.
 
@@ -171,18 +146,6 @@ class MeasurementOutcome:
     @property
     def dn_total(self) -> float:
         return self.dn_qf + self.shift
-
-
-def coherent_outcome_pdf(dn, beta: CoherentAmplitude, cfg: HomodyneConfig):
-    """Density of dn with a weak coherent field beta in the monitored mode.
-
-    The mean moves to 2*|alpha|*Re(beta); the out-of-phase quadrature
-    Im(beta) leaves no trace.
-    """
-    mu = 2.0 * cfg.alpha_mag * beta.beta.real
-    v = cfg.alpha_sq
-    d = dn - mu
-    return np.exp(-(d * d) / (2.0 * v)) / np.sqrt(2.0 * np.pi * v)
 
 
 def sample_outcome(shift, cfg: HomodyneConfig, rng: np.random.Generator) -> MeasurementOutcome:

@@ -172,6 +172,21 @@ def test_malformed_initial_rejected():
     assert "three" in out.stderr
 
 
+def test_negative_value_after_a_space_is_the_flags_value(capsys):
+    """A value that starts with "-" is read as its flag's value, written
+    after a space as after "=": negative-s_x starts run as in the "=" form,
+    and a negative theta_bar meets the range check, not a usage error."""
+    run = ("--trajectories", "2", "--steps", "3")
+    for initial in ("-1,0,0", "-0.6,0,0.8"):
+        outputs = []
+        for form in (("--initial", initial), (f"--initial={initial}",)):
+            assert cli.main([*form, *run]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] != ""
+    assert cli.main(["--theta-bar", "-1e-3", *run]) == 2
+    assert "theta_bar must lie in [0, pi]" in capsys.readouterr().err
+
+
 def test_unwritable_output_exits_one():
     out = run_cli("--preset", "fig1-field", "--out", "/nonexistent/dir/x.csv")
     assert out.returncode == 1

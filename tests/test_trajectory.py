@@ -25,6 +25,7 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from monitored_atom import (
     BlochVector,
@@ -529,34 +530,67 @@ def test_in_plane_first_order_state_matches_its_three_column_copy(law, initial):
             assert r.tobytes() == c.tobytes()
 
 
+def _in_plane(a):
+    return BlochVector(math.sin(a), 0.0, math.cos(a))
+
+
+def _out_of_plane(theta, phi):
+    r = math.sin(theta)
+    return BlochVector(r * math.cos(phi), r * math.sin(phi), math.cos(theta))
+
+
+# None starts on the law's target.  Out-of-plane starts keep
+# |s_y| >= sin(0.01)^2, so their amplitudes are complex beyond rounding.
+_starts = st.one_of(
+    st.none(),
+    st.floats(0.0, 2.0 * math.pi).map(_in_plane),
+    st.builds(_out_of_plane, st.floats(0.01, math.pi - 0.01),
+              st.floats(0.01, math.pi - 0.01) | st.floats(math.pi + 0.01, 2.0 * math.pi - 0.01)),
+)
+
+
 @pytest.mark.parametrize("mode", [UpdateMode.EXACT, UpdateMode.FIRST_ORDER])
-def test_step_trajectory_agrees_with_kernel(mode):
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(theta_bar=st.floats(0.0, math.pi), enabled=st.booleans(), delay=st.integers(1, 5),
+       gamma_tau=st.floats(1e-5, 3e-3), steps=st.integers(1, 300), start=_starts,
+       seed=st.integers(0, 2**40 - 1), index=st.integers(0, 2**20 - 1))
+@example(theta_bar=math.pi / 3.0, enabled=True, delay=2, gamma_tau=1e-4, steps=30,
+         start=None, seed=55, index=0)
+def test_step_trajectory_agrees_with_kernel(mode, theta_bar, enabled, delay, gamma_tau,
+                                            steps, start, seed, index):
     """The scalar cycle and the vectorized kernel are independent routes
     through the same update; they share the noise stream and must land on
-    the same states to rounding."""
-    law = FeedbackLaw(theta_bar=math.pi / 3.0)
-    hom = HomodyneConfig(alpha_mag=100.0, gamma_tau=1e-4, mode=mode)
-    initial = law.target
-    steps = 30
-    cfg = SimConfig(
-        homodyne=hom, law=law, initial=initial,
-        steps=steps, trajectories=1, master_seed=55, delay=2, record_stride=1,
-    )
-    kernel = run_trajectory(cfg, 0)
-
-    from monitored_atom import state_from_bloch
+    the same states and records to rounding, in both modes, with the law
+    on and off, at delays 1-5, from starts on the target, in the plane and
+    out of it.  steps * gamma_tau stays at or below 0.9."""
+    law = FeedbackLaw(theta_bar=theta_bar, enabled=enabled)
+    initial = law.target if start is None else start
+    if mode is UpdateMode.FIRST_ORDER:
+        # The first-order reference rebuilds its amplitudes each step with
+        # state_from_bloch, whose half-angle formula loses the smaller
+        # amplitude's digits near a pole: at 1 - |s_z| = 1e-12 a rebuild
+        # moves s_x by 1.6e-11, and runs that stay that close end up to
+        # 3e-7 from the kernel.  Starts and targets within about 0.01 rad
+        # of a pole wait for that formula to be mended.
+        assume(min(1.0 - abs(initial.sz), 1.0 - abs(law.cos_theta_bar) if enabled else 1.0)
+               >= 5e-5)
+    hom = HomodyneConfig(alpha_mag=100.0, gamma_tau=gamma_tau, mode=mode)
+    cfg = SimConfig(homodyne=hom, law=law, initial=initial, steps=steps,
+                    master_seed=seed, delay=delay)
+    kernel = run_trajectory(cfg, index)
 
     psi = state_from_bloch(initial)
     fb = FeedbackState((0.0,) * cfg.delay)
-    rng = np.random.default_rng(trajectory_seed(cfg.master_seed, 0))
-    for k in range(steps):
+    rng = np.random.default_rng(trajectory_seed(cfg.master_seed, index))
+    got = {"bloch": [], "dn_qf": [], "shift": []}
+    for _ in range(steps):
         psi, fb, out = step_trajectory(psi, fb, cfg, rng)
-        s = bloch_from_state(psi)
-        assert np.allclose(
-            [s.sx, s.sy, s.sz], kernel.bloch[k + 1], rtol=0.0, atol=2e-11
-        )
-        assert math.isclose(out.dn_qf, kernel.dn_qf[k + 1], rel_tol=0.0, abs_tol=1e-8)
-        assert math.isclose(out.shift, kernel.shift[k + 1], rel_tol=0.0, abs_tol=1e-8)
+        got["bloch"].append(bloch_from_state(psi).as_tuple())
+        got["dn_qf"].append(out.dn_qf)
+        got["shift"].append(out.shift)
+    for name, bound in (("bloch", 1e-10), ("dn_qf", 1e-8), ("shift", 1e-8)):
+        gap = np.abs(np.array(got[name]) - getattr(kernel, name)[1:]).max()
+        assert gap <= bound, (name, gap)
 
 
 def test_step_trajectory_golden_bitwise():
