@@ -156,13 +156,21 @@ def parse_args(argv=None) -> argparse.Namespace:
     """Parse the command line; argparse exits with code 2 on usage errors.
 
     A flag that takes a value takes the next token, even one that starts
-    with "-" (``--initial -1,0,0``), which argparse would read as a flag.
+    with "-" (``--initial -1,0,0``), which argparse would read as a flag;
+    so does a unique prefix of such a flag (``--init -1,0,0``), which
+    argparse resolves to the flag.
     """
     p = build_parser()
-    takes = {s for a in p._actions if a.nargs is None for s in a.option_strings}
+    opts = {s: a.nargs is None for a in p._actions for s in a.option_strings}
+
+    def takes(t):
+        named = [s for s in opts if s == t] or [
+            s for s in opts if t.startswith("--") and s.startswith(t)]
+        return len(named) == 1 and opts[named[0]]
+
     args = []
     for a in sys.argv[1:] if argv is None else argv:
-        if args and args[-1] in takes and a.startswith("-"):
+        if args and a.startswith("-") and takes(args[-1]):
             args[-1] += "=" + a
         else:
             args.append(a)

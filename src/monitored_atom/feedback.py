@@ -31,6 +31,8 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 from .state import BlochVector
 from .homodyne import HomodyneConfig, _diffusion_step
 
@@ -88,15 +90,20 @@ class FeedbackState:
         object.__setattr__(self, "pending", vals)
 
 
-def feedback_amplitude(dn_qf, law: FeedbackLaw, cfg: HomodyneConfig):
+def feedback_amplitude(dn_qf, law: FeedbackLaw, cfg: HomodyneConfig, out=None):
     """Feedback field amplitude for the fluctuation part of a record.
 
     f = -(1 + cos(theta_bar)) * dn_qf / (2*alpha); exactly 0 when the law
-    is disabled or theta_bar = pi.  Accepts scalar or array dn_qf.
+    is disabled or theta_bar = pi.  Accepts scalar or array dn_qf.  An
+    array ``out`` of dn_qf's shape, which may be dn_qf itself, receives
+    the amplitude, the same bits, and is returned.
     """
+    if out is None:
+        return law.gain * (dn_qf / cfg.two_alpha) if law.enabled else 0.0
     if not law.enabled:
-        return 0.0
-    return law.gain * (dn_qf / cfg.two_alpha)
+        out.fill(0.0)
+        return out
+    return np.multiply(law.gain, np.divide(dn_qf, cfg.two_alpha, out), out)
 
 
 def advance_feedback(

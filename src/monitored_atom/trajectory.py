@@ -48,14 +48,16 @@ trajectories a ufunc call with a Python float operand took about 590 ns
 and one with a 0-d array about 410 ns (numpy 2.4, 2-core x86-64); under
 NEP 50 both select the same float64 or complex128 loop, so the bits are
 those of the Python floats that the scalar reference keeps.  The buffer
-rule: the exact step writes its rotation, its conditioned update and
-each window's factors into arrays the kernel builds once per run, on
-64-byte boundaries, with positional ufunc ``out`` arguments, where each
-operation would otherwise return a fresh array; the only arrays a step
-allocates are the record mean's and the feedback amplitude's.  At 2000
-trajectories and delay 1 a loop of 1000 steps and pushes went from
-44.8 to 36.9 ms (median of 8, numpy 2.4, 2-core x86-64); the same
-ufuncs run, so the bits are those of the fresh arrays.
+rule: no step allocates.  Each kernel writes its state, its field or
+rotation and conditioned update, the exact window's factors and dn_qf
+into arrays it builds once per run, on 64-byte boundaries, with
+positional ufunc ``out`` arguments, where each operation would otherwise
+return a fresh array; the feedback push writes into the ring's slot
+itself; and the views of the ring's slots and of the window's columns
+are taken once per run.  At 2000 trajectories and delay 1 a loop of 1000
+exact steps and pushes went from 44.8 to 36.9 ms, and one first-order
+step at 10^4 trajectories from 57 to 48 us (numpy 2.4, 2-core x86-64);
+the same ufuncs run, so the bits are those of the fresh arrays.
 
 Reproducibility
 ---------------
@@ -79,7 +81,6 @@ lengths change a bit of the statistics.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 import os
@@ -138,6 +139,10 @@ _SLAB_STEPS = 256
 # Memory of one trajectory's Generator and its PCG64 (tracemalloc: 586 B
 # each over 10^4), for the memory check.
 _GENERATOR_BYTES = 640
+# Memory of each column view in list(a.T) (tracemalloc: 120 B with numpy
+# 2.4), for the memory check: each process keeps one per delay slot of the
+# ring, and two more per slot of the exact kernel's window.
+_VIEW_BYTES = 120
 # Ensembles smaller than this run in one process whatever the worker
 # count.  On 2 cores (10 alternating pairs, 1000 steps) 2 workers lost to
 # 1 or tied at 1024 trajectories in both modes; at 2048 they won in the
@@ -384,15 +389,28 @@ def _aligned_empty(shape, dtype=np.float64) -> np.ndarray:
     return raw[start:start + nbytes].view(dtype).reshape(shape)
 
 
+def _start(cfg: SimConfig) -> tuple:
+    # The start as the kernel of cfg's mode holds it, in Python numbers:
+    # the amplitudes (c_e, c_g), real when both are, or the Bloch
+    # components, (s_x, s_z) for a start with s_y = +0.0.
+    s0 = cfg.initial
+    if cfg.homodyne.mode is UpdateMode.EXACT:
+        psi0 = state_from_bloch(s0)
+        amps = (psi0.c_e, psi0.c_g)
+        return amps if any(c.imag for c in amps) else tuple(c.real for c in amps)
+    plane = s0.sy == 0.0 and math.copysign(1.0, s0.sy) > 0.0
+    return (s0.sx, s0.sz) if plane else s0.as_tuple()
+
+
 def _exact_buffers(n: int, dtype, slots: int) -> tuple:
     # The arrays an exact step of n trajectories writes on amplitudes of
     # one dtype: two amplitude pairs, which the steps fill in turn, and
     # their scratch, given as each pair's _condition ``out``, whose first
     # three are its _rotate ``out``; then the window, the (cosines, sines)
-    # of the drive for ``slots`` delay slots, 16 B per slot.  Real
-    # amplitudes need two float64 scratch arrays (t is u, and w, which
-    # _condition leaves unused on them, is v), complex ones a complex128 t
-    # and three float64.
+    # of the drive for ``slots`` delay slots, 16 B per slot; then dn_qf.
+    # Real amplitudes need two float64 scratch arrays (t is u, and w,
+    # which _condition leaves unused on them, is v), complex ones a
+    # complex128 t and three float64.
     e0, g0, e1, g1 = (_aligned_empty((n,), dtype) for _ in range(4))
     u, v = _aligned_empty((n,)), _aligned_empty((n,))
     if np.dtype(dtype).kind == "f":
@@ -400,7 +418,7 @@ def _exact_buffers(n: int, dtype, slots: int) -> tuple:
     else:
         t, w = _aligned_empty((n,), dtype), _aligned_empty((n,))
     window = _aligned_empty((n, slots)), _aligned_empty((n, slots))
-    return (e0, g0, t, u, v, w), (e1, g1, t, u, v, w), window
+    return (e0, g0, t, u, v, w), (e1, g1, t, u, v, w), window, (_aligned_empty((n,)),)
 
 
 def _exact_kernel(cfg: SimConfig, n: int):
@@ -411,23 +429,21 @@ def _exact_kernel(cfg: SimConfig, n: int):
     # real divisors are applied that way here too).  The step and the
     # conditioned update branch on the start's dtype.
     # The step writes only arrays the kernel owns, built once per run for
-    # the start's dtype: two pairs and their scratch (_exact_buffers).  It
-    # reads the pair it is handed, never writes it, and returns the other
-    # pair, valid until its next call: the second when it is handed the
-    # first, which is the start, and the first otherwise.
+    # the start's dtype: two pairs and their scratch, and dn_qf
+    # (_exact_buffers).  It reads the pair it is handed, never writes it,
+    # and returns the other pair and dn_qf, valid until its next call: the
+    # second pair when it is handed the first, which is the start, and the
+    # first otherwise.
     # With the law on, the drive follows the window rule: its factors are
     # computed for the whole ring when slot 0 falls due, into the window of
     # the ring's shape, and each step rotates by its own slot's column of
-    # them.
+    # them, a view taken once per run.
     ops = _operands(cfg)
-    psi0 = state_from_bloch(cfg.initial)
-    amps = (psi0.c_e, psi0.c_g)
-    if not any(c.imag for c in amps):
-        amps = tuple(c.real for c in amps)
+    amps = _start(cfg)
     dtype = np.result_type(*amps)
     real = dtype.kind == "f"
-    a, b, window = _exact_buffers(n, dtype, cfg.delay if ops.enabled else 0)
-    hc, hs = window
+    a, b, window, (dn,) = _exact_buffers(n, dtype, cfg.delay if ops.enabled else 0)
+    hc, hs = (list(x.T) for x in window)
     # Each pair as a step writes it: its _rotate out, its _condition out
     # and the scratch t and u, taken apart once per run; slicing them in
     # each step made trace-delay about 1% slower.
@@ -439,14 +455,12 @@ def _exact_kernel(cfg: SimConfig, n: int):
         if ops.enabled:
             if j == 0:
                 _drive_factors(ring, ops, window)
-            cE, cG = _rotate(cE, cG, hc[:, j], hs[:, j], rot)
+            cE, cG = _rotate(cE, cG, hc[j], hs[j], rot)
         if real:
             sx = np.multiply(ops.two, np.multiply(cE, cG, u), u)
         else:
             sx = np.multiply(ops.two, np.multiply(np.conjugate(cE, t), cG, t).real, u)
-        # The record mean's own fresh array takes the noise, and is dn_qf.
-        dn_qf = _record_mean(sx, ops)
-        np.add(dn_qf, noise, dn_qf)
+        dn_qf = np.add(_record_mean(sx, ops, dn), noise, dn)
         return _condition(cE, cG, dn_qf, ops, out), dn_qf
 
     def final(state, i):
@@ -463,6 +477,13 @@ def _exact_kernel(cfg: SimConfig, n: int):
     return start, step, lambda state: _bloch(*state), final
 
 
+def _first_order_buffers(n: int, columns: int) -> tuple:
+    # The arrays a first-order step of n trajectories writes: two states of
+    # ``columns`` Bloch components, which the steps fill in turn, and
+    # (kappa, scratch, norm).
+    return tuple(tuple(_aligned_empty((n,)) for _ in range(k)) for k in (columns, columns, 3))
+
+
 def _first_order_kernel(cfg: SimConfig, n: int):
     # State: the Bloch components (s_x, s_y, s_z), which the readout hands
     # on as they are, without a copy.  A start with s_y = +0.0 keeps it bit
@@ -472,23 +493,31 @@ def _first_order_kernel(cfg: SimConfig, n: int):
     # uncomputed but still adds the +0.0 of s_y^2 to f_x, turning a -0.0
     # there into +0.0.  The feedback law enters through cz in the same
     # interval as the record, so the pending shift never acts on the atom.
+    # As in the exact kernel, the step writes only the arrays the kernel
+    # owns (_first_order_buffers): it reads the state it is handed, never
+    # writes it, and returns the other one, valid until its next call.
     hom = cfg.homodyne
     cz = cfg.law.cos_theta_bar if cfg.law.enabled else -1.0
+    s0 = _start(cfg)
+    a, b, (kap, t, nrm) = _first_order_buffers(n, len(s0))
+    # Each state as the field writes it: (f_x, f_y, f_z, scratch).
+    field_a, field_b = ((s[0], s[1] if len(s) == 3 else None, s[-1], t) for s in (a, b))
 
     def step(state, ring, j, noise):
+        s, field = (b, field_b) if state[0] is a[0] else (a, field_a)
         sx, *sy, sz = state
-        kap = _kappa(noise, hom)
-        fx, fy, fz = _step_field(sx, sy[0] if sy else None, sz, cz)
-        # The field's arrays are fresh, so the update runs in them in place:
-        # f*kap + s is s + kap*f bit for bit.  The squares add in x, y, z order.
-        s = (fx, fy, fz) if sy else (fx, fz)
+        _step_field(sx, sy[0] if sy else None, sz, cz, field)
+        _kappa(noise, hom, kap)
+        # The update runs in the field's arrays: f*kap + s is s + kap*f bit
+        # for bit.  The squares add in x, y, z order.
         for v, c in zip(s, state):
-            v *= kap
-            v += c
-        nrm = functools.reduce(operator.iadd, (v * v for v in s))
-        np.sqrt(nrm, out=nrm)
+            np.add(np.multiply(v, kap, v), c, v)
+        np.multiply(s[0], s[0], nrm)
+        for v in s[1:]:
+            np.add(nrm, np.multiply(v, v, t), nrm)
+        np.sqrt(nrm, nrm)
         for v in s:
-            v /= nrm
+            np.divide(v, nrm, v)
         return s, noise
 
     def bloch(state):
@@ -498,29 +527,36 @@ def _first_order_kernel(cfg: SimConfig, n: int):
     def final(state, i):
         return state_from_bloch(BlochVector(*(float(c[i]) for c in bloch(state))))
 
-    s0 = cfg.initial
-    plane = s0.sy == 0.0 and math.copysign(1.0, s0.sy) > 0.0
-    start = tuple(np.full(n, c, dtype=np.float64)
-                  for c in ((s0.sx, s0.sz) if plane else s0.as_tuple()))
-    return start, step, bloch, final
+    for x, c in zip(a, s0):
+        x.fill(c)
+    return a, step, bloch, final
 
 
 def _kernel(cfg: SimConfig):
     return _exact_kernel if cfg.homodyne.mode is UpdateMode.EXACT else _first_order_kernel
 
 
+def _pushes(cfg: SimConfig, names) -> bool:
+    # Whether the loop fills the ring with each record's shift: where the
+    # exact kernel's drive or a recorded shift reads it.  The first-order
+    # kernel never reads the shift.
+    return cfg.law.enabled and (cfg.homodyne.mode is UpdateMode.EXACT or "shift" in names)
+
+
 def _slab_plan(cfg: SimConfig, state, block: int, names=_BLOCH_NAMES):
     # The loop's layout for slabs of ``block`` steps over the columns of the
     # kernel's ``state``: the recorded steps, and the (shape, dtype) of each
     # buffer: the noise slab in padded rows, the delay ring, and one slab's
-    # state rows and other records.  The records have a row for each
-    # recorded step of the fullest slab; slab 0 also holds step 0, and a
-    # run of 0 steps is one slab of no steps.
+    # state rows and other records.  The ring has a slot per delay step
+    # where the loop fills it, and otherwise one slot, which stays 0.  The
+    # records have a row for each recorded step of the fullest slab; slab
+    # 0 also holds step 0, and a run of 0 steps is one slab of no steps.
     n, f8 = len(state[0]), np.dtype(np.float64)
     ks = _recorded_steps(cfg.steps, cfg.record_stride).tolist()
     ends = [min(k0 + block, cfg.steps) for k0 in range(0, max(cfg.steps, 1), block)]
     size = int(np.max(np.diff(np.searchsorted(ks, ends, side="right"), prepend=0)))
-    plan = [((n, _slab_width(block)), f8), ((n, cfg.delay), f8)]
+    slots = cfg.delay if _pushes(cfg, names) else 1
+    plan = [((n, _slab_width(block)), f8), ((n, slots), f8)]
     plan += [((size, n), c.dtype) for c in state]
     return ks, plan + [((size, n), f8) for _ in names[len(_BLOCH_NAMES):]]
 
@@ -533,7 +569,8 @@ def _slab_records(cfg: SimConfig, indices, block: int, rows: int, names=_BLOCH_N
     Step k hands the kernel the (n, delay) ring and the slot ``k % delay``
     due now, records that slot's shift, and only then overwrites it with
     the shift this interval's record calls for, which falls due ``delay``
-    steps later.
+    steps later.  Where nothing reads those shifts, the ring is one slot
+    of zeros (_slab_plan).
     The noise comes from an (n, block) slab of the per-row streams,
     refilled every ``block`` steps.  The loop records the state itself,
     in the kernel's dtype, next to the other records; at the end of each
@@ -552,15 +589,15 @@ def _slab_records(cfg: SimConfig, indices, block: int, rows: int, names=_BLOCH_N
     ops = _operands(cfg)
     state, step, bloch, final = _kernel(cfg)(cfg, len(indices))
     ks, plan = _slab_plan(cfg, state, block, names)
-    # The first-order kernel never reads the shift, so its ring is filled
-    # only when the shift is recorded.
-    push = cfg.law.enabled and (hom.mode is UpdateMode.EXACT or "shift" in names)
+    push = _pushes(cfg, names)
 
     def blocks():
         nonlocal state
         gens = _generators(cfg.master_seed, indices)
         slab, ring, *recs = (np.empty(shape, dtype) for shape, dtype in plan)
         ring.fill(0.0)
+        # Each slot's view, taken once per run: the push writes into it.
+        slots = list(ring.T)
         # One slab's records: the state rows, which the readout turns into
         # a block's Bloch rows, and the other records.
         held, kept = recs[:len(state)], recs[len(state):]
@@ -579,15 +616,15 @@ def _slab_records(cfg: SimConfig, indices, block: int, rows: int, names=_BLOCH_N
                 gen.standard_normal(out=row)
             xi *= hom.alpha_mag
             for k, noise in enumerate(xi.T, k0):
-                j = k % cfg.delay
+                j = k % len(slots)
                 state, dn_qf = step(state, ring, j, noise)
-                shift = ring[:, j]
+                shift = slots[j]
                 if k + 1 == ks[r]:
                     for a, v in zip(recs, state + (dn_qf, shift)):
                         a[r - r0] = v
                     r += 1
                 if push:
-                    np.multiply(ops.two_alpha, feedback_amplitude(dn_qf, ops, ops), out=shift)
+                    np.multiply(ops.two_alpha, feedback_amplitude(dn_qf, ops, ops, shift), shift)
             for b in range(0, r - r0, rows):
                 e = min(b + rows, r - r0)
                 part = bloch(tuple(c[b:e] for c in held)) + tuple(c[b:e] for c in kept)
@@ -621,7 +658,7 @@ def _simulate(cfg: SimConfig, indices):
     """
     n = len(indices)
     block, rows = _slab_steps(cfg.steps, n), max(1, _READOUT_CELLS // n)
-    _check_memory(cfg, n, False, block, rows, _REC_NAMES)
+    _check_memory(cfg, n, 1, block, rows, _REC_NAMES)
     blocks, final = _slab_records(cfg, indices, block, rows, _REC_NAMES)
     parts = [[a.copy() for a in part] for part in blocks]
     rec = dict(zip(_REC_NAMES, map(np.concatenate, zip(*parts))))
@@ -775,24 +812,30 @@ def _mem_available() -> int | None:
     return None
 
 
-def _check_memory(cfg: SimConfig, n: int, pooled: bool, block: int, rows: int,
+def _check_memory(cfg: SimConfig, n: int, procs: int, block: int, rows: int,
                   names=_BLOCH_NAMES) -> None:
     # Raises ValueError when the estimated peak of a run of n trajectories
-    # that keeps the records ``names`` (as _slab_records does) exceeds
-    # MemAvailable.  Nothing in it grows with the run's length but the
-    # statistics, or the joined records of a run that keeps them all.  Per
-    # trajectory, in whichever process runs it: its part of every buffer of
-    # the slab plan, its generator, and in exact mode the kernel's own
-    # arrays (_exact_buffers), the window of drive factors included.
-    start = _kernel(cfg)(cfg, 1)[0]
+    # over ``procs`` processes that keeps the records ``names`` (as
+    # _slab_records does) exceeds MemAvailable.  Nothing in it grows with
+    # the run's length but the statistics, or the joined records of a run
+    # that keeps them all.  Per trajectory, in whichever process runs it:
+    # its part of every buffer of the slab plan, its generator, and the
+    # kernel's own arrays (_exact_buffers, the window of drive factors
+    # included, or _first_order_buffers).  Per process, the views of the
+    # ring's slots and of the window's columns.
+    start = tuple(np.array([c]) for c in _start(cfg))
     ks, plan = _slab_plan(cfg, start, block, names)
-    own = 0
     if cfg.homodyne.mode is UpdateMode.EXACT:
-        # Each array once: the two pairs share their scratch.
-        bufs = _exact_buffers(1, start[0].dtype, cfg.delay if cfg.law.enabled else 0)
-        own = sum({id(a): a.nbytes for out in bufs for a in out}.values())
+        slots = cfg.delay if cfg.law.enabled else 0
+        bufs = _exact_buffers(1, start[0].dtype, slots)
+    else:
+        slots, bufs = 0, _first_order_buffers(1, len(start))
+    # Each array once: the exact kernel's two pairs share their scratch.
+    own = sum({id(a): a.nbytes for out in bufs for a in out}.values())
     need = n * (_GENERATOR_BYTES + own + sum(
         math.prod(shape) * dtype.itemsize for shape, dtype in plan))
+    ring_slots = plan[1][0][1]
+    need += procs * _VIEW_BYTES * (ring_slots + 2 * slots)
     # Per cell of a readout block, which never spans two slabs and so has
     # at most a slab's recorded rows: the Bloch readout's 24 B and the
     # reduction's temporaries; in a pool also the pickled copy a worker
@@ -801,7 +844,7 @@ def _check_memory(cfg: SimConfig, n: int, pooled: bool, block: int, rows: int,
     # run_trajectory's record, and where every record is kept (_simulate),
     # each block's copy of them and their join: 16 B per record, recorded
     # step and trajectory.
-    need += (128 + 120 * pooled) * n * min(rows, plan[-1][0][0])
+    need += (128 + 120 * (procs > 1)) * n * min(rows, plan[-1][0][0])
     need += (160 + 16 * n * len(names) * (names == _REC_NAMES)) * len(ks)
     avail = _mem_available()
     if avail is not None and need > avail:
@@ -845,7 +888,7 @@ def run_ensemble(cfg: SimConfig, workers: int = 1) -> EnsembleStats:
     # blocks of as many rows, so block b covers the same steps in all.
     block = _slab_steps(cfg.steps, len(chunks[0]))
     rows = max(1, _READOUT_CELLS // cfg.trajectories)
-    _check_memory(cfg, cfg.trajectories, workers > 1, block, rows)
+    _check_memory(cfg, cfg.trajectories, workers, block, rows)
     if workers == 1:
         blocks = _slab_records(cfg, chunks[0], block, rows)[0]
     else:

@@ -187,6 +187,22 @@ def test_negative_value_after_a_space_is_the_flags_value(capsys):
     assert "theta_bar must lie in [0, pi]" in capsys.readouterr().err
 
 
+def test_negative_value_after_a_flag_prefix_is_the_flags_value(capsys):
+    """As argparse resolves a unique prefix of a flag to the flag, a value
+    that starts with "-" after such a prefix is that flag's value too; an
+    ambiguous prefix stays argparse's usage error."""
+    run = ("--trajectories", "2", "--steps", "3")
+    outputs = []
+    for form in (("--init", "-1,0,0"), ("--in", "-1,0,0"), ("--initial=-1,0,0",)):
+        assert cli.main([*form, *run]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] == outputs[2] != ""
+    assert cli.main(["--theta", "-1e-3", *run]) == 2
+    assert "theta_bar must lie in [0, pi]" in capsys.readouterr().err
+    assert cli.main(["--g", "-1", *run]) == 2
+    assert "ambiguous option: --g" in capsys.readouterr().err
+
+
 def test_unwritable_output_exits_one():
     out = run_cli("--preset", "fig1-field", "--out", "/nonexistent/dir/x.csv")
     assert out.returncode == 1

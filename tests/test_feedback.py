@@ -46,6 +46,24 @@ def test_amplitude_worked_examples():
     assert feedback_amplitude(1234.0, off, CFG) == 0.0
 
 
+@pytest.mark.parametrize("law", [FeedbackLaw(theta_bar=1.2), FeedbackLaw(theta_bar=math.pi),
+                                 FeedbackLaw(theta_bar=1.2, enabled=False)],
+                         ids=["on", "theta-pi", "off"])
+def test_amplitude_out_holds_the_bits_of_the_fresh_form(law):
+    """feedback_amplitude given ``out`` writes and returns the bits of its
+    fresh form, into a strided column of a ring too, and into dn_qf
+    itself; with the law off it writes zeros."""
+    dn = 100.0 * np.random.default_rng(4).standard_normal(32)
+    want = np.broadcast_to(feedback_amplitude(dn, law, CFG), dn.shape)
+    ring = np.full((32, 3), np.nan)
+    assert feedback_amplitude(dn, law, CFG, ring[:, 1]).tobytes() == want.tobytes()
+    assert ring[:, 1].tobytes() == want.tobytes()
+    assert np.isnan(ring[:, [0, 2]]).all()
+    same = dn.copy()
+    assert feedback_amplitude(same, law, CFG, same) is same
+    assert same.tobytes() == want.tobytes()
+
+
 def test_queue_advances_in_order():
     law = FeedbackLaw(theta_bar=math.pi / 2.0)
     fb = FeedbackState((0.0, 0.0, 0.0))

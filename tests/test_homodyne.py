@@ -264,6 +264,32 @@ def test_delta_theta_examples():
         assert ds.norm() == k * (1.0 + math.cos(theta)) == d
 
 
+@pytest.mark.parametrize("plane", [True, False], ids=["in-plane", "out-of-plane"])
+def test_field_and_record_mean_write_the_bits_of_their_fresh_form(plane):
+    """_step_field and _record_mean given ``out`` arrays write the bits
+    their operator forms return, signed zeros included, into those arrays,
+    and leave their inputs alone."""
+    rng = np.random.default_rng(3)
+    sx, sy, sz = rng.uniform(-1.0, 1.0, (3, 64))
+    sx[:4] = sz[:4] = [0.0, -0.0, 0.0, -0.0]
+    sz[4:8] = 0.5
+    if plane:
+        sy = None
+    inputs = [a.tobytes() for a in (sx, sz)]
+    for cz in (-1.0, 0.5):
+        want = homodyne._step_field(sx, sy, sz, cz)
+        out = tuple(np.full(64, np.nan) for _ in range(4))
+        got = homodyne._step_field(sx, sy, sz, cz, out)
+        assert got[1] is None if plane else got[1] is out[1]
+        for g, w, o in zip(got, want, out):
+            if w is not None:
+                assert g is o and g.tobytes() == w.tobytes()
+    mean = np.empty(64)
+    assert homodyne._record_mean(sx, CFG, mean) is mean
+    assert mean.tobytes() == homodyne._record_mean(sx, CFG).tobytes()
+    assert [a.tobytes() for a in (sx, sz)] == inputs
+
+
 def test_config_validation_messages():
     with pytest.raises(ValueError, match="floor"):
         HomodyneConfig(alpha_mag=5.0)

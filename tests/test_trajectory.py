@@ -25,7 +25,7 @@ import types
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from monitored_atom import (
     BlochVector,
@@ -448,21 +448,21 @@ def test_float64_kernel_rejects_complex_amplitudes(law):
 
 
 @pytest.mark.parametrize("initial,arrays", [
-    pytest.param(BlochVector(0.6, 0.0, 0.8), 2, id="float64"),
-    pytest.param(BlochVector(0.36, 0.48, 0.8), 3, id="complex128"),
+    pytest.param(BlochVector(0.6, 0.0, 0.8), 0, id="float64"),
+    pytest.param(BlochVector(0.36, 0.48, 0.8), 2, id="complex128"),
 ])
 def test_exact_step_writes_only_arrays_the_kernel_owns(initial, arrays):
     """Over 300 exact law-on steps at delay 5, each step, with the loop's
-    feedback push after it, leaves the pair it is handed unchanged and
-    returns the kernel's other pair: the start and one more pair, in turn.
-    After the first window, tracemalloc sees each step and push hold at
-    most ``arrays`` float64 arrays of n elements at once beyond what was
-    live before them, and never half an array more (measured 2.006 and
-    3.006; a step returning fresh arrays read 11.0 and 19.0).  On float64
-    those are _record_mean's result, which the step returns as dn_qf, and
-    then feedback_amplitude's result and the quotient it computes first.
-    On complex128 the step also holds numpy's buffer of 16 B per element
-    while a real factor of the conditioned update is cast to complex."""
+    feedback push into the ring's slot after it, leaves the pair it is
+    handed unchanged and returns the kernel's other pair: the start and
+    one more pair, in turn.  After the first window, tracemalloc sees each
+    step and push hold at most ``arrays`` float64 arrays of n elements at
+    once beyond what was live before them, and never half an array more
+    (measured 0.003 and 2.003; with fresh arrays for the record mean and
+    the feedback amplitude they read 2.01 and 3.01, and a step returning
+    fresh arrays 11.0 and 19.0).  On complex128 the step holds numpy's
+    buffer of 16 B per element while a real factor of the conditioned
+    update is cast to complex."""
     n, delay = 4096, 5
     cfg = SimConfig(homodyne=EXACT_CFG, law=FeedbackLaw(theta_bar=1.2), initial=initial,
                     steps=300, trajectories=n, delay=delay)
@@ -481,7 +481,8 @@ def test_exact_step_writes_only_arrays_the_kernel_owns(initial, arrays):
             live = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
             new, dn_qf = step(state, ring, j, noise)
-            np.multiply(ops.two_alpha, feedback_amplitude(dn_qf, ops, ops), out=ring[:, j])
+            slot = ring[:, j]
+            np.multiply(ops.two_alpha, feedback_amplitude(dn_qf, ops, ops, slot), slot)
             if k >= delay:
                 held.append(tracemalloc.get_traced_memory()[1] - live)
             assert [c.tobytes() for c in state] == handed
@@ -493,6 +494,47 @@ def test_exact_step_writes_only_arrays_the_kernel_owns(initial, arrays):
     finally:
         tracemalloc.stop()
     assert max(held) < (arrays + 0.5) * 8 * n
+
+
+@pytest.mark.parametrize("initial", [
+    pytest.param(BlochVector(0.6, 0.0, 0.8), id="in-plane"),
+    pytest.param(BlochVector(0.36, 0.48, 0.8), id="out-of-plane"),
+])
+def test_first_order_step_writes_only_arrays_the_kernel_owns(initial):
+    """Over 300 first-order law-on steps, each step leaves the state it is
+    handed unchanged and returns the kernel's other state: the start and
+    one more, in turn.  tracemalloc sees no step hold half a float64 array
+    of n elements beyond what was live before it (measured at most 0.04
+    in the plane and 0.006 out of it; a step returning fresh arrays read
+    5.1 and 7.0)."""
+    n = 4096
+    cfg = SimConfig(homodyne=FO_CFG, law=FeedbackLaw(theta_bar=1.2), initial=initial,
+                    steps=300, trajectories=n)
+    state, step, _, _ = trajectory._first_order_kernel(cfg, n)
+    states = [state]
+    ring = np.zeros((n, 1))
+    rng = np.random.default_rng(5)
+    held = []
+    tracemalloc.start()
+    try:
+        for k in range(cfg.steps):
+            noise = FO_CFG.alpha_mag * rng.standard_normal(n)
+            handed = [c.tobytes() for c in state]
+            live = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            new, dn_qf = step(state, ring, 0, noise)
+            held.append(tracemalloc.get_traced_memory()[1] - live)
+            assert dn_qf is noise
+            assert [c.tobytes() for c in state] == handed
+            if k == 0:
+                states.append(new)
+            assert new is not state
+            assert len(new) == len(state) == (2 if initial.sy == 0.0 else 3)
+            assert all(c is p for c, p in zip(new, states[(k + 1) % 2]))
+            state = new
+    finally:
+        tracemalloc.stop()
+    assert max(held) < 0.5 * 8 * n
 
 
 @pytest.mark.parametrize("law,initial", [
@@ -509,20 +551,24 @@ def test_in_plane_first_order_state_matches_its_three_column_copy(law, initial):
     bits, signs of zero included, with s_y +0.0 throughout, so the layout
     never shows in the output.  From (-0.0, 0, -1) with the law off,
     s_z (s_z - cz) is -0.0: there s_x's sign follows the +0.0 that s_y^2
-    adds to f_x."""
+    adds to f_x.  A kernel owns states of its start's layout only, so the
+    copy is stepped by the kernel of an out-of-plane start with the same
+    homodyne config and law."""
     cfg = SimConfig(homodyne=FO_CFG, law=law, initial=initial, steps=200, trajectories=6)
     n = cfg.trajectories
     two, step, bloch, _ = trajectory._first_order_kernel(cfg, n)
     assert len(two) == 2
     for oop in (BlochVector(0.36, 0.48, 0.8), BlochVector(0.6, -0.0, 0.8)):
-        assert len(trajectory._first_order_kernel(dataclasses.replace(cfg, initial=oop), n)[0]) == 3
-    three = (two[0], np.zeros(n), two[1])
+        start, three_step, _, _ = trajectory._first_order_kernel(
+            dataclasses.replace(cfg, initial=oop), n)
+        assert len(start) == 3
+    three = (two[0].copy(), np.zeros(n), two[1].copy())
     rng = np.random.default_rng(77)
     xi = rng.standard_normal((cfg.steps, n))
     ring = np.zeros((n, 1))
     for k in range(cfg.steps):
         two, _ = step(two, ring, 0, FO_CFG.alpha_mag * xi[k])
-        three, _ = step(three, ring, 0, FO_CFG.alpha_mag * xi[k])
+        three, _ = three_step(three, ring, 0, FO_CFG.alpha_mag * xi[k])
         assert two[0].tobytes() == three[0].tobytes()
         assert two[1].tobytes() == three[2].tobytes()
         assert np.all(three[1] == 0.0) and not np.any(np.signbit(three[1]))
@@ -1187,6 +1233,36 @@ def test_per_slab_reduction_matches_one_slab(monkeypatch, hom, initial, block, s
         assert np.array_equal(x, y)
 
 
+@pytest.mark.parametrize("mode", [UpdateMode.EXACT, UpdateMode.FIRST_ORDER])
+@settings(derandomize=True, database=None, deadline=None, max_examples=120,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(enabled=st.booleans(), start=_starts, n=st.integers(2, 9), steps=st.integers(1, 40),
+       delay=st.integers(1, 6), stride=st.integers(1, 6), seed=st.integers(0, 2**40 - 1),
+       block=st.integers(1, 12), cells=st.integers(1, 40), workers=st.integers(1, 3))
+def test_statistics_ignore_slabs_blocks_and_partition(serial_pool, mode, enabled, start, n, steps,
+                                                      delay, stride, seed, block, cells, workers):
+    """run_ensemble's statistics are the same bits whatever the slab length
+    (_NOISE_BYTES), the readout block rows (_READOUT_CELLS) and the split
+    of the ensemble over workers (the stub pool, so no process starts): in
+    both modes, with the law on and off, from starts on the target, in
+    the plane and out of it, with delays that cross slabs."""
+    law = FeedbackLaw(theta_bar=1.2, enabled=enabled)
+    cfg = SimConfig(homodyne=dataclasses.replace(EXACT_CFG, mode=mode), law=law,
+                    initial=law.target if start is None else start, steps=steps,
+                    trajectories=n, master_seed=seed, delay=delay, record_stride=stride)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(trajectory.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        whole = run_ensemble(cfg)
+        mp.setattr(trajectory, "_POOL_MIN_TRAJECTORIES", 2)
+        mp.setattr(trajectory, "_NOISE_BYTES", 8 * -(-n // workers) * block)
+        mp.setattr(trajectory, "_READOUT_CELLS", cells)
+        serial_pool.clear()
+        sliced = run_ensemble(cfg, workers)
+    assert len(serial_pool) == (workers if 1 < workers <= n // 2 else 0)
+    for x, y in zip(_stats_fields(whole), _stats_fields(sliced)):
+        assert np.array_equal(x, y)
+
+
 def test_in_process_peak_does_not_grow_with_the_run_length(monkeypatch):
     """Recorded at every step, a run twice as long raises the traced peak
     of run_ensemble by less than 10%: every process holds one slab's
@@ -1260,9 +1336,9 @@ def test_non_finite_record_names_its_trajectory(monkeypatch, serial_pool, worker
     record_mean = trajectory._record_mean
     calls = []
 
-    def poisoned(sx, hom):
+    def poisoned(sx, hom, out=None):
         calls.append(None)
-        mean = record_mean(sx, hom)
+        mean = record_mean(sx, hom, out)
         if len(calls) == 10:
             mean[4] = np.nan
         return mean
@@ -1290,8 +1366,8 @@ def _estimated(need):
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("initial,amp_bytes,own_bytes", [
-    pytest.param(BlochVector(0.6, 0.0, 0.8), 16, 48, id="float64"),
-    pytest.param(BlochVector(0.36, 0.48, 0.8), 32, 104, id="complex128"),
+    pytest.param(BlochVector(0.6, 0.0, 0.8), 16, 56, id="float64"),
+    pytest.param(BlochVector(0.36, 0.48, 0.8), 32, 112, id="complex128"),
 ])
 def test_memory_check_runs_before_any_draw_or_fork(monkeypatch, serial_pool, initial, amp_bytes,
                                                     own_bytes, workers):
@@ -1310,9 +1386,11 @@ def test_memory_check_runs_before_any_draw_or_fork(monkeypatch, serial_pool, ini
     # generator, 24 B of ring and 48 B for the drive factors of a 3-step
     # window per trajectory, the kernel's own arrays (two amplitude pairs
     # and their scratch: two float64 arrays on real amplitudes, one
-    # complex128 and three float64 on complex ones), and the amplitudes of
-    # the slab's recorded cells.
-    need = sum(n * (8 * 264 + 640 + 24 + 48 + own_bytes + amp_bytes * 257) for n in sizes)
+    # complex128 and three float64 on complex ones; and dn_qf), and the
+    # amplitudes of the slab's recorded cells; then a view of each of the
+    # 3 ring slots and of each of the window's 2 x 3 columns.
+    need = sum(n * (8 * 264 + 640 + 24 + 48 + own_bytes + amp_bytes * 257)
+               + 9 * trajectory._VIEW_BYTES for n in sizes)
     # Per cell of a block of 2^13 // 4096 = 2 recorded rows: 128 B, and
     # 120 B more in a pool; then the statistics of the 1001 recorded steps.
     need += (128 if workers == 1 else 248) * 4096 * 2 + 160 * 1001
@@ -1330,26 +1408,28 @@ def test_run_trajectory_checks_memory_for_its_one_trajectory(monkeypatch):
     def need(n, rows, kept):
         # Per trajectory: a 100-step slab in a row of 104 floats, its
         # generator, the 50 000-slot ring, 16 B per slot for the window's
-        # drive factors, the kernel's two float64 amplitude pairs and two
-        # scratch arrays, and the float64 amplitudes and the other kept
-        # records of 101 recorded steps; 128 B per cell of a readout block;
-        # 160 B per recorded step, and where all 5 records are kept, 16 B
-        # per record, recorded step and trajectory.
-        per = 8 * 104 + 640 + 8 * 50_000 + 16 * 50_000 + 48 + (16 + 8 * (kept - 3)) * 101
+        # drive factors, the kernel's two float64 amplitude pairs, two
+        # scratch arrays and dn_qf, and the float64 amplitudes and the
+        # other kept records of 101 recorded steps; 128 B per cell of a
+        # readout block; 160 B per recorded step, and where all 5 records
+        # are kept, 16 B per record, recorded step and trajectory.  In the
+        # one process, a view of each slot of the ring and of the window's
+        # two arrays.
+        per = 8 * 104 + 640 + 8 * 50_000 + 16 * 50_000 + 56 + (16 + 8 * (kept - 3)) * 101
         total = n * per + 128 * n * rows + (160 + 16 * n * kept * (kept == 5)) * 101
-        return _estimated(total)
+        return _estimated(total + 3 * 50_000 * trajectory._VIEW_BYTES)
 
     seed = trajectory.trajectory_seed
     monkeypatch.setattr(trajectory, "trajectory_seed", _never)
     monkeypatch.setattr(trajectory, "_mem_available", lambda: 1 << 20)
-    assert need(1, 101, 5) == "estimated 1.2 MB"
+    assert need(1, 101, 5) == "estimated 18.4 MB"
     with pytest.raises(ValueError, match=rf"{re.escape(need(1, 101, 5))} .* the 1\.0 MB available"):
         run_trajectory(cfg, 0)
     monkeypatch.setattr(trajectory, "trajectory_seed", seed)
     monkeypatch.setattr(trajectory, "_mem_available", lambda: 64 << 20)
     wide = dataclasses.replace(cfg, trajectories=4096)
     assert run_trajectory(wide, 0).steps[-1] == 100
-    assert need(4096, 2, 3) == "estimated 4700.8 MB"
+    assert need(4096, 2, 3) == "estimated 4718.0 MB"
     with pytest.raises(ValueError, match=rf"{re.escape(need(4096, 2, 3))} .* the 64\.0 MB available"):
         run_ensemble(wide)
 
@@ -1378,11 +1458,11 @@ def test_memory_estimate_bounds_the_traced_peak(monkeypatch, run, hom, initial, 
                                                 delay):
     """The memory check's estimate is at least what the run allocates:
     the traced peak of a one-worker run stays at or below it (measured
-    1.5 MB against 1.9 MB, 1.7 against 2.1, and 11.3 and 11.4 against
-    12.1 and 12.2 for the first-order state of two and three columns).  At
-    delay 2500 the exact kernel's window of drive factors and the ring
-    dominate: 5.2 MB against 5.6 on float64 and 5.4 against 5.8 on
-    complex128.  _simulate, which keeps every record of its 64
+    1.5 MB against 1.9 MB, 1.7 against 2.1, and 11.4 and 11.4 against
+    12.2 and 12.4 for the first-order state of two and three columns).  At
+    delay 2500 the exact kernel's window of drive factors, the ring and
+    their views dominate: 6.0 MB against 6.5 on float64 and 6.2 against
+    6.7 on complex128.  _simulate, which keeps every record of its 64
     trajectories over 20 000 steps, holds each block's copy and their
     join: 98.7 MB against 102.4."""
     law = FeedbackLaw(theta_bar=1.2)
@@ -1482,6 +1562,39 @@ def test_first_order_ensemble_skips_the_unread_ring(monkeypatch):
         assert np.array_equal(stats.var[:, c], var)
 
 
+@pytest.mark.parametrize("hom,law", [
+    pytest.param(EXACT_CFG, FeedbackLaw(enabled=False), id="exact-law-off"),
+    pytest.param(FO_CFG, FeedbackLaw(theta_bar=1.2), id="first-order-law-on"),
+])
+def test_unread_ring_takes_no_memory_per_delay_slot(monkeypatch, hom, law):
+    """Where no kernel step and no record reads the shifts, the ring is one
+    slot of zeros: at delay 10^5 a run of 16 trajectories is estimated as
+    at delay 1, its traced peak stays under 1 MB (measured 0.40 and 0.34
+    MB, where a ring of every slot took 12.6 and 12.5 MB), and its
+    statistics are those of delay 1."""
+    cfg = SimConfig(homodyne=hom, law=law, initial=BlochVector(0.6, 0.0, 0.8), steps=300,
+                    trajectories=16, delay=100_000)
+    monkeypatch.setattr(trajectory, "_mem_available", lambda: 1)
+    estimates = []
+    for delay in (1, cfg.delay):
+        with pytest.raises(ValueError, match="estimated") as err:
+            run_ensemble(dataclasses.replace(cfg, delay=delay))
+        estimates.append(str(err.value))
+    assert estimates[0] == estimates[1]
+    monkeypatch.setattr(trajectory, "_mem_available", lambda: None)
+    # A first call fills numpy's one-time caches, which are not the run's.
+    run_ensemble(dataclasses.replace(cfg, steps=2))
+    tracemalloc.start()
+    try:
+        stats = run_ensemble(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    for x, y in zip(_stats_fields(stats), _stats_fields(run_ensemble(dataclasses.replace(cfg, delay=1)))):
+        assert np.array_equal(x, y)
+
+
 def test_small_ensemble_long_run_memory_stays_near_one_slab(monkeypatch):
     """16 trajectories recorded at each of 10^4 steps (the shape of a
     delay trace): run_ensemble's traced peak stays under 3 MB (measured
@@ -1497,11 +1610,12 @@ def test_small_ensemble_long_run_memory_stays_near_one_slab(monkeypatch):
         run_ensemble(cfg)
     # Per trajectory: a 256-step slab in a row of 264 floats, its
     # generator, a 20-slot ring, 16 B per slot for the window's drive
-    # factors, the kernel's two float64 amplitude pairs and two scratch
-    # arrays, and the float64 amplitudes of 257 recorded steps; 128 B per
-    # cell of a readout block of 257 rows; 160 B per recorded step.
-    need = (16 * (8 * 264 + 640 + 8 * 20 + 16 * 20 + 48 + 16 * 257) + 128 * 16 * 257
-            + 160 * 10_001)
+    # factors, the kernel's two float64 amplitude pairs, two scratch
+    # arrays and dn_qf, and the float64 amplitudes of 257 recorded steps;
+    # 128 B per cell of a readout block of 257 rows; 160 B per recorded
+    # step; a view of each slot of the ring and of the window's two arrays.
+    need = (16 * (8 * 264 + 640 + 8 * 20 + 16 * 20 + 56 + 16 * 257) + 128 * 16 * 257
+            + 160 * 10_001 + 3 * 20 * trajectory._VIEW_BYTES)
     assert _estimated(need) in str(err.value)
     monkeypatch.setattr(trajectory, "_mem_available", lambda: None)
     # A first call fills numpy's one-time caches, which are not the run's.
