@@ -38,6 +38,8 @@ import sys
 from itertools import islice
 from typing import Mapping
 
+import numpy as np
+
 from .state import BlochVector
 from .homodyne import HomodyneConfig, _rotation_field, _step_field
 from .feedback import FeedbackLaw
@@ -51,7 +53,7 @@ ENSEMBLE_COLUMNS = [
 ]
 FIELD_COLUMNS = ["grid_sx", "grid_sy", "grid_sz", "dsx", "dsy", "dsz"]
 SWEEP_COLUMNS = ["delay"] + ENSEMBLE_COLUMNS
-# Table rows made from the statistics, and rendered, per JSON write.
+# Table rows made, and rendered, per JSON write.
 _EMIT_ROWS = 512
 _ROW_BOUNDARY = "\n    ],\n    [\n      "
 
@@ -277,12 +279,14 @@ def _field_table(settings: Mapping[str, object]):
     nonlinear = settings["preset"] == "fig2-field"
 
     def rows():
-        # The table, made one row at a time as it is written.
-        for x, y, z in _sphere_grid(n):
+        # The table, made _EMIT_ROWS grid points at a time as it is written.
+        grid = _sphere_grid(n)
+        while block := list(islice(grid, _EMIT_ROWS)):
+            x, y, z = np.array(block).T
             f = _step_field(x, y, z, -1.0)
             if nonlinear:
                 f = [a - b for a, b in zip(f, _rotation_field(x, z))]
-            yield [x, y, z, *f]
+            yield from np.array([x, y, z, *f]).T.tolist()
 
     return FIELD_COLUMNS, rows(), {"preset": settings["preset"], "grid_points": n}
 

@@ -98,9 +98,9 @@ def feedback_amplitude(dn_qf, law: FeedbackLaw, cfg: HomodyneConfig, out=None):
     array ``out`` of dn_qf's shape, which may be dn_qf itself, receives
     the amplitude, the same bits, and is returned.
     """
-    if out is None:
-        return law.gain * (dn_qf / cfg.two_alpha) if law.enabled else 0.0
     if not law.enabled:
+        if out is None:
+            return 0.0
         out.fill(0.0)
         return out
     return np.multiply(law.gain, np.divide(dn_qf, cfg.two_alpha, out), out)

@@ -164,8 +164,6 @@ def _record_mean(sx, cfg: HomodyneConfig, out=None):
     # Dipole interference term of the record mean; shared by the scalar
     # sampler and the vectorized kernels so both produce identical values.
     # ``out`` as for _kappa below.
-    if out is None:
-        return cfg.record_gain * sx
     return np.multiply(cfg.record_gain, sx, out)
 
 
@@ -189,10 +187,7 @@ def _kappa(dn, cfg: HomodyneConfig, out=None):
     # Pinned evaluation order: sqrt(gamma tau) * (dn / alpha).  This law and
     # those below take an optional ``out``: arrays to write in place of fresh
     # ones, passed as positional ufunc arguments.  The same ufuncs run
-    # either way, so the bits do not depend on it.  Without one, the
-    # operators keep Python floats for the scalar callers.
-    if out is None:
-        return cfg.sqrt_gamma_tau * (dn / cfg.alpha_mag)
+    # either way, so the bits do not depend on it.
     return np.multiply(cfg.sqrt_gamma_tau, np.divide(dn, cfg.alpha_mag, out), out)
 
 
@@ -270,13 +265,10 @@ def _step_field(sx, sy, sz, cz, out=None):
     # ``out`` is (f_x, f_y, f_z, scratch for s_y^2), f_y and the scratch
     # unused when sy is None, none of them one of sx, sy and sz.
     plane = sy is None
-    if out is None:
-        fx = (0.0 if plane else sy * sy) + sz * (sz - cz)
-        return fx, None if plane else -(sx * sy), sx * (cz - sz)
-    fx, fy, fz, t = out
-    np.multiply(sz, np.subtract(sz, cz, fx), fx)
-    np.add(0.0 if plane else np.multiply(sy, sy, t), fx, fx)
-    return (fx, None if plane else np.negative(np.multiply(sx, sy, fy), fy),
+    fx, fy, fz, t = out or (None,) * 4
+    f = np.multiply(sz, np.subtract(sz, cz, fx), fx)
+    return (np.add(0.0 if plane else np.multiply(sy, sy, t), f, fx),
+            None if plane else np.negative(np.multiply(sx, sy, fy), fy),
             np.multiply(sx, np.subtract(cz, sz, fz), fz))
 
 

@@ -47,17 +47,18 @@ multiply or divide by are 0-d float64 arrays, built once per run.  At 16
 trajectories a ufunc call with a Python float operand took about 590 ns
 and one with a 0-d array about 410 ns (numpy 2.4, 2-core x86-64); under
 NEP 50 both select the same float64 or complex128 loop, so the bits are
-those of the Python floats that the scalar reference keeps.  The buffer
-rule: no step allocates.  Each kernel writes its state, its field or
-rotation and conditioned update, the exact window's factors and dn_qf
-into arrays it builds once per run, on 64-byte boundaries, with
-positional ufunc ``out`` arguments, where each operation would otherwise
-return a fresh array; the feedback push writes into the ring's slot
-itself; and the views of the ring's slots and of the window's columns
-are taken once per run.  At 2000 trajectories and delay 1 a loop of 1000
-exact steps and pushes went from 44.8 to 36.9 ms, and one first-order
-step at 10^4 trajectories from 57 to 48 us (numpy 2.4, 2-core x86-64);
-the same ufuncs run, so the bits are those of the fresh arrays.
+those of the Python floats that the scalar reference passes to the same
+ufuncs.  The buffer rule: no step allocates.  Each kernel writes its
+state, its field or rotation and conditioned update, the exact window's
+factors and dn_qf into arrays it builds once per run, on 64-byte
+boundaries, with positional ufunc ``out`` arguments, where each
+operation would otherwise return a fresh array; the feedback push writes
+into the ring's slot itself; and the views of the ring's slots and of
+the window's columns are taken once per run.  At 2000 trajectories and
+delay 1 a loop of 1000 exact steps and pushes went from 44.8 to 36.9 ms,
+and one first-order step at 10^4 trajectories from 57 to 48 us (numpy
+2.4, 2-core x86-64); the same ufuncs run, so the bits are those of the
+fresh arrays.
 
 Reproducibility
 ---------------
@@ -407,18 +408,18 @@ def _exact_buffers(n: int, dtype, slots: int) -> tuple:
     # one dtype: two amplitude pairs, which the steps fill in turn, and
     # their scratch, given as each pair's _condition ``out``, whose first
     # three are its _rotate ``out``; then the window, the (cosines, sines)
-    # of the drive for ``slots`` delay slots, 16 B per slot; then dn_qf.
-    # Real amplitudes need two float64 scratch arrays (t is u, and w,
-    # which _condition leaves unused on them, is v), complex ones a
-    # complex128 t and three float64.
+    # of the drive for ``slots`` delay slots, 16 B per slot; then dn_qf and
+    # p, which holds c_e* c_g for s_x.  Real amplitudes need two float64
+    # scratch arrays (t and p are u, and w, unused on them, is v), complex
+    # ones a complex128 t and p and three float64.
     e0, g0, e1, g1 = (_aligned_empty((n,), dtype) for _ in range(4))
     u, v = _aligned_empty((n,)), _aligned_empty((n,))
     if np.dtype(dtype).kind == "f":
-        t, w = u, v
+        t, w, p = u, v, u
     else:
-        t, w = _aligned_empty((n,), dtype), _aligned_empty((n,))
+        t, w, p = _aligned_empty((n,), dtype), _aligned_empty((n,)), _aligned_empty((n,), dtype)
     window = _aligned_empty((n, slots)), _aligned_empty((n, slots))
-    return (e0, g0, t, u, v, w), (e1, g1, t, u, v, w), window, (_aligned_empty((n,)),)
+    return (e0, g0, t, u, v, w), (e1, g1, t, u, v, w), window, (_aligned_empty((n,)), p)
 
 
 def _exact_kernel(cfg: SimConfig, n: int):
@@ -442,7 +443,7 @@ def _exact_kernel(cfg: SimConfig, n: int):
     amps = _start(cfg)
     dtype = np.result_type(*amps)
     real = dtype.kind == "f"
-    a, b, window, (dn,) = _exact_buffers(n, dtype, cfg.delay if ops.enabled else 0)
+    a, b, window, (dn, p) = _exact_buffers(n, dtype, cfg.delay if ops.enabled else 0)
     hc, hs = (list(x.T) for x in window)
     # Each pair as a step writes it: its _rotate out, its _condition out
     # and the scratch t and u, taken apart once per run; slicing them in
@@ -459,7 +460,9 @@ def _exact_kernel(cfg: SimConfig, n: int):
         if real:
             sx = np.multiply(ops.two, np.multiply(cE, cG, u), u)
         else:
-            sx = np.multiply(ops.two, np.multiply(np.conjugate(cE, t), cG, t).real, u)
+            # Into p, not t: written into one of its own operands, numpy's
+            # complex multiply rounds differently at length 1 (run_trajectory).
+            sx = np.multiply(ops.two, np.multiply(np.conjugate(cE, t), cG, p).real, u)
         dn_qf = np.add(_record_mean(sx, ops, dn), noise, dn)
         return _condition(cE, cG, dn_qf, ops, out), dn_qf
 

@@ -240,10 +240,10 @@ def test_field_table_fig1():
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_field_table_streams_its_rows(tmp_path, fmt):
-    """A field table is made and written row by row, so its memory does
-    not grow with the grid: the traced peak of 2*10^4 points stays under
-    2 MB (measured 0.2 MB as CSV and 0.6 MB as JSON at 5*10^4), where a
-    table built whole took 0.37 KB per point, 7 MB here."""
+    """A field table is made and written one block of rows at a time, so
+    its memory does not grow with the grid: the traced peak of 2*10^4
+    points stays under 2 MB (measured 0.4 MB as CSV and 0.6 MB as JSON at
+    5*10^4), where a table built whole took 0.37 KB per point, 7 MB here."""
     out = tmp_path / f"field.{fmt}"
     argv = ["--preset", "fig2-field", "--format", fmt, "--out", str(out)]
     # A first call fills the one-time caches, which are not the table's.

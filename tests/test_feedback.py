@@ -52,9 +52,14 @@ def test_amplitude_worked_examples():
 def test_amplitude_out_holds_the_bits_of_the_fresh_form(law):
     """feedback_amplitude given ``out`` writes and returns the bits of its
     fresh form, into a strided column of a ring too, and into dn_qf
-    itself; with the law off it writes zeros."""
+    itself; with the law off it writes zeros.  On a Python float it
+    returns a float with the bits of the same element of its fresh form."""
     dn = 100.0 * np.random.default_rng(4).standard_normal(32)
+    dn[:2] = [0.0, -0.0]
     want = np.broadcast_to(feedback_amplitude(dn, law, CFG), dn.shape)
+    for d, w in zip(dn.tolist(), want):
+        f = feedback_amplitude(d, law, CFG)
+        assert isinstance(f, float) and np.float64(f).tobytes() == w.tobytes()
     ring = np.full((32, 3), np.nan)
     assert feedback_amplitude(dn, law, CFG, ring[:, 1]).tobytes() == want.tobytes()
     assert ring[:, 1].tobytes() == want.tobytes()

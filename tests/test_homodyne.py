@@ -266,16 +266,23 @@ def test_delta_theta_examples():
 
 @pytest.mark.parametrize("plane", [True, False], ids=["in-plane", "out-of-plane"])
 def test_field_and_record_mean_write_the_bits_of_their_fresh_form(plane):
-    """_step_field and _record_mean given ``out`` arrays write the bits
-    their operator forms return, signed zeros included, into those arrays,
-    and leave their inputs alone."""
+    """_step_field and _record_mean given ``out`` arrays write the bits of
+    their fresh form, signed zeros included, into those arrays, and leave
+    their inputs alone.  On Python floats, _step_field, _record_mean and
+    _kappa return floats with the bits of the same element of their array
+    result."""
     rng = np.random.default_rng(3)
     sx, sy, sz = rng.uniform(-1.0, 1.0, (3, 64))
     sx[:4] = sz[:4] = [0.0, -0.0, 0.0, -0.0]
     sz[4:8] = 0.5
+    sy[8:12] = [0.0, -0.0, 0.0, -0.0]
     if plane:
         sy = None
     inputs = [a.tobytes() for a in (sx, sz)]
+
+    def same_bits(scalar, want):
+        return isinstance(scalar, float) and np.float64(scalar).tobytes() == want.tobytes()
+
     for cz in (-1.0, 0.5):
         want = homodyne._step_field(sx, sy, sz, cz)
         out = tuple(np.full(64, np.nan) for _ in range(4))
@@ -284,9 +291,19 @@ def test_field_and_record_mean_write_the_bits_of_their_fresh_form(plane):
         for g, w, o in zip(got, want, out):
             if w is not None:
                 assert g is o and g.tobytes() == w.tobytes()
+        for j in range(64):
+            one = homodyne._step_field(sx[j].item(), None if plane else sy[j].item(),
+                                       sz[j].item(), cz)
+            assert (one[1] is None) == plane
+            assert all(w is None or same_bits(g, w[j]) for g, w in zip(one, want))
     mean = np.empty(64)
     assert homodyne._record_mean(sx, CFG, mean) is mean
     assert mean.tobytes() == homodyne._record_mean(sx, CFG).tobytes()
+    dn = 100.0 * sz
+    kappa = homodyne._kappa(dn, CFG)
+    for j in range(64):
+        assert same_bits(homodyne._record_mean(sx[j].item(), CFG), mean[j])
+        assert same_bits(homodyne._kappa(dn[j].item(), CFG), kappa[j])
     assert [a.tobytes() for a in (sx, sz)] == inputs
 
 

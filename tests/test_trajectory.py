@@ -284,40 +284,6 @@ def test_small_ensembles_run_in_process(monkeypatch, serial_pool, hom, below):
         assert np.array_equal(x, y)
 
 
-@pytest.mark.parametrize("hom,law,delay", [
-    pytest.param(EXACT_CFG, FeedbackLaw(enabled=False), 1, id="exact-off"),
-    pytest.param(EXACT_CFG, FeedbackLaw(theta_bar=math.pi / 3.0), 3, id="exact-on"),
-    pytest.param(FO_CFG, FeedbackLaw(theta_bar=math.pi / 3.0), 3, id="first-order-on"),
-])
-def test_single_trajectory_matches_its_ensemble_column(hom, law, delay):
-    """Membership in a larger batch must not change a trajectory."""
-    cfg = SimConfig(
-        homodyne=hom, law=law, initial=BlochVector(1.0, 0.0, 0.0),
-        steps=40, trajectories=7, master_seed=2718, delay=delay, record_stride=5,
-    )
-    _, rec, _ = _simulate(cfg, np.arange(cfg.trajectories))
-    sent = []
-
-    def send(part):
-        sent.append(None if part is None else tuple(a.copy() for a in part))
-
-    trajectory._simulate_chunk(cfg, np.arange(cfg.trajectories), 15, 2, send)
-    # A worker sends exactly the Bloch records, as the full run has them,
-    # in blocks of 2 rows that end with each slab of 15 steps (rows 0-3,
-    # 4-6 and 7-8), and then its end marker.
-    assert sent[-1] is None
-    assert [len(p[0]) for p in sent[:-1]] == [2, 2, 2, 1, 2]
-    for name, rows in zip(("sx", "sy", "sz"), zip(*sent[:-1])):
-        assert np.array_equal(np.concatenate(rows), rec[name])
-    for i in (0, 3, 6):
-        single = run_trajectory(cfg, i)
-        for c, name in enumerate(("sx", "sy", "sz")):
-            assert np.array_equal(single.bloch[:, c], rec[name][:, i])
-        assert np.array_equal(single.dn_qf, rec["dn_qf"][:, i])
-        assert np.array_equal(single.shift, rec["shift"][:, i])
-        assert np.array_equal(single.dn_total, rec["dn_qf"][:, i] + rec["shift"][:, i])
-
-
 @pytest.mark.parametrize("vectors", [
     pytest.param([(0.0, 0.0, 1.0), (0.0, 0.0, -1.0), (0.6, 0.0, 0.8), (-0.8, 0.0, -0.6),
                   (1.0, 0.0, 0.0)], id="float64"),
@@ -593,6 +559,56 @@ _starts = st.one_of(
     st.builds(_out_of_plane, st.floats(0.01, math.pi - 0.01),
               st.floats(0.01, math.pi - 0.01) | st.floats(math.pi + 0.01, 2.0 * math.pi - 0.01)),
 )
+
+
+# The examples, indices 0-6 from the start (1, 0, 0) at stride 5 and delays
+# 1 and 3, run with each mode and law pair.
+@pytest.mark.parametrize("hom,enabled", [
+    pytest.param(EXACT_CFG, False, id="exact-off"),
+    pytest.param(EXACT_CFG, True, id="exact-on"),
+    pytest.param(FO_CFG, False, id="first-order-off"),
+    pytest.param(FO_CFG, True, id="first-order-on"),
+])
+@settings(derandomize=True, database=None, deadline=None, max_examples=10)
+@given(indices=st.lists(st.integers(0, 2**40 - 1), min_size=2, max_size=9, unique=True).map(sorted),
+       start=_starts, delay=st.integers(1, 6), stride=st.integers(1, 6))
+@example(indices=list(range(7)), start=BlochVector(1.0, 0.0, 0.0), delay=1, stride=5)
+@example(indices=list(range(7)), start=BlochVector(1.0, 0.0, 0.0), delay=3, stride=5)
+def test_single_trajectory_matches_its_ensemble_column(hom, enabled, indices, start, delay, stride):
+    """Membership in a larger batch must not change a trajectory:
+    run_trajectory(cfg, i) is column i of _simulate(cfg, indices) bit for
+    bit, in its Bloch records, dn_qf, shift and final state, in both modes,
+    with the law on and off, from starts on the target, in the plane and
+    out of it, and a worker sends exactly those Bloch records."""
+    law = FeedbackLaw(theta_bar=math.pi / 3.0, enabled=enabled)
+    cfg = SimConfig(
+        homodyne=hom, law=law, initial=law.target if start is None else start,
+        steps=40, trajectories=len(indices), master_seed=2718, delay=delay,
+        record_stride=stride,
+    )
+    _, rec, final = _simulate(cfg, indices)
+    sent = []
+
+    def send(part):
+        sent.append(None if part is None else tuple(a.copy() for a in part))
+
+    trajectory._simulate_chunk(cfg, indices, 15, 2, send)
+    # A worker sends the Bloch records, as the full run has them, in blocks
+    # of 2 rows that end with each slab of 15 steps, and then its end
+    # marker; at stride 5 those are rows 0-3, 4-6 and 7-8.
+    assert sent[-1] is None
+    if stride == 5:
+        assert [len(p[0]) for p in sent[:-1]] == [2, 2, 2, 1, 2]
+    for name, rows in zip(("sx", "sy", "sz"), zip(*sent[:-1])):
+        assert np.concatenate(rows).tobytes() == rec[name].tobytes()
+    for col, i in enumerate(indices):
+        single = run_trajectory(cfg, i)
+        for c, name in enumerate(("sx", "sy", "sz")):
+            assert single.bloch[:, c].tobytes() == rec[name][:, col].tobytes()
+        assert single.dn_qf.tobytes() == rec["dn_qf"][:, col].tobytes()
+        assert single.shift.tobytes() == rec["shift"][:, col].tobytes()
+        psi, want = single.final_state, final(col)
+        assert np.array([psi.c_e, psi.c_g]).tobytes() == np.array([want.c_e, want.c_g]).tobytes()
 
 
 @pytest.mark.parametrize("mode", [UpdateMode.EXACT, UpdateMode.FIRST_ORDER])
@@ -1367,7 +1383,7 @@ def _estimated(need):
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("initial,amp_bytes,own_bytes", [
     pytest.param(BlochVector(0.6, 0.0, 0.8), 16, 56, id="float64"),
-    pytest.param(BlochVector(0.36, 0.48, 0.8), 32, 112, id="complex128"),
+    pytest.param(BlochVector(0.36, 0.48, 0.8), 32, 128, id="complex128"),
 ])
 def test_memory_check_runs_before_any_draw_or_fork(monkeypatch, serial_pool, initial, amp_bytes,
                                                     own_bytes, workers):
@@ -1385,10 +1401,11 @@ def test_memory_check_runs_before_any_draw_or_fork(monkeypatch, serial_pool, ini
     # Per process: the noise slab, in rows padded to 264 floats, 640 B of
     # generator, 24 B of ring and 48 B for the drive factors of a 3-step
     # window per trajectory, the kernel's own arrays (two amplitude pairs
-    # and their scratch: two float64 arrays on real amplitudes, one
-    # complex128 and three float64 on complex ones; and dn_qf), and the
-    # amplitudes of the slab's recorded cells; then a view of each of the
-    # 3 ring slots and of each of the window's 2 x 3 columns.
+    # and their scratch: two float64 arrays on real amplitudes, two
+    # complex128, one for the product s_x is read from, and three float64
+    # on complex ones; and dn_qf), and the amplitudes of the slab's
+    # recorded cells; then a view of each of the 3 ring slots and of each
+    # of the window's 2 x 3 columns.
     need = sum(n * (8 * 264 + 640 + 24 + 48 + own_bytes + amp_bytes * 257)
                + 9 * trajectory._VIEW_BYTES for n in sizes)
     # Per cell of a block of 2^13 // 4096 = 2 recorded rows: 128 B, and
