@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
+from numpy import divide, multiply
 
 from .state import BlochVector
 from .homodyne import HomodyneConfig, _diffusion_step
@@ -103,7 +103,7 @@ def feedback_amplitude(dn_qf, law: FeedbackLaw, cfg: HomodyneConfig, out=None):
             return 0.0
         out.fill(0.0)
         return out
-    return np.multiply(law.gain, np.divide(dn_qf, cfg.two_alpha, out), out)
+    return multiply(law.gain, divide(dn_qf, cfg.two_alpha, out), out)
 
 
 def advance_feedback(

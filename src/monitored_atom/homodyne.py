@@ -44,6 +44,9 @@ from enum import Enum
 from functools import cached_property
 
 import numpy as np
+# The laws call their ufuncs by these names: CPython caches none of the
+# attribute loads on numpy (trajectory's Per-step cost, the lookup rule).
+from numpy import add, cos, divide, multiply, negative, reciprocal, sin, sqrt, subtract
 
 from .state import BlochVector, PureState, _abs2, bloch_from_state
 
@@ -164,7 +167,7 @@ def _record_mean(sx, cfg: HomodyneConfig, out=None):
     # Dipole interference term of the record mean; shared by the scalar
     # sampler and the vectorized kernels so both produce identical values.
     # ``out`` as for _kappa below.
-    return np.multiply(cfg.record_gain, sx, out)
+    return multiply(cfg.record_gain, sx, out)
 
 
 def sample_outcome_conditioned(
@@ -188,7 +191,7 @@ def _kappa(dn, cfg: HomodyneConfig, out=None):
     # those below take an optional ``out``: arrays to write in place of fresh
     # ones, passed as positional ufunc arguments.  The same ufuncs run
     # either way, so the bits do not depend on it.
-    return np.multiply(cfg.sqrt_gamma_tau, np.divide(dn, cfg.alpha_mag, out), out)
+    return multiply(cfg.sqrt_gamma_tau, divide(dn, cfg.alpha_mag, out), out)
 
 
 def _drive_factors(shift, cfg: HomodyneConfig, out=None):
@@ -197,8 +200,8 @@ def _drive_factors(shift, cfg: HomodyneConfig, out=None):
     # first-order effect of that field.  Elementwise; ``out`` is the
     # (cosines, sines) pair, and the half angles pass through the sines.
     hc, hs = out or (None, None)
-    half = np.multiply(0.5, _kappa(shift, cfg, hs), hs)
-    return np.cos(half, hc), np.sin(half, hs)
+    half = multiply(0.5, _kappa(shift, cfg, hs), hs)
+    return cos(half, hc), sin(half, hs)
 
 
 def _rotate(c_e, c_g, hc, hs, out=None):
@@ -206,8 +209,8 @@ def _rotate(c_e, c_g, hc, hs, out=None):
     # ``out`` is the rotated pair and a scratch array of their dtype, none
     # of them one of c_e and c_g.
     e, g, t = out or (None,) * 3
-    return (np.subtract(np.multiply(hc, c_e, e), np.multiply(hs, c_g, t), e),
-            np.add(np.multiply(hs, c_e, g), np.multiply(hc, c_g, t), g))
+    return (subtract(multiply(hc, c_e, e), multiply(hs, c_g, t), e),
+            add(multiply(hs, c_e, g), multiply(hc, c_g, t), g))
 
 
 def _condition(c_e, c_g, dn, cfg: HomodyneConfig, out=None):
@@ -219,17 +222,17 @@ def _condition(c_e, c_g, dn, cfg: HomodyneConfig, out=None):
     # u, and w goes unused.
     oe, og, t, u, v, w = out or (None,) * 6
     k = _kappa(dn, cfg, u)
-    g = np.add(c_g, np.multiply(c_e, k, t), og)
-    e = np.multiply(c_e, cfg.damping, oe)
+    g = add(c_g, multiply(c_e, k, t), og)
+    e = multiply(c_e, cfg.damping, oe)
     if e.dtype.kind == "f":
-        n2 = np.add(np.multiply(e, e, u), np.multiply(g, g, v), u)
+        n2 = add(multiply(e, e, u), multiply(g, g, v), u)
     else:
         # _abs2(e) + _abs2(g), each into its own array.
-        n2 = np.add(np.add(np.multiply(e.real, e.real, u), np.multiply(e.imag, e.imag, w), u),
-                    np.add(np.multiply(g.real, g.real, v), np.multiply(g.imag, g.imag, w), v), u)
+        n2 = add(add(multiply(e.real, e.real, u), multiply(e.imag, e.imag, w), u),
+                 add(multiply(g.real, g.real, v), multiply(g.imag, g.imag, w), v), u)
     # The correctly rounded 1 / x, without a Python float operand.
-    inv = np.reciprocal(np.sqrt(n2, u), u)
-    return np.multiply(e, inv, oe), np.multiply(g, inv, og)
+    inv = reciprocal(sqrt(n2, u), u)
+    return multiply(e, inv, oe), multiply(g, inv, og)
 
 
 def conditioned_update_exact(psi: PureState, dn, cfg: HomodyneConfig) -> PureState:
@@ -266,10 +269,10 @@ def _step_field(sx, sy, sz, cz, out=None):
     # unused when sy is None, none of them one of sx, sy and sz.
     plane = sy is None
     fx, fy, fz, t = out or (None,) * 4
-    f = np.multiply(sz, np.subtract(sz, cz, fx), fx)
-    return (np.add(0.0 if plane else np.multiply(sy, sy, t), f, fx),
-            None if plane else np.negative(np.multiply(sx, sy, fy), fy),
-            np.multiply(sx, np.subtract(cz, sz, fz), fz))
+    f = multiply(sz, subtract(sz, cz, fx), fx)
+    return (add(0.0 if plane else multiply(sy, sy, t), f, fx),
+            None if plane else negative(multiply(sx, sy, fy), fy),
+            multiply(sx, subtract(cz, sz, fz), fz))
 
 
 def _rotation_field(sx, sz):

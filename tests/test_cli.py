@@ -510,10 +510,12 @@ def test_traced_layers_are_called_as_predicted(monkeypatch, tmp_path, args, exac
     trajectory, then once per step feedback_amplitude and _record_mean in
     the exact mode with the law on, or _step_field in the first-order
     mode.  The benchmark predicts these counts from the settings alone, so
-    a layer called through a name bound at import, such as a module-level
-    alias or a default argument, or feedback_amplitude batched over a
-    feedback window, fails its traced runs.  Here the run crosses a
-    256-step noise slab and ends partway through a 20-step window."""
+    one of these four layers called through a name bound at import, such
+    as a module-level alias or a default argument, or feedback_amplitude
+    batched over a feedback window, fails its traced runs.  The rule is
+    theirs alone: numpy's ufuncs, which the benchmark does not trace, are
+    called through names bound at import.  Here the run crosses a 256-step
+    noise slab and ends partway through a 20-step window."""
     calls = dict.fromkeys(["trajectory_seed", "feedback_amplitude", "_record_mean",
                            "_step_field"], 0)
     for name in calls:

@@ -419,6 +419,7 @@ def test_float64_kernel_rejects_complex_amplitudes(law):
 ])
 def test_exact_step_writes_only_arrays_the_kernel_owns(initial, arrays):
     """Over 300 exact law-on steps at delay 5, each step, with the loop's
+    product of the ring by 2*alpha before it when a window opens and its
     feedback push into the ring's slot after it, leaves the pair it is
     handed unchanged and returns the kernel's other pair: the start and
     one more pair, in turn.  After the first window, tracemalloc sees each
@@ -446,9 +447,10 @@ def test_exact_step_writes_only_arrays_the_kernel_owns(initial, arrays):
             handed = [c.tobytes() for c in state]
             live = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
+            if j == 0:
+                np.multiply(ops.two_alpha, ring, ring)
             new, dn_qf = step(state, ring, j, noise)
-            slot = ring[:, j]
-            np.multiply(ops.two_alpha, feedback_amplitude(dn_qf, ops, ops, slot), slot)
+            feedback_amplitude(dn_qf, ops, ops, ring[:, j])
             if k >= delay:
                 held.append(tracemalloc.get_traced_memory()[1] - live)
             assert [c.tobytes() for c in state] == handed
@@ -778,26 +780,34 @@ def test_zero_steps_records_only_the_initial_state():
     assert np.allclose([s.sx, s.sy, s.sz], [0.0, 1.0, 0.0], atol=1e-12)
 
 
-@pytest.mark.parametrize("delay", [1, 3, 15])
+@pytest.mark.parametrize("delay", [1, 3, 7, 15])
 @pytest.mark.parametrize("hom", [EXACT_CFG, FO_CFG], ids=["exact", "first-order"])
-def test_delay_queue_shifts_arrive_late(hom, delay):
-    """With delay d the shift applied at step k is exactly the feedback
-    field called for by the fluctuation recorded at step k - d; a delay
-    longer than the run (15 > 12 steps) never delivers one."""
-    steps = 12
+def test_delay_queue_shifts_arrive_late(monkeypatch, hom, delay):
+    """With delay d the shift applied at step k is, bit for bit, 2*alpha
+    times the feedback field called for by the fluctuation recorded at
+    step k - d; a delay longer than the run (15 > 12 steps) never delivers
+    one.  At delays 3 and 7 a 40-step run in noise slabs of 5 steps checks
+    the same where windows straddle two slabs and where one opens on a
+    slab's first step (steps 15, 30 and 35), when the loop turns the
+    window's amplitudes into shifts."""
     law = FeedbackLaw(theta_bar=math.pi / 3.0)
-    cfg = SimConfig(
-        homodyne=hom, law=law, initial=law.target,
-        steps=steps, trajectories=1, master_seed=77, delay=delay, record_stride=1,
-    )
-    rec = run_trajectory(cfg, 0)
-    # rows are steps 0..12; shifts are zero until the queue fills
-    for k in range(1, min(delay, steps) + 1):
-        assert rec.shift[k] == 0.0
-    for k in range(delay + 1, steps + 1):
-        want = (2.0 * hom.alpha_mag) * feedback_amplitude(rec.dn_qf[k - delay], law, hom)
-        assert want != 0.0
-        assert rec.shift[k] == want
+    runs = [(12, trajectory._SLAB_STEPS)]
+    if delay in (3, 7):
+        runs.append((40, 5))
+    for steps, slab in runs:
+        monkeypatch.setattr(trajectory, "_SLAB_STEPS", slab)
+        cfg = SimConfig(
+            homodyne=hom, law=law, initial=law.target,
+            steps=steps, trajectories=1, master_seed=77, delay=delay, record_stride=1,
+        )
+        rec = run_trajectory(cfg, 0)
+        # rows are steps 0..steps; shifts are zero until the queue fills
+        for k in range(1, min(delay, steps) + 1):
+            assert rec.shift[k] == 0.0
+        for k in range(delay + 1, steps + 1):
+            want = hom.two_alpha * feedback_amplitude(rec.dn_qf[k - delay], law, hom)
+            assert want != 0.0
+            assert rec.shift[k] == want
 
 
 def test_ensemble_matches_unconditional_decay():
