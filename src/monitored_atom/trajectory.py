@@ -50,8 +50,8 @@ trajectories a ufunc call with a Python float operand took about 590 ns
 and one with a 0-d array about 410 ns (numpy 2.4, 2-core x86-64); under
 NEP 50 both select the same float64 or complex128 loop, so the bits are
 those of the Python floats that the scalar reference passes to the same
-ufuncs.  The buffer rule: no step allocates.  Each kernel writes its
-state, its field or rotation and conditioned update, the exact window's
+ufuncs.  The buffer rule: no step allocates.  Each kernel updates its
+state in place and writes its field or rotated pair, the exact window's
 factors and dn_qf into arrays it builds once per run, on 64-byte
 boundaries, with positional ufunc ``out`` arguments, where each
 operation would otherwise return a fresh array; the feedback push writes
@@ -354,10 +354,8 @@ def _generators(master_seed: int, indices) -> list:
 
 
 def _recorded_steps(steps: int, stride: int) -> np.ndarray:
-    ks = list(range(0, steps + 1, stride))
-    if ks[-1] != steps:
-        ks.append(steps)
-    return np.asarray(ks, dtype=np.int64)
+    # Step 0, every later multiple of the stride and the last step.
+    return np.array([*range(0, steps, stride), steps], dtype=np.int64)
 
 
 def _slab_steps(steps: int, n: int) -> int:
@@ -421,21 +419,22 @@ def _start(cfg: SimConfig) -> tuple:
 
 def _exact_buffers(n: int, dtype, slots: int) -> tuple:
     # The arrays an exact step of n trajectories writes on amplitudes of
-    # one dtype: two amplitude pairs, which the steps fill in turn, and
-    # their scratch, given as each pair's _condition ``out``, whose first
-    # three are its _rotate ``out``; then the window, the (cosines, sines)
-    # of the drive for ``slots`` delay slots, 16 B per slot; then dn_qf and
-    # p, which holds c_e* c_g for s_x.  Real amplitudes need two float64
-    # scratch arrays (t and p are u, and w, unused on them, is v), complex
-    # ones a complex128 t and p and three float64.
-    e0, g0, e1, g1 = (_aligned_empty((n,), dtype) for _ in range(4))
+    # one dtype: the state pair and its scratch, together its _condition
+    # ``out``; with the law on (``slots`` > 0) the rotated pair, which with
+    # t is its _rotate ``out``, and the window, the drive's (cosines, sines)
+    # for ``slots`` delay slots; then dn_qf and p, which holds c_e* c_g for
+    # s_x.  Real amplitudes need two float64 scratch arrays (t and p are u,
+    # and w, unused on them, is v), complex ones a complex128 t and p and
+    # three float64.
+    e, g = _aligned_empty((n,), dtype), _aligned_empty((n,), dtype)
     u, v = _aligned_empty((n,)), _aligned_empty((n,))
     if np.dtype(dtype).kind == "f":
         t, w, p = u, v, u
     else:
         t, w, p = _aligned_empty((n,), dtype), _aligned_empty((n,)), _aligned_empty((n,), dtype)
+    rot = (_aligned_empty((n,), dtype), _aligned_empty((n,), dtype), t) if slots else ()
     window = _aligned_empty((n, slots)), _aligned_empty((n, slots))
-    return (e0, g0, t, u, v, w), (e1, g1, t, u, v, w), window, (_aligned_empty((n,)), p)
+    return (e, g, t, u, v, w), rot, window, (_aligned_empty((n,)), p)
 
 
 def _exact_kernel(cfg: SimConfig, n: int):
@@ -445,30 +444,24 @@ def _exact_kernel(cfg: SimConfig, n: int):
     # dtypes (numpy multiplies a complex by a real divisor's reciprocal, so
     # real divisors are applied that way here too).  The step and the
     # conditioned update branch on the start's dtype.
-    # The step writes only arrays the kernel owns, built once per run for
-    # the start's dtype: two pairs and their scratch, and dn_qf
-    # (_exact_buffers).  It reads the pair it is handed, never writes it,
-    # and returns the other pair and dn_qf, valid until its next call: the
-    # second pair when it is handed the first, which is the start, and the
-    # first otherwise.
-    # With the law on, the drive follows the window rule: its factors are
-    # computed for the whole ring when slot 0 falls due, into the window of
-    # the ring's shape, and each step rotates by its own slot's column of
-    # them, a view taken once per run.
+    # The step updates the pair it is handed in place, returns dn_qf and
+    # writes nothing else but arrays the kernel owns (_exact_buffers).  With
+    # the law on it rotates the pair into the rotated pair and conditions
+    # that back into the pair; with the law off it conditions the pair in
+    # place.  The drive follows the window rule: its factors are computed
+    # for the whole ring when slot 0 falls due, into the window of the
+    # ring's shape, and each step rotates by its slot's column of them, a
+    # view taken once per run.
     ops = _operands(cfg)
     amps = _start(cfg)
     dtype = np.result_type(*amps)
     real = dtype.kind == "f"
-    a, b, window, (dn, p) = _exact_buffers(n, dtype, cfg.delay if ops.enabled else 0)
+    out, rot, window, (dn, p) = _exact_buffers(n, dtype, cfg.delay if ops.enabled else 0)
     hc, hs = (list(x.T) for x in window)
-    # Each pair as a step writes it: its _rotate out, its _condition out
-    # and the scratch t and u, taken apart once per run; slicing them in
-    # each step made trace-delay about 1% slower.
-    into_a, into_b = ((o[:3], o, o[2], o[3]) for o in (a, b))
+    start, scratch, (t, u) = out[:2], out[2:], out[2:4]
 
     def step(state, ring, j, noise):
         cE, cG = state
-        rot, out, t, u = into_b if cE is a[0] else into_a
         if ops.enabled:
             if j == 0:
                 _drive_factors(ring, ops, window)
@@ -480,13 +473,13 @@ def _exact_kernel(cfg: SimConfig, n: int):
             # complex multiply rounds differently at length 1 (run_trajectory).
             sx = multiply(ops.two, multiply(conjugate(cE, t), cG, p).real, u)
         dn_qf = add(_record_mean(sx, ops, dn), noise, dn)
-        return _condition(cE, cG, dn_qf, ops, out), dn_qf
+        _condition(cE, cG, dn_qf, ops, state + scratch)
+        return dn_qf
 
-    def final(state, i):
+    def final(i):
         # PureState fixes the global phase the kernel leaves free.
-        return PureState(complex(state[0][i]), complex(state[1][i]))
+        return PureState(complex(start[0][i]), complex(start[1][i]))
 
-    start = a[:2]
     for x, c in zip(start, amps):
         x.fill(c)
     # The Bloch readout returns fresh arrays through bloch_from_state's
@@ -497,10 +490,10 @@ def _exact_kernel(cfg: SimConfig, n: int):
 
 
 def _first_order_buffers(n: int, columns: int) -> tuple:
-    # The arrays a first-order step of n trajectories writes: two states of
-    # ``columns`` Bloch components, which the steps fill in turn, and
-    # (kappa, scratch, norm).
-    return tuple(tuple(_aligned_empty((n,)) for _ in range(k)) for k in (columns, columns, 3))
+    # The arrays a first-order step of n trajectories writes: the state, of
+    # ``columns`` Bloch components, and the field, as many components and
+    # then (scratch, kappa, norm).
+    return tuple(tuple(_aligned_empty((n,)) for _ in range(k)) for k in (columns, columns + 3))
 
 
 def _first_order_kernel(cfg: SimConfig, n: int):
@@ -512,43 +505,42 @@ def _first_order_kernel(cfg: SimConfig, n: int):
     # uncomputed but still adds the +0.0 of s_y^2 to f_x, turning a -0.0
     # there into +0.0.  The feedback law enters through cz in the same
     # interval as the record, so the pending shift never acts on the atom.
-    # As in the exact kernel, the step writes only the arrays the kernel
-    # owns (_first_order_buffers): it reads the state it is handed, never
-    # writes it, and returns the other one, valid until its next call.
+    # As in the exact kernel, the step updates the state it is handed in
+    # place and writes nothing else but the kernel's field
+    # (_first_order_buffers); it returns dn_qf, which is the noise.
     hom = cfg.homodyne
     cz = cfg.law.cos_theta_bar if cfg.law.enabled else -1.0
     s0 = _start(cfg)
-    a, b, (kap, t, nrm) = _first_order_buffers(n, len(s0))
-    # Each state as the field writes it: (f_x, f_y, f_z, scratch).
-    field_a, field_b = ((s[0], s[1] if len(s) == 3 else None, s[-1], t) for s in (a, b))
+    start, (*f, t, kap, nrm) = _first_order_buffers(n, len(s0))
+    # The field's (f_x, f_y, f_z, scratch).
+    field = (f[0], f[1] if len(f) == 3 else None, f[-1], t)
 
     def step(state, ring, j, noise):
-        s, field = (b, field_b) if state[0] is a[0] else (a, field_a)
         sx, *sy, sz = state
         _step_field(sx, sy[0] if sy else None, sz, cz, field)
         _kappa(noise, hom, kap)
-        # The update runs in the field's arrays: f*kap + s is s + kap*f bit
-        # for bit.  The squares add in x, y, z order.
-        for v, c in zip(s, state):
-            add(multiply(v, kap, v), c, v)
-        multiply(s[0], s[0], nrm)
-        for v in s[1:]:
-            add(nrm, multiply(v, v, t), nrm)
+        # f*kap + s is s + kap*f bit for bit.  The squares add in x, y, z
+        # order.
+        for v, c in zip(f, state):
+            add(multiply(v, kap, v), c, c)
+        multiply(state[0], state[0], nrm)
+        for c in state[1:]:
+            add(nrm, multiply(c, c, t), nrm)
         sqrt(nrm, nrm)
-        for v in s:
-            divide(v, nrm, v)
-        return s, noise
+        for c in state:
+            divide(c, nrm, c)
+        return noise
 
     def bloch(state):
         sx, *sy, sz = state
         return sx, *(sy or [np.zeros_like(sx)]), sz
 
-    def final(state, i):
-        return state_from_bloch(BlochVector(*(float(c[i]) for c in bloch(state))))
+    def final(i):
+        return state_from_bloch(BlochVector(*(float(c[i]) for c in bloch(start))))
 
-    for x, c in zip(a, s0):
+    for x, c in zip(start, s0):
         x.fill(c)
-    return a, step, bloch, final
+    return start, step, bloch, final
 
 
 def _kernel(cfg: SimConfig):
@@ -565,20 +557,22 @@ def _pushes(cfg: SimConfig, names) -> bool:
 
 def _slab_plan(cfg: SimConfig, state, block: int, names=_BLOCH_NAMES):
     # The loop's layout for slabs of ``block`` steps over the columns of the
-    # kernel's ``state``: the recorded steps, and the (shape, dtype) of each
-    # buffer: the noise slab in padded rows, the delay ring, and one slab's
-    # state rows and other records.  The ring has a slot per delay step
-    # where the loop fills it, and otherwise one slot, which stays 0.  The
-    # records have a row for each recorded step of the fullest slab; slab
-    # 0 also holds step 0, and a run of 0 steps is one slab of no steps.
+    # kernel's ``state``: the (shape, dtype) of the noise slab in padded
+    # rows, the delay ring, and one slab's state rows and other records.
+    # The ring has a slot per delay step where the loop fills it, and
+    # otherwise one slot, which stays 0.  The records have a row for each
+    # recorded step of slab 0, step 0 included, or for at most one step per
+    # stride a later slab spans and the last step, whichever is more: at
+    # most one row more than the fullest slab.  A run of 0 steps is one
+    # slab of no steps.
     n, f8 = len(state[0]), np.dtype(np.float64)
-    ks = _recorded_steps(cfg.steps, cfg.record_stride).tolist()
-    ends = [min(k0 + block, cfg.steps) for k0 in range(0, max(cfg.steps, 1), block)]
-    size = int(np.max(np.diff(np.searchsorted(ks, ends, side="right"), prepend=0)))
+    steps, stride = cfg.steps, cfg.record_stride
+    b, tail = min(block, steps), steps % stride != 0
+    size = max(1 + b // stride + (b == steps and tail), -(-b // stride) + tail)
     slots = cfg.delay if _pushes(cfg, names) else 1
     plan = [((n, _slab_width(block)), f8), ((n, slots), f8)]
     plan += [((size, n), c.dtype) for c in state]
-    return ks, plan + [((size, n), f8) for _ in names[len(_BLOCH_NAMES):]]
+    return plan + [((size, n), f8) for _ in names[len(_BLOCH_NAMES):]]
 
 
 def _slab_records(cfg: SimConfig, indices, block: int, rows: int, names=_BLOCH_NAMES):
@@ -612,11 +606,11 @@ def _slab_records(cfg: SimConfig, indices, block: int, rows: int, names=_BLOCH_N
     hom = cfg.homodyne
     ops = _operands(cfg)
     state, step, bloch, final = _kernel(cfg)(cfg, len(indices))
-    ks, plan = _slab_plan(cfg, state, block, names)
+    plan = _slab_plan(cfg, state, block, names)
     push = _pushes(cfg, names)
+    steps, stride = cfg.steps, cfg.record_stride
 
     def blocks():
-        nonlocal state
         gens = _generators(cfg.master_seed, indices)
         slab, ring, *recs = (np.empty(shape, dtype) for shape, dtype in plan)
         ring.fill(0.0)
@@ -627,15 +621,15 @@ def _slab_records(cfg: SimConfig, indices, block: int, rows: int, names=_BLOCH_N
         held, kept = recs[:len(state)], recs[len(state):]
         for a, v in zip(recs, state + (0.0, 0.0)):
             a[0] = v
-        # Row r, the next to record, holds step ks[r]; the slab's records
-        # hold it in slot r - r0.  The last step is always recorded, so
-        # ks[r] exists at every step.
-        r0, r = 0, 1
-        for k0 in range(0, max(cfg.steps, 1), block):
+        # Row r, the next to record, holds step ``due``, the lesser of
+        # r * stride and the last step; the slab's records hold it in slot
+        # r - r0.
+        r0, r, due = 0, 1, min(stride, steps)
+        for k0 in range(0, max(steps, 1), block):
             # Every slab, a short last one too, is a leading view of the same
             # buffer, so two slabs never live at once; each row stays
             # contiguous.
-            xi = slab[:, :min(block, cfg.steps - k0)]
+            xi = slab[:, :min(block, steps - k0)]
             for row, gen in zip(xi, gens):
                 gen.standard_normal(out=row)
             xi *= hom.alpha_mag
@@ -644,12 +638,13 @@ def _slab_records(cfg: SimConfig, indices, block: int, rows: int, names=_BLOCH_N
                 if push and j == 0:
                     # The window opens: its amplitudes turn into shifts.
                     multiply(ops.two_alpha, ring, ring)
-                state, dn_qf = step(state, ring, j, noise)
+                dn_qf = step(state, ring, j, noise)
                 shift = slots[j]
-                if k + 1 == ks[r]:
+                if k + 1 == due:
                     for a, v in zip(recs, state + (dn_qf, shift)):
                         a[r - r0] = v
                     r += 1
+                    due = min(due + stride, steps)
                 if push:
                     feedback_amplitude(dn_qf, ops, ops, shift)
             for b in range(0, r - r0, rows):
@@ -666,13 +661,13 @@ def _slab_records(cfg: SimConfig, indices, block: int, rows: int, names=_BLOCH_N
                         row, col = np.argwhere(~np.isfinite(a))[0]
                         raise RuntimeError(
                             f"trajectory kernel produced non-finite {name} in trajectory "
-                            f"{indices[col]} at step {ks[r0 + b + row]}; "
+                            f"{indices[col]} at step {min((r0 + b + int(row)) * stride, steps)}; "
                             f"run_trajectory(cfg, {indices[col]}) reproduces it"
                         )
                 yield part
             r0 = r
 
-    return blocks(), lambda i: final(state, i)
+    return blocks(), final
 
 
 def _simulate(cfg: SimConfig, indices):
@@ -847,18 +842,19 @@ def _check_memory(cfg: SimConfig, n: int, procs: int, block: int, rows: int,
     # the run's length but the statistics, or the joined records of a run
     # that keeps them all.  Per trajectory, in whichever process runs it:
     # its part of every buffer of the slab plan, its generator, and the
-    # kernel's own arrays (_exact_buffers, the window of drive factors
-    # included, or _first_order_buffers).  Per process, the views of the
-    # ring's slots and of the window's columns.
+    # kernel's own arrays (_exact_buffers, built at one slot with the
+    # window counted per slot, or _first_order_buffers).  Per process, the
+    # views of the ring's slots and of the window's columns.
     start = tuple(np.array([c]) for c in _start(cfg))
-    ks, plan = _slab_plan(cfg, start, block, names)
+    plan = _slab_plan(cfg, start, block, names)
     if cfg.homodyne.mode is UpdateMode.EXACT:
         slots = cfg.delay if cfg.law.enabled else 0
-        bufs = _exact_buffers(1, start[0].dtype, slots)
+        bufs = _exact_buffers(1, start[0].dtype, min(slots, 1))
     else:
         slots, bufs = 0, _first_order_buffers(1, len(start))
-    # Each array once: the exact kernel's two pairs share their scratch.
-    own = sum({id(a): a.nbytes for out in bufs for a in out}.values())
+    # Each array once: the exact kernel's pairs share their scratch.
+    own = sum({id(a): a.nbytes * (slots if a.ndim == 2 else 1)
+               for out in bufs for a in out}.values())
     need = n * (_GENERATOR_BYTES + own + sum(
         math.prod(shape) * dtype.itemsize for shape, dtype in plan))
     ring_slots = plan[1][0][1]
@@ -872,7 +868,8 @@ def _check_memory(cfg: SimConfig, n: int, procs: int, block: int, rows: int,
     # each block's copy of them and their join: 16 B per record, recorded
     # step and trajectory.
     need += (128 + 120 * (procs > 1)) * n * min(rows, plan[-1][0][0])
-    need += (160 + 16 * n * len(names) * (names == _REC_NAMES)) * len(ks)
+    recorded = len(range(0, cfg.steps, cfg.record_stride)) + 1  # as _recorded_steps lists them
+    need += (160 + 16 * n * len(names) * (names == _REC_NAMES)) * recorded
     avail = _mem_available()
     if avail is not None and need > avail:
         raise ValueError(
@@ -909,13 +906,14 @@ def run_ensemble(cfg: SimConfig, workers: int = 1) -> EnsembleStats:
     workers = min(_int_at_least("workers", workers, 1), cpus or 1)
     if cfg.trajectories < max(_POOL_MIN_TRAJECTORIES, 2 * workers):
         workers = 1
-    chunks = np.array_split(np.arange(cfg.trajectories), workers)
-    ks = _recorded_steps(cfg.steps, cfg.record_stride)
-    # Every process draws slabs as long as the largest chunk's, and sends
-    # blocks of as many rows, so block b covers the same steps in all.
-    block = _slab_steps(cfg.steps, len(chunks[0]))
+    # Every process draws slabs as long as the largest chunk's, the first,
+    # and sends blocks of as many rows, so block b covers the same steps in
+    # all.  Nothing the size of the run is built before the memory check.
+    block = _slab_steps(cfg.steps, -(-cfg.trajectories // workers))
     rows = max(1, _READOUT_CELLS // cfg.trajectories)
     _check_memory(cfg, cfg.trajectories, workers, block, rows)
+    ks = _recorded_steps(cfg.steps, cfg.record_stride)
+    chunks = np.array_split(np.arange(cfg.trajectories), workers)
     if workers == 1:
         blocks = _slab_records(cfg, chunks[0], block, rows)[0]
     else:

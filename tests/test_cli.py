@@ -100,6 +100,19 @@ def _started(*args, **kwargs):
     raise _Started
 
 
+def test_delay_beyond_memory_exits_two(monkeypatch, capsys):
+    """A feedback delay of 10^11 slots is refused with the estimate, exit 2,
+    not with numpy's allocation error for the window the check measures."""
+    monkeypatch.setattr(trajectory, "_mem_available", lambda: 1 << 30)
+    monkeypatch.setattr(trajectory, "trajectory_seed", _started)
+    rc = cli.main(["--feedback", "on", "--steps", "3", "--trajectories", "2",
+                   "--delay", "100000000000"])
+    out = capsys.readouterr()
+    assert rc == 2
+    assert out.out == ""
+    assert re.search(r"estimated \d+\.\d MB of memory, more than the 1024\.0 MB available", out.err)
+
+
 def test_long_stride_one_stabilize_run_passes_the_memory_check(monkeypatch):
     """Recorded at every one of 10^4 steps, a 10^4-trajectory stabilize run
     holds one slab's records at a time, so the memory check passes it on

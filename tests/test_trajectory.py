@@ -384,8 +384,8 @@ def test_real_amplitudes_match_their_complex_copies(law, initial):
     shifts = 200.0 * rng.standard_normal((cfg.steps, n))
     for k in range(cfg.steps):
         ring = shifts[k][:, None]
-        real, dn_real = step(real, ring, 0, EXACT_CFG.alpha_mag * xi[k])
-        cplx, dn_cplx = cplx_step(cplx, ring, 0, EXACT_CFG.alpha_mag * xi[k])
+        dn_real = step(real, ring, 0, EXACT_CFG.alpha_mag * xi[k])
+        dn_cplx = cplx_step(cplx, ring, 0, EXACT_CFG.alpha_mag * xi[k])
         assert np.array_equal(dn_real, dn_cplx)
         for r, c in zip(real, cplx):
             assert r.dtype == np.float64
@@ -413,18 +413,33 @@ def test_float64_kernel_rejects_complex_amplitudes(law):
         step(cplx, np.zeros((n, 1)), 0, np.zeros(n))
 
 
+def _step_handed_copies(kernel, ring, j, noise, copies):
+    # Steps ``copies`` of a kernel's start with that kernel, on copies of
+    # the ring and the noise, and checks that the step wrote neither them
+    # nor the kernel's own start.  Returns the step's dn_qf.
+    start, step, _, _ = kernel
+    held = [c.tobytes() for c in start]
+    ring_copy, noise_copy = ring.copy(), noise.copy()
+    dn_qf = step(copies, ring_copy, j, noise_copy)
+    assert ring_copy.tobytes() == ring.tobytes() and noise_copy.tobytes() == noise.tobytes()
+    assert [c.tobytes() for c in start] == held
+    return dn_qf
+
+
 @pytest.mark.parametrize("initial,arrays", [
     pytest.param(BlochVector(0.6, 0.0, 0.8), 0, id="float64"),
     pytest.param(BlochVector(0.36, 0.48, 0.8), 2, id="complex128"),
 ])
 def test_exact_step_writes_only_arrays_the_kernel_owns(initial, arrays):
-    """Over 300 exact law-on steps at delay 5, each step, with the loop's
-    product of the ring by 2*alpha before it when a window opens and its
-    feedback push into the ring's slot after it, leaves the pair it is
-    handed unchanged and returns the kernel's other pair: the start and
-    one more pair, in turn.  After the first window, tracemalloc sees each
-    step and push hold at most ``arrays`` float64 arrays of n elements at
-    once beyond what was live before them, and never half an array more
+    """Over 300 exact law-on steps at delay 5, with the loop's product of
+    the ring by 2*alpha when a window opens and its feedback push into the
+    ring's slot after each step, each step updates the pair it is handed
+    and returns dn_qf, one array the kernel owns.  A second kernel, handed
+    copies of its start, writes into them the bits the first writes into
+    its own start, and leaves its own start, the ring and the noise as
+    they were.  After the first window, tracemalloc sees each step and
+    push hold at most ``arrays`` float64 arrays of n elements at once
+    beyond what was live before them, and never half an array more
     (measured 0.003 and 2.003; with fresh arrays for the record mean and
     the feedback amplitude they read 2.01 and 3.01, and a step returning
     fresh arrays 11.0 and 19.0).  On complex128 the step holds numpy's
@@ -435,30 +450,31 @@ def test_exact_step_writes_only_arrays_the_kernel_owns(initial, arrays):
                     steps=300, trajectories=n, delay=delay)
     ops = trajectory._operands(cfg)
     state, step, _, _ = trajectory._exact_kernel(cfg, n)
-    pairs = [state]
+    other = trajectory._exact_kernel(cfg, n)
+    copies = tuple(c.copy() for c in other[0])
     ring = np.zeros((n, delay))
     rng = np.random.default_rng(5)
-    held = []
+    dns, held = [], []
     tracemalloc.start()
     try:
         for k in range(cfg.steps):
             j = k % delay
             noise = EXACT_CFG.alpha_mag * rng.standard_normal(n)
+            if j == 0:
+                np.multiply(ops.two_alpha, ring, ring)
+            want = _step_handed_copies(other, ring, j, noise, copies)
             handed = [c.tobytes() for c in state]
             live = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            if j == 0:
-                np.multiply(ops.two_alpha, ring, ring)
-            new, dn_qf = step(state, ring, j, noise)
+            dn_qf = step(state, ring, j, noise)
             feedback_amplitude(dn_qf, ops, ops, ring[:, j])
             if k >= delay:
                 held.append(tracemalloc.get_traced_memory()[1] - live)
-            assert [c.tobytes() for c in state] == handed
-            if k == 0:
-                pairs.append(new)
-            assert new is not state
-            assert all(c is p for c, p in zip(new, pairs[(k + 1) % 2]))
-            state = new
+            dns.append(dn_qf)
+            assert dn_qf is dns[0] and not any(np.shares_memory(dn_qf, c) for c in state)
+            assert dn_qf.tobytes() == want.tobytes()
+            assert [c.tobytes() for c in state] != handed
+            assert [c.tobytes() for c in state] == [c.tobytes() for c in copies]
     finally:
         tracemalloc.stop()
     assert max(held) < (arrays + 0.5) * 8 * n
@@ -469,17 +485,21 @@ def test_exact_step_writes_only_arrays_the_kernel_owns(initial, arrays):
     pytest.param(BlochVector(0.36, 0.48, 0.8), id="out-of-plane"),
 ])
 def test_first_order_step_writes_only_arrays_the_kernel_owns(initial):
-    """Over 300 first-order law-on steps, each step leaves the state it is
-    handed unchanged and returns the kernel's other state: the start and
-    one more, in turn.  tracemalloc sees no step hold half a float64 array
-    of n elements beyond what was live before it (measured at most 0.04
-    in the plane and 0.006 out of it; a step returning fresh arrays read
-    5.1 and 7.0)."""
+    """Over 300 first-order law-on steps, each step updates the state it is
+    handed and returns dn_qf, which is the noise.  A second kernel, handed
+    copies of its start, writes into them the bits the first writes into
+    its own start, and leaves its own start, the ring and the noise as
+    they were.  tracemalloc sees no step hold half a float64 array of n
+    elements beyond what was live before it (measured at most 0.008 in the
+    plane and 0.006 out of it; a step returning fresh arrays read 5.1 and
+    7.0)."""
     n = 4096
     cfg = SimConfig(homodyne=FO_CFG, law=FeedbackLaw(theta_bar=1.2), initial=initial,
                     steps=300, trajectories=n)
     state, step, _, _ = trajectory._first_order_kernel(cfg, n)
-    states = [state]
+    assert len(state) == (2 if initial.sy == 0.0 else 3)
+    other = trajectory._first_order_kernel(cfg, n)
+    copies = tuple(c.copy() for c in other[0])
     ring = np.zeros((n, 1))
     rng = np.random.default_rng(5)
     held = []
@@ -487,19 +507,15 @@ def test_first_order_step_writes_only_arrays_the_kernel_owns(initial):
     try:
         for k in range(cfg.steps):
             noise = FO_CFG.alpha_mag * rng.standard_normal(n)
+            _step_handed_copies(other, ring, 0, noise, copies)
             handed = [c.tobytes() for c in state]
             live = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            new, dn_qf = step(state, ring, 0, noise)
+            dn_qf = step(state, ring, 0, noise)
             held.append(tracemalloc.get_traced_memory()[1] - live)
             assert dn_qf is noise
-            assert [c.tobytes() for c in state] == handed
-            if k == 0:
-                states.append(new)
-            assert new is not state
-            assert len(new) == len(state) == (2 if initial.sy == 0.0 else 3)
-            assert all(c is p for c, p in zip(new, states[(k + 1) % 2]))
-            state = new
+            assert [c.tobytes() for c in state] != handed
+            assert [c.tobytes() for c in state] == [c.tobytes() for c in copies]
     finally:
         tracemalloc.stop()
     assert max(held) < 0.5 * 8 * n
@@ -535,8 +551,8 @@ def test_in_plane_first_order_state_matches_its_three_column_copy(law, initial):
     xi = rng.standard_normal((cfg.steps, n))
     ring = np.zeros((n, 1))
     for k in range(cfg.steps):
-        two, _ = step(two, ring, 0, FO_CFG.alpha_mag * xi[k])
-        three, _ = three_step(three, ring, 0, FO_CFG.alpha_mag * xi[k])
+        step(two, ring, 0, FO_CFG.alpha_mag * xi[k])
+        three_step(three, ring, 0, FO_CFG.alpha_mag * xi[k])
         assert two[0].tobytes() == three[0].tobytes()
         assert two[1].tobytes() == three[2].tobytes()
         assert np.all(three[1] == 0.0) and not np.any(np.signbit(three[1]))
@@ -979,8 +995,8 @@ def test_exact_step_is_weak_order_two(initial, bound):
         hom = HomodyneConfig(alpha_mag=100.0, gamma_tau=gt, mode=UpdateMode.EXACT)
         cfg = SimConfig(homodyne=hom, law=FeedbackLaw(enabled=False), initial=initial,
                         steps=1, trajectories=nodes.size)
-        start, step, bloch, _ = trajectory._exact_kernel(cfg, nodes.size)
-        state, _ = step(start, np.zeros((nodes.size, 1)), 0, hom.alpha_mag * nodes)
+        state, step, bloch, _ = trajectory._exact_kernel(cfg, nodes.size)
+        step(state, np.zeros((nodes.size, 1)), 0, hom.alpha_mag * nodes)
         mean = np.array([weights @ c for c in bloch(state)])
         want = master_evolve(rho, gt)
         defects.append(np.max(np.abs(mean - [want.ux, want.uy, want.uz])))
@@ -1027,8 +1043,8 @@ def test_law_on_exact_cycle_is_weak_order_two(theta_bar, initial):
         hom = HomodyneConfig(alpha_mag=100.0, gamma_tau=gt, mode=UpdateMode.EXACT)
         cfg = SimConfig(homodyne=hom, law=law, initial=initial, steps=1,
                         trajectories=nodes.size)
-        start, step, bloch, _ = trajectory._exact_kernel(cfg, nodes.size)
-        state, dn_qf = step(start, np.zeros((nodes.size, 1)), 0, hom.alpha_mag * nodes)
+        state, step, bloch, _ = trajectory._exact_kernel(cfg, nodes.size)
+        dn_qf = step(state, np.zeros((nodes.size, 1)), 0, hom.alpha_mag * nodes)
         shift = (2.0 * hom.alpha_mag) * feedback_amplitude(dn_qf, law, hom)
         state = _rotate(*state, *_drive_factors(shift, hom))
         mean = np.array([weights @ c for c in bloch(state)])
@@ -1081,9 +1097,9 @@ def test_delayed_feedback_undoes_the_first_record(theta_bar):
         hom = HomodyneConfig(alpha_mag=100.0, gamma_tau=gt, mode=UpdateMode.EXACT)
         cfg = SimConfig(homodyne=hom, law=law, initial=t, steps=2, trajectories=2)
         state, step, bloch, _ = trajectory._exact_kernel(cfg, x1.size)
-        state, dn_qf = step(state, np.zeros((x1.size, 1)), 0, hom.alpha_mag * x1)
+        dn_qf = step(state, np.zeros((x1.size, 1)), 0, hom.alpha_mag * x1)
         shift = (2.0 * hom.alpha_mag) * feedback_amplitude(dn_qf, law, hom)
-        state, _ = step(state, shift[:, None], 0, hom.alpha_mag * x2)
+        step(state, shift[:, None], 0, hom.alpha_mag * x2)
         sx, sy, sz = bloch(state)
         defect = w @ (((sx - t.sx) ** 2 + (sy - t.sy) ** 2 + (sz - t.sz) ** 2) / 4.0)
         ratio = defect / (gt * (1.0 + law.cos_theta_bar) ** 2 / 4.0)
@@ -1391,33 +1407,41 @@ def _estimated(need):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("initial,amp_bytes,own_bytes", [
-    pytest.param(BlochVector(0.6, 0.0, 0.8), 16, 56, id="float64"),
-    pytest.param(BlochVector(0.36, 0.48, 0.8), 32, 128, id="complex128"),
+@pytest.mark.parametrize("initial,amp_bytes,own_bytes,law", [
+    pytest.param(BlochVector(0.6, 0.0, 0.8), 16, 56, FeedbackLaw(theta_bar=1.2), id="float64"),
+    pytest.param(BlochVector(0.36, 0.48, 0.8), 32, 128, FeedbackLaw(theta_bar=1.2),
+                 id="complex128"),
+    pytest.param(BlochVector(0.6, 0.0, 0.8), 16, 40, FeedbackLaw(enabled=False),
+                 id="float64-law-off"),
+    pytest.param(BlochVector(0.36, 0.48, 0.8), 32, 96, FeedbackLaw(enabled=False),
+                 id="complex128-law-off"),
 ])
 def test_memory_check_runs_before_any_draw_or_fork(monkeypatch, serial_pool, initial, amp_bytes,
-                                                    own_bytes, workers):
+                                                    own_bytes, law, workers):
     """A run whose estimated peak exceeds the available memory is refused
     with the estimate in MB, before any stream is seeded or worker started."""
     monkeypatch.setattr(trajectory.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(trajectory, "trajectory_seed", _never)
     monkeypatch.setattr(trajectory, "_mem_available", lambda: 1 << 20)
-    cfg = SimConfig(homodyne=EXACT_CFG, law=FeedbackLaw(theta_bar=1.2), initial=initial,
-                    steps=1000, trajectories=4096, delay=3)
+    cfg = SimConfig(homodyne=EXACT_CFG, law=law, initial=initial, steps=1000,
+                    trajectories=4096, delay=3)
     # Every process draws slabs of 256 steps (the step cap, below the 512
     # and 1024 that 16 MB would allow), whose first reaches 257 recorded
     # rows (step 0 too).
     sizes = [4096] if workers == 1 else [2048, 2048]
     # Per process: the noise slab, in rows padded to 264 floats, 640 B of
-    # generator, 24 B of ring and 48 B for the drive factors of a 3-step
-    # window per trajectory, the kernel's own arrays (two amplitude pairs
-    # and their scratch: two float64 arrays on real amplitudes, two
-    # complex128, one for the product s_x is read from, and three float64
-    # on complex ones; and dn_qf), and the amplitudes of the slab's
-    # recorded cells; then a view of each of the 3 ring slots and of each
-    # of the window's 2 x 3 columns.
-    need = sum(n * (8 * 264 + 640 + 24 + 48 + own_bytes + amp_bytes * 257)
-               + 9 * trajectory._VIEW_BYTES for n in sizes)
+    # generator, and, with the law on, 24 B of ring and 48 B for the drive
+    # factors of a 3-step window per trajectory, with the law off a ring of
+    # one slot, 8 B; the kernel's own arrays (the amplitude pair, and with
+    # the law on the rotated pair, and their scratch: two float64 arrays on
+    # real amplitudes, two complex128, one for the product s_x is read
+    # from, and three float64 on complex ones; and dn_qf), and the
+    # amplitudes of the slab's recorded cells; then a view of each of the
+    # ring's slots and, with the law on, of each of the window's 2 x 3
+    # columns.
+    ring, window, views = (24, 48, 9) if law.enabled else (8, 0, 1)
+    need = sum(n * (8 * 264 + 640 + ring + window + own_bytes + amp_bytes * 257)
+               + views * trajectory._VIEW_BYTES for n in sizes)
     # Per cell of a block of 2^13 // 4096 = 2 recorded rows: 128 B, and
     # 120 B more in a pool; then the statistics of the 1001 recorded steps.
     need += (128 if workers == 1 else 248) * 4096 * 2 + 160 * 1001
@@ -1468,6 +1492,10 @@ def _simulate_all(cfg):
 @pytest.mark.parametrize("run,hom,initial,n,steps,stride,delay", [
     pytest.param(run_ensemble, EXACT_CFG, BlochVector(0.6, 0.0, 0.8), 64, 3000, 1, 3,
                  id="exact-float64"),
+    pytest.param(run_ensemble, EXACT_CFG, BlochVector(0.6, 0.0, 0.8), 64, 3000, 1, None,
+                 id="exact-float64-law-off"),
+    pytest.param(run_ensemble, EXACT_CFG, BlochVector(0.36, 0.48, 0.8), 64, 2500, 1, None,
+                 id="exact-complex128-law-off"),
     pytest.param(run_ensemble, EXACT_CFG, BlochVector(0.36, 0.48, 0.8), 64, 2500, 1, 3,
                  id="exact-complex128"),
     pytest.param(run_ensemble, EXACT_CFG, BlochVector(0.6, 0.0, 0.8), 64, 3000, 1, 2500,
@@ -1486,15 +1514,17 @@ def test_memory_estimate_bounds_the_traced_peak(monkeypatch, run, hom, initial, 
     """The memory check's estimate is at least what the run allocates:
     the traced peak of a one-worker run stays at or below it (measured
     1.5 MB against 1.9 MB, 1.7 against 2.1, and 11.4 and 11.4 against
-    12.2 and 12.4 for the first-order state of two and three columns).  At
-    delay 2500 the exact kernel's window of drive factors, the ring and
+    12.2 and 12.4 for the first-order state of two and three columns).  A
+    delay of None runs the law off, where the exact kernel holds no
+    rotated pair and no window: 1.4 MB against 1.9 and 1.6 against 2.1.
+    At delay 2500 the exact kernel's window of drive factors, the ring and
     their views dominate: 6.0 MB against 6.5 on float64 and 6.2 against
     6.7 on complex128.  _simulate, which keeps every record of its 64
     trajectories over 20 000 steps, holds each block's copy and their
     join: 98.7 MB against 102.4."""
-    law = FeedbackLaw(theta_bar=1.2)
+    law = FeedbackLaw(theta_bar=1.2) if delay else FeedbackLaw(enabled=False)
     cfg = SimConfig(homodyne=hom, law=law, initial=initial, steps=steps,
-                    trajectories=n, delay=delay, record_stride=stride)
+                    trajectories=n, delay=delay or 1, record_stride=stride)
     monkeypatch.setattr(trajectory, "_mem_available", lambda: 1)
     with pytest.raises(ValueError, match="estimated") as err:
         run(cfg)
@@ -1510,6 +1540,36 @@ def test_memory_estimate_bounds_the_traced_peak(monkeypatch, run, hom, initial, 
         tracemalloc.stop()
     # The message rounds the estimate up to 0.1 MB.
     assert peak / 2**20 <= need_mb
+
+
+@pytest.mark.parametrize("run,n,delay,steps", [
+    pytest.param(run_ensemble, 2, 10**7, 3, id="ensemble-long-delay"),
+    pytest.param(run_ensemble, 2, 1, 10**6, id="ensemble-long-run"),
+    pytest.param(run_trajectory, 2, 1, 10**6, id="trajectory-long-run"),
+    pytest.param(run_ensemble, 10**7, 1, 3, id="ensemble-wide"),
+])
+def test_refusal_builds_nothing_the_size_of_the_run(monkeypatch, run, n, delay, steps):
+    """Refusing a run costs no memory in proportion to its delay, its
+    length or its width: the memory check sizes the kernel's window from
+    its shape and counts the recorded steps by arithmetic, and
+    run_ensemble lists the recorded steps and the trajectory indices only
+    once the check has passed.  Each refusal's traced peak stays under
+    1 MB (measured 0.005 MB), where building the window of 10^7 slots
+    traced 153 MB, listing 10^6 recorded steps 54 and 46 MB, and 10^7
+    trajectory indices 76 MB."""
+    hom = dataclasses.replace(EXACT_CFG, gamma_tau=1e-6)
+    cfg = SimConfig(homodyne=hom, law=FeedbackLaw(theta_bar=1.2),
+                    initial=BlochVector(0.6, 0.0, 0.8), steps=steps, trajectories=n, delay=delay)
+    monkeypatch.setattr(trajectory, "trajectory_seed", _never)
+    monkeypatch.setattr(trajectory, "_mem_available", lambda: 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="estimated"):
+            run(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_memory_check_is_skipped_without_meminfo(monkeypatch):
