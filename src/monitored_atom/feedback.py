@@ -106,16 +106,23 @@ def feedback_amplitude(dn_qf, law: FeedbackLaw, cfg: HomodyneConfig, out=None):
     return multiply(law.gain, divide(dn_qf, cfg.two_alpha, out), out)
 
 
+def _shift(f, cfg: HomodyneConfig, out=None):
+    # The displacement 2*alpha*f that an applied field of amplitude f adds
+    # to the mean of the record it is applied in.  Scalar or array f;
+    # ``out`` may be f itself.
+    return multiply(cfg.two_alpha, f, out)
+
+
 def advance_feedback(
     fb: FeedbackState, dn_qf, law: FeedbackLaw, cfg: HomodyneConfig
 ) -> FeedbackState:
     """Pop the shift just applied and append the one this record generates.
 
     The applied field f displaces a later record's mean by 2*alpha*f, so
-    the appended shift is 2*alpha*feedback_amplitude(dn_qf); the queue
+    the appended shift is _shift(feedback_amplitude(dn_qf)); the queue
     length stays fixed.
     """
-    new = cfg.two_alpha * feedback_amplitude(dn_qf, law, cfg)
+    new = _shift(feedback_amplitude(dn_qf, law, cfg), cfg)
     return FeedbackState(fb.pending[1:] + (new,))
 
 

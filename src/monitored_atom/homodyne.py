@@ -14,8 +14,7 @@ measured quadrature.  For gamma*tau << 1 and |alpha|^2 >> 1:
 * a weak coherent field beta in the mode shifts the mean to
   2*|alpha|*Re(beta) and leaves the variance unchanged, so only the
   in-phase quadrature is visible.  The fed-back field f is real, so the
-  code applies this law as the shift 2*alpha*f, in
-  :func:`~monitored_atom.advance_feedback`.
+  code applies this law as the shift 2*alpha*f, in ``feedback._shift``.
 
 Conditioning the atomic state on the observed dn gives the unnormalized
 amplitude update
@@ -273,6 +272,20 @@ def _step_field(sx, sy, sz, cz, out=None):
     return (add(0.0 if plane else multiply(sy, sy, t), f, fx),
             None if plane else negative(multiply(sx, sy, fy), fy),
             multiply(sx, subtract(cz, sz, fz), fz))
+
+
+def _advance(s, ds, out=None):
+    # The first-order update: s + ds, renormalized, for sequences s and ds
+    # of Bloch components, scalars or arrays; the squares add in x, y, z
+    # order.  ``out`` is the updated components, which may be s itself, then
+    # scratch for the norm and for a square.
+    *o, n, t = out or (None,) * (len(s) + 2)
+    v = [add(c, d, oc) for c, d, oc in zip(s, ds, o)]
+    n2 = multiply(v[0], v[0], n)
+    for c in v[1:]:
+        n2 = add(n2, multiply(c, c, t), n)
+    nrm = sqrt(n2, n)
+    return tuple(divide(c, nrm, oc) for c, oc in zip(v, o))
 
 
 def _rotation_field(sx, sz):

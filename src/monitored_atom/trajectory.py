@@ -3,11 +3,12 @@
 A trajectory alternates measurement intervals with optional feedback.
 Each interval: the pending feedback field (if any) drives the atom, the
 interval's record dn is drawn, the state update conditioned on the record
-is applied, and the fluctuation part of the record is pushed into the
-delay queue as the shift a later interval will apply.  One lockstep loop
-runs that cycle for every mode: the queue is a ring of ``delay`` slots
-per trajectory, and each mode supplies only its state, its one-interval
-step and its Bloch readout.  Two update modes:
+is applied, and the amplitude f of the field that the fluctuation part
+of the record calls for is pushed into the delay queue for a later
+interval.  One lockstep loop runs that cycle for every mode: the queue is
+a ring of ``delay`` amplitudes per trajectory, whose readers form the
+record shifts 2*alpha*f (feedback._shift), and each mode supplies only
+its state, its one-interval step and its Bloch readout.  Two update modes:
 
 * EXACT: the renormalized amplitude update.  The record mean carries the
   atomic dipole signal (see homodyne.sample_outcome_conditioned) so that
@@ -25,7 +26,7 @@ step and its Bloch readout.  Two update modes:
   law, with the feedback law folded into the same interval as the record
   (the zero-delay idealization).  With the law enabled, the target state
   is a strict fixed point of this mode.  The emitted records still honor
-  the configured delay: the shift column is the slot of the queue due
+  the configured delay: the shift column is that of the queue's slot due
   that interval and dn_total = dn_qf + shift holds exactly in every row.
   The state is the Bloch vector; a start with s_y = +0.0 keeps s_y at
   exactly +0.0, so it steps (s_x, s_z) only, and the output bits are those
@@ -38,12 +39,11 @@ Per-step cost
 -------------
 For small ensembles a step's time goes to numpy's per-call dispatch, not
 to arithmetic, and four rules cut the cost of the exact step with the
-law on, without moving a bit.  The window rule: a record's shift falls
+law on, without moving a bit.  The window rule: a record's field falls
 due ``delay`` intervals after it is made, so when slot 0 of the ring
-falls due, the ring holds the feedback amplitude of every shift of the
-next ``delay`` steps; one multiply by 2*alpha turns them into the shifts,
-and the drive's cosines and sines for all of them are computed in one
-pass.
+falls due, the ring holds the feedback amplitude of every field of the
+next ``delay`` steps; the drive forms their shifts and its cosines and
+sines for all of them in one pass.
 The operand rule: the constants the exact step and the feedback push
 multiply or divide by are 0-d float64 arrays, built once per run.  At 16
 trajectories a ufunc call with a Python float operand took about 590 ns
@@ -98,7 +98,7 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from numpy import add, conjugate, divide, multiply, sqrt
+from numpy import add, conjugate, multiply
 
 from .state import (
     PLANE_TOL,
@@ -113,6 +113,7 @@ from .homodyne import (
     HomodyneConfig,
     MeasurementOutcome,
     UpdateMode,
+    _advance,
     _condition,
     _drive_factors,
     _kappa,
@@ -126,6 +127,7 @@ from .homodyne import (
 from .feedback import (
     FeedbackLaw,
     FeedbackState,
+    _shift,
     advance_feedback,
     combined_diffusion_step,
     feedback_amplitude,
@@ -220,7 +222,8 @@ class SimConfig:
     steps : int
         Number of measurement intervals; 0 records only the initial state.
         A run with steps*gamma_tau above ``LONG_RUN_CEILING`` accumulates
-        unchecked per-interval error and is rejected.
+        unchecked per-interval error and is rejected, and so is one of
+        2^63 steps or more, which the int64 step column cannot hold.
     trajectories : int
         Ensemble size.
     master_seed : int
@@ -249,6 +252,8 @@ class SimConfig:
                 f"initial Bloch vector must be unit length within {UNIT_TOL:g}, "
                 f"got |s| = {self.initial.norm()!r}"
             )
+        if self.steps >= 2**63:
+            raise ValueError(f"steps must be below 2^63 (int64 step column), got {self.steps!r}")
         total = self.steps * self.homodyne.gamma_tau
         if total > LONG_RUN_CEILING:
             raise ValueError(
@@ -448,10 +453,10 @@ def _exact_kernel(cfg: SimConfig, n: int):
     # writes nothing else but arrays the kernel owns (_exact_buffers).  With
     # the law on it rotates the pair into the rotated pair and conditions
     # that back into the pair; with the law off it conditions the pair in
-    # place.  The drive follows the window rule: its factors are computed
-    # for the whole ring when slot 0 falls due, into the window of the
-    # ring's shape, and each step rotates by its slot's column of them, a
-    # view taken once per run.
+    # place.  The drive follows the window rule: when slot 0 falls due, the
+    # shifts of the whole ring's amplitudes go into the window's sines, of
+    # the ring's shape, and its factors are computed from them there; each
+    # step rotates by its slot's column of them, a view taken once per run.
     ops = _operands(cfg)
     amps = _start(cfg)
     dtype = np.result_type(*amps)
@@ -464,7 +469,7 @@ def _exact_kernel(cfg: SimConfig, n: int):
         cE, cG = state
         if ops.enabled:
             if j == 0:
-                _drive_factors(ring, ops, window)
+                _drive_factors(_shift(ring, ops, window[1]), ops, window)
             cE, cG = _rotate(cE, cG, hc[j], hs[j], rot)
         if real:
             sx = multiply(ops.two, multiply(cE, cG, u), u)
@@ -518,17 +523,8 @@ def _first_order_kernel(cfg: SimConfig, n: int):
     def step(state, ring, j, noise):
         sx, *sy, sz = state
         _step_field(sx, sy[0] if sy else None, sz, cz, field)
-        _kappa(noise, hom, kap)
-        # f*kap + s is s + kap*f bit for bit.  The squares add in x, y, z
-        # order.
-        for v, c in zip(f, state):
-            add(multiply(v, kap, v), c, c)
-        multiply(state[0], state[0], nrm)
-        for c in state[1:]:
-            add(nrm, multiply(c, c, t), nrm)
-        sqrt(nrm, nrm)
-        for c in state:
-            divide(c, nrm, c)
+        k = _kappa(noise, hom, kap)
+        _advance(state, [multiply(v, k, v) for v in f], state + (nrm, t))
         return noise
 
     def bloch(state):
@@ -543,15 +539,10 @@ def _first_order_kernel(cfg: SimConfig, n: int):
     return start, step, bloch, final
 
 
-def _kernel(cfg: SimConfig):
-    return _exact_kernel if cfg.homodyne.mode is UpdateMode.EXACT else _first_order_kernel
-
-
 def _pushes(cfg: SimConfig, names) -> bool:
-    # Whether the loop fills the ring with each record's feedback amplitude,
-    # which turns into its shift when its window opens: where the exact
-    # kernel's drive or a recorded shift reads it.  The first-order kernel
-    # never reads the shift.
+    # Whether the loop fills the ring with each record's feedback amplitude:
+    # where the exact kernel's drive or a recorded shift reads it.  The
+    # first-order kernel never reads the ring.
     return cfg.law.enabled and (cfg.homodyne.mode is UpdateMode.EXACT or "shift" in names)
 
 
@@ -580,15 +571,12 @@ def _slab_records(cfg: SimConfig, indices, block: int, rows: int, names=_BLOCH_N
 
     The update mode supplies only its state, its one-interval step, its
     Bloch readout and its final state; the loop around them is shared.
-    Step k hands the kernel the (n, delay) ring and the slot ``k % delay``
-    due now, records that slot's shift, and only then overwrites it with
-    the feedback amplitude f this interval's record calls for, whose shift
-    falls due ``delay`` steps later.  Between windows the ring holds
-    amplitudes: when slot 0 falls due, before the step, the loop
-    multiplies the whole ring by 2*alpha, which turns the amplitudes of
-    the last ``delay`` records into the shifts of this window, the bits of
-    2*alpha*f.  Where nothing reads those shifts, the ring is one slot of
-    zeros (_slab_plan).
+    Step k hands the kernel the (n, delay) ring of feedback amplitudes and
+    the slot ``k % delay`` due now, records that slot's amplitude, and only
+    then overwrites it with the amplitude f this interval's record calls
+    for, which falls due ``delay`` steps later.  The readout turns the
+    recorded amplitudes into their shifts, 2*alpha*f.  Where nothing reads
+    the ring, it is one slot of zeros (_slab_plan).
     The noise comes from an (n, block) slab of the per-row streams,
     refilled every ``block`` steps.  The loop records the state itself,
     in the kernel's dtype, next to the other records; at the end of each
@@ -605,7 +593,8 @@ def _slab_records(cfg: SimConfig, indices, block: int, rows: int, names=_BLOCH_N
     """
     hom = cfg.homodyne
     ops = _operands(cfg)
-    state, step, bloch, final = _kernel(cfg)(cfg, len(indices))
+    kernel = _exact_kernel if hom.mode is UpdateMode.EXACT else _first_order_kernel
+    state, step, bloch, final = kernel(cfg, len(indices))
     plan = _slab_plan(cfg, state, block, names)
     push = _pushes(cfg, names)
     steps, stride = cfg.steps, cfg.record_stride
@@ -635,18 +624,18 @@ def _slab_records(cfg: SimConfig, indices, block: int, rows: int, names=_BLOCH_N
             xi *= hom.alpha_mag
             for k, noise in enumerate(xi.T, k0):
                 j = k % len(slots)
-                if push and j == 0:
-                    # The window opens: its amplitudes turn into shifts.
-                    multiply(ops.two_alpha, ring, ring)
                 dn_qf = step(state, ring, j, noise)
-                shift = slots[j]
+                f = slots[j]
                 if k + 1 == due:
-                    for a, v in zip(recs, state + (dn_qf, shift)):
+                    for a, v in zip(recs, state + (dn_qf, f)):
                         a[r - r0] = v
                     r += 1
                     due = min(due + stride, steps)
                 if push:
-                    feedback_amplitude(dn_qf, ops, ops, shift)
+                    feedback_amplitude(dn_qf, ops, ops, f)
+            # The slab's recorded amplitudes become the shifts they cause.
+            for a in kept[1:]:
+                _shift(a[:r - r0], ops, a[:r - r0])
             for b in range(0, r - r0, rows):
                 e = min(b + rows, r - r0)
                 part = bloch(tuple(c[b:e] for c in held)) + tuple(c[b:e] for c in kept)
@@ -782,9 +771,7 @@ def step_trajectory(
         out = sample_outcome(shift, hom, rng)
         s = bloch_from_state(psi)
         ds = combined_diffusion_step(s, out.dn_qf, law, hom)
-        vx, vy, vz = s.sx + ds.sx, s.sy + ds.sy, s.sz + ds.sz
-        nrm = math.sqrt(vx * vx + vy * vy + vz * vz)
-        psi = state_from_bloch(BlochVector(vx / nrm, vy / nrm, vz / nrm))
+        psi = state_from_bloch(BlochVector(*_advance(s.as_tuple(), ds.as_tuple())))
     if law.enabled:
         fb = advance_feedback(fb, out.dn_qf, law, hom)
     return psi, fb, out
@@ -868,7 +855,7 @@ def _check_memory(cfg: SimConfig, n: int, procs: int, block: int, rows: int,
     # each block's copy of them and their join: 16 B per record, recorded
     # step and trajectory.
     need += (128 + 120 * (procs > 1)) * n * min(rows, plan[-1][0][0])
-    recorded = len(range(0, cfg.steps, cfg.record_stride)) + 1  # as _recorded_steps lists them
+    recorded = -(-cfg.steps // cfg.record_stride) + 1  # as _recorded_steps lists them
     need += (160 + 16 * n * len(names) * (names == _REC_NAMES)) * recorded
     avail = _mem_available()
     if avail is not None and need > avail:

@@ -83,7 +83,8 @@ def test_hot_loops_read_no_numpy_attribute():
         tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
         defs.update((f.name, f) for f in tree.body if isinstance(f, ast.FunctionDef))
     hot = {name: defs[name] for name in ("_kappa", "_drive_factors", "_rotate", "_condition",
-                                         "_record_mean", "_step_field", "feedback_amplitude")}
+                                         "_record_mean", "_step_field", "_advance", "_shift",
+                                         "feedback_amplitude")}
     for kernel in ("_exact_kernel", "_first_order_kernel"):
         (hot[kernel],) = (f for f in ast.walk(defs[kernel])
                           if isinstance(f, ast.FunctionDef) and f.name == "step")

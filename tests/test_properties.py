@@ -58,15 +58,16 @@ def plane_vectors(draw):
     return BlochVector(math.sin(a), 0.0, math.cos(a))
 
 
-def _one_step(hom, law, initial, shift, xi):
-    # One interval of the mode's lockstep kernel on a single column;
-    # returns the Bloch vector after it and the dtype the kernel ran on.
+def _one_step(hom, law, initial, field, xi):
+    # One interval of the mode's lockstep kernel on a single column, with
+    # the fed-back amplitude ``field`` due; returns the Bloch vector after
+    # it and the dtype the kernel ran on.
     cfg = SimConfig(homodyne=hom, law=law, initial=initial, steps=1, trajectories=1)
     exact = hom.mode is UpdateMode.EXACT
     kernel = trajectory._exact_kernel if exact else trajectory._first_order_kernel
     state, step, bloch, _ = kernel(cfg, 1)
     dtype = state[0].dtype
-    step(state, np.array([[shift]]), 0, np.array([hom.alpha_mag * xi]))
+    step(state, np.array([[field]]), 0, np.array([hom.alpha_mag * xi]))
     state = bloch(state)
     return tuple(float(c[0]) for c in state), dtype
 
@@ -77,7 +78,8 @@ def _one_step(hom, law, initial, shift, xi):
 def test_one_step_keeps_unit_norm(gt, alpha, mode, enabled, tb, s0, shift, xi):
     hom = HomodyneConfig(alpha_mag=alpha, gamma_tau=gt, mode=mode)
     law = FeedbackLaw(theta_bar=tb, enabled=enabled)
-    (sx, sy, sz), dtype = _one_step(hom, law, s0, alpha * shift, xi)
+    # The amplitude whose shift, 2 alpha f, is alpha * shift.
+    (sx, sy, sz), dtype = _one_step(hom, law, s0, 0.5 * shift, xi)
     if mode is UpdateMode.EXACT:
         assert dtype == (np.float64 if s0.sy == 0.0 else np.complex128)
     assert abs(math.sqrt(sx * sx + sy * sy + sz * sz) - 1.0) <= 2e-15

@@ -380,10 +380,11 @@ def test_real_amplitudes_match_their_complex_copies(law, initial):
     cplx = tuple(np.full(n, c, dtype=np.complex128) for c in (psi.c_e, psi.c_g))
     rng = np.random.default_rng(77)
     xi = rng.standard_normal((cfg.steps, n))
-    # Shifts on the scale of fed-back records, 2*alpha*feedback_amplitude.
-    shifts = 200.0 * rng.standard_normal((cfg.steps, n))
+    # Amplitudes on the scale of feedback_amplitude's, whose shifts the
+    # kernel forms, 200 times these.
+    fields = rng.standard_normal((cfg.steps, n))
     for k in range(cfg.steps):
-        ring = shifts[k][:, None]
+        ring = fields[k][:, None]
         dn_real = step(real, ring, 0, EXACT_CFG.alpha_mag * xi[k])
         dn_cplx = cplx_step(cplx, ring, 0, EXACT_CFG.alpha_mag * xi[k])
         assert np.array_equal(dn_real, dn_cplx)
@@ -431,13 +432,12 @@ def _step_handed_copies(kernel, ring, j, noise, copies):
     pytest.param(BlochVector(0.36, 0.48, 0.8), 2, id="complex128"),
 ])
 def test_exact_step_writes_only_arrays_the_kernel_owns(initial, arrays):
-    """Over 300 exact law-on steps at delay 5, with the loop's product of
-    the ring by 2*alpha when a window opens and its feedback push into the
-    ring's slot after each step, each step updates the pair it is handed
-    and returns dn_qf, one array the kernel owns.  A second kernel, handed
-    copies of its start, writes into them the bits the first writes into
-    its own start, and leaves its own start, the ring and the noise as
-    they were.  After the first window, tracemalloc sees each step and
+    """Over 300 exact law-on steps at delay 5, with the loop's feedback
+    push into the ring's slot after each step, each step updates the pair
+    it is handed and returns dn_qf, one array the kernel owns.  A second
+    kernel, handed copies of its start, writes into them the bits the
+    first writes into its own start, and leaves its own start, the ring of
+    amplitudes and the noise as they were.  After the first window, tracemalloc sees each step and
     push hold at most ``arrays`` float64 arrays of n elements at once
     beyond what was live before them, and never half an array more
     (measured 0.003 and 2.003; with fresh arrays for the record mean and
@@ -460,8 +460,6 @@ def test_exact_step_writes_only_arrays_the_kernel_owns(initial, arrays):
         for k in range(cfg.steps):
             j = k % delay
             noise = EXACT_CFG.alpha_mag * rng.standard_normal(n)
-            if j == 0:
-                np.multiply(ops.two_alpha, ring, ring)
             want = _step_handed_copies(other, ring, j, noise, copies)
             handed = [c.tobytes() for c in state]
             live = tracemalloc.get_traced_memory()[0]
@@ -804,8 +802,8 @@ def test_delay_queue_shifts_arrive_late(monkeypatch, hom, delay):
     step k - d; a delay longer than the run (15 > 12 steps) never delivers
     one.  At delays 3 and 7 a 40-step run in noise slabs of 5 steps checks
     the same where windows straddle two slabs and where one opens on a
-    slab's first step (steps 15, 30 and 35), when the loop turns the
-    window's amplitudes into shifts."""
+    slab's first step (steps 15, 30 and 35), where the readout turns a
+    slab's recorded amplitudes into shifts."""
     law = FeedbackLaw(theta_bar=math.pi / 3.0)
     runs = [(12, trajectory._SLAB_STEPS)]
     if delay in (3, 7):
@@ -1098,8 +1096,7 @@ def test_delayed_feedback_undoes_the_first_record(theta_bar):
         cfg = SimConfig(homodyne=hom, law=law, initial=t, steps=2, trajectories=2)
         state, step, bloch, _ = trajectory._exact_kernel(cfg, x1.size)
         dn_qf = step(state, np.zeros((x1.size, 1)), 0, hom.alpha_mag * x1)
-        shift = (2.0 * hom.alpha_mag) * feedback_amplitude(dn_qf, law, hom)
-        step(state, shift[:, None], 0, hom.alpha_mag * x2)
+        step(state, feedback_amplitude(dn_qf, law, hom)[:, None], 0, hom.alpha_mag * x2)
         sx, sy, sz = bloch(state)
         defect = w @ (((sx - t.sx) ** 2 + (sy - t.sy) ** 2 + (sz - t.sz) ** 2) / 4.0)
         ratio = defect / (gt * (1.0 + law.cos_theta_bar) ** 2 / 4.0)
