@@ -40,7 +40,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .state import BlochVector
+from .state import BlochVector, _finite
 from .homodyne import HomodyneConfig, _rotation_field, _step_field
 from .feedback import FeedbackLaw
 from .trajectory import EnsembleStats, SimConfig, _int_at_least, run_ensemble
@@ -276,6 +276,8 @@ def _sphere_grid(n: int):
 def _field_table(settings: Mapping[str, object]):
     # Checked here, before the first row is made or a byte written.
     n = _int_at_least("grid_points", int(settings["grid_points"]), 1)
+    if not _finite(n):
+        raise ValueError(f"grid_points must be within the float range, got {n!r}")
     nonlinear = settings["preset"] == "fig2-field"
 
     def rows():

@@ -33,7 +33,7 @@ from functools import cached_property
 
 from numpy import divide, multiply
 
-from .state import BlochVector
+from .state import BlochVector, _finite
 from .homodyne import HomodyneConfig, _diffusion_step
 
 
@@ -53,7 +53,7 @@ class FeedbackLaw:
     enabled: bool = True
 
     def __post_init__(self):
-        if not (math.isfinite(self.theta_bar) and 0.0 <= self.theta_bar <= math.pi):
+        if not (_finite(self.theta_bar) and 0.0 <= self.theta_bar <= math.pi):
             raise ValueError(f"theta_bar must lie in [0, pi], got {self.theta_bar!r}")
 
     @cached_property
@@ -84,10 +84,9 @@ class FeedbackState:
     def __post_init__(self):
         if len(self.pending) < 1:
             raise ValueError("pending queue needs at least one slot (delay >= 1)")
-        vals = tuple(float(p) for p in self.pending)
-        if not all(math.isfinite(p) for p in vals):
-            raise ValueError(f"pending shifts must be finite, got {vals!r}")
-        object.__setattr__(self, "pending", vals)
+        if not all(map(_finite, self.pending)):
+            raise ValueError(f"pending shifts must be finite, got {self.pending!r}")
+        object.__setattr__(self, "pending", tuple(map(float, self.pending)))
 
 
 def feedback_amplitude(dn_qf, law: FeedbackLaw, cfg: HomodyneConfig, out=None):

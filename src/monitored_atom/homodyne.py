@@ -47,7 +47,7 @@ import numpy as np
 # attribute loads on numpy (trajectory's Per-step cost, the lookup rule).
 from numpy import add, cos, divide, multiply, negative, reciprocal, sin, sqrt, subtract
 
-from .state import BlochVector, PureState, _abs2, bloch_from_state
+from .state import BlochVector, PureState, _abs2, _finite, bloch_from_state
 
 # Validity limits of the model: the Gaussian outcome law needs a strong
 # local oscillator, and the update laws keep only the leading orders in
@@ -89,7 +89,7 @@ class HomodyneConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "mode", UpdateMode(self.mode))
-        if not (math.isfinite(self.alpha_mag) and self.alpha_mag > 0.0):
+        if not (_finite(self.alpha_mag) and self.alpha_mag > 0.0):
             raise ValueError(f"alpha_mag must be finite and positive, got {self.alpha_mag!r}")
         if self.alpha_mag * self.alpha_mag < MIN_ALPHA_SQ:
             raise ValueError(
@@ -97,7 +97,7 @@ class HomodyneConfig:
                 f"floor {MIN_ALPHA_SQ:g}; the Gaussian outcome law needs a "
                 f"strong local oscillator"
             )
-        if not (math.isfinite(self.gamma_tau) and self.gamma_tau > 0.0):
+        if not (_finite(self.gamma_tau) and self.gamma_tau > 0.0):
             raise ValueError(f"gamma_tau must be finite and positive, got {self.gamma_tau!r}")
         if self.gamma_tau > MAX_GAMMA_TAU:
             raise ValueError(
@@ -204,12 +204,13 @@ def _drive_factors(shift, cfg: HomodyneConfig, out=None):
 
 
 def _rotate(c_e, c_g, hc, hs, out=None):
-    # The drive's rotation of the amplitudes, from its _drive_factors;
-    # ``out`` is the rotated pair and a scratch array of their dtype, none
-    # of them one of c_e and c_g.
-    e, g, t = out or (None,) * 3
-    return (subtract(multiply(hc, c_e, e), multiply(hs, c_g, t), e),
-            add(multiply(hs, c_e, g), multiply(hc, c_g, t), g))
+    # The drive's rotation of the amplitudes, from its _drive_factors.
+    # ``out`` is the rotated pair, which may be c_e and c_g themselves, and
+    # two scratch arrays of their dtype for hs*c_g and hs*c_e.  Each product
+    # is by a real factor, so written into its own operand it rounds alike.
+    e, g, a, b = out or (None,) * 4
+    sg, se = multiply(hs, c_g, a), multiply(hs, c_e, b)
+    return subtract(multiply(hc, c_e, e), sg, e), add(se, multiply(hc, c_g, g), g)
 
 
 def _condition(c_e, c_g, dn, cfg: HomodyneConfig, out=None):

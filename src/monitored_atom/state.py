@@ -24,6 +24,15 @@ UNIT_TOL = 1e-9
 PLANE_TOL = 1e-9
 
 
+def _finite(x) -> bool:
+    # math.isfinite(x), but False for an int beyond the float range, on
+    # which math.isfinite raises OverflowError.
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
 def _abs2(z):
     # |z|^2 without the extra rounding of abs(); also works elementwise.
     return z.real * z.real + z.imag * z.imag
@@ -55,6 +64,8 @@ class PureState:
     c_g: complex
 
     def __post_init__(self):
+        if not all(_finite(x) for c in (self.c_e, self.c_g) for x in (c.real, c.imag)):
+            raise ValueError(f"amplitudes must be finite, got {self.c_e!r}, {self.c_g!r}")
         ce = complex(self.c_e)
         cg = complex(self.c_g)
         n2 = _abs2(ce) + _abs2(cg)
@@ -94,7 +105,7 @@ class BlochVector:
     def __post_init__(self):
         for name in ("sx", "sy", "sz"):
             v = getattr(self, name)
-            if not math.isfinite(v):
+            if not _finite(v):
                 raise ValueError(f"Bloch component {name} must be finite, got {v!r}")
 
     def norm(self) -> float:

@@ -51,7 +51,7 @@ and one with a 0-d array about 410 ns (numpy 2.4, 2-core x86-64); under
 NEP 50 both select the same float64 or complex128 loop, so the bits are
 those of the Python floats that the scalar reference passes to the same
 ufuncs.  The buffer rule: no step allocates.  Each kernel updates its
-state in place and writes its field or rotated pair, the exact window's
+state in place and writes its field or scratch, the exact window's
 factors and dn_qf into arrays it builds once per run, on 64-byte
 boundaries, with positional ufunc ``out`` arguments, where each
 operation would otherwise return a fresh array; the feedback push writes
@@ -106,6 +106,7 @@ from .state import (
     BlochVector,
     PureState,
     _bloch,
+    _finite,
     bloch_from_state,
     state_from_bloch,
 )
@@ -174,9 +175,9 @@ class DensityMatrix2:
     def __post_init__(self):
         for name in ("ux", "uy", "uz"):
             v = getattr(self, name)
-            if not math.isfinite(v):
+            if not _finite(v):
                 raise ValueError(f"component {name} must be finite, got {v!r}")
-        n = math.sqrt(self.ux**2 + self.uy**2 + self.uz**2)
+        n = math.sqrt(self.ux * self.ux + self.uy * self.uy + self.uz * self.uz)
         if n > 1.0 + 1e-12:
             raise ValueError(f"Bloch expectation length {n!r} exceeds 1")
 
@@ -189,8 +190,8 @@ def master_evolve(rho: DensityMatrix2, gamma_t: float) -> DensityMatrix2:
     u_z(t) = -1 + (u_z(0) + 1) * exp(-gamma_t).  This is the oracle that
     trajectory averages must reproduce.
     """
-    if not (math.isfinite(gamma_t) and gamma_t >= 0.0):
-        raise ValueError(f"gamma_t must be nonnegative, got {gamma_t!r}")
+    if not (_finite(gamma_t) and gamma_t >= 0.0):
+        raise ValueError(f"gamma_t must be finite and nonnegative, got {gamma_t!r}")
     h = math.exp(-0.5 * gamma_t)
     g = math.exp(-gamma_t)
     # u_z * g + (g - 1) rather than -1 + (u_z + 1) * g: algebraically the
@@ -425,21 +426,19 @@ def _start(cfg: SimConfig) -> tuple:
 def _exact_buffers(n: int, dtype, slots: int) -> tuple:
     # The arrays an exact step of n trajectories writes on amplitudes of
     # one dtype: the state pair and its scratch, together its _condition
-    # ``out``; with the law on (``slots`` > 0) the rotated pair, which with
-    # t is its _rotate ``out``, and the window, the drive's (cosines, sines)
-    # for ``slots`` delay slots; then dn_qf and p, which holds c_e* c_g for
-    # s_x.  Real amplitudes need two float64 scratch arrays (t and p are u,
-    # and w, unused on them, is v), complex ones a complex128 t and p and
-    # three float64.
+    # ``out``; the window, the drive's (cosines, sines) for ``slots`` delay
+    # slots; then dn_qf and p, which holds c_e* c_g for s_x and is with t
+    # the drive's scratch.  Real amplitudes need two float64 scratch arrays
+    # (t is u; w and p are v), complex ones a complex128 t and p and three
+    # float64.
     e, g = _aligned_empty((n,), dtype), _aligned_empty((n,), dtype)
     u, v = _aligned_empty((n,)), _aligned_empty((n,))
     if np.dtype(dtype).kind == "f":
-        t, w, p = u, v, u
+        t, w, p = u, v, v
     else:
         t, w, p = _aligned_empty((n,), dtype), _aligned_empty((n,)), _aligned_empty((n,), dtype)
-    rot = (_aligned_empty((n,), dtype), _aligned_empty((n,), dtype), t) if slots else ()
     window = _aligned_empty((n, slots)), _aligned_empty((n, slots))
-    return (e, g, t, u, v, w), rot, window, (_aligned_empty((n,)), p)
+    return (e, g, t, u, v, w), window, (_aligned_empty((n,)), p)
 
 
 def _exact_kernel(cfg: SimConfig, n: int):
@@ -450,18 +449,18 @@ def _exact_kernel(cfg: SimConfig, n: int):
     # real divisors are applied that way here too).  The step and the
     # conditioned update branch on the start's dtype.
     # The step updates the pair it is handed in place, returns dn_qf and
-    # writes nothing else but arrays the kernel owns (_exact_buffers).  With
-    # the law on it rotates the pair into the rotated pair and conditions
-    # that back into the pair; with the law off it conditions the pair in
-    # place.  The drive follows the window rule: when slot 0 falls due, the
-    # shifts of the whole ring's amplitudes go into the window's sines, of
-    # the ring's shape, and its factors are computed from them there; each
-    # step rotates by its slot's column of them, a view taken once per run.
+    # writes nothing else but arrays the kernel owns (_exact_buffers): with
+    # the law on it rotates the pair in place, through the scratch t and p,
+    # and then it conditions the pair in place.  The drive follows the
+    # window rule: when slot 0 falls due, the shifts of the whole ring's
+    # amplitudes go into the window's sines, of the ring's shape, and its
+    # factors are computed from them there; each step rotates by its slot's
+    # column of them, a view taken once per run.
     ops = _operands(cfg)
     amps = _start(cfg)
     dtype = np.result_type(*amps)
     real = dtype.kind == "f"
-    out, rot, window, (dn, p) = _exact_buffers(n, dtype, cfg.delay if ops.enabled else 0)
+    out, window, (dn, p) = _exact_buffers(n, dtype, cfg.delay if ops.enabled else 0)
     hc, hs = (list(x.T) for x in window)
     start, scratch, (t, u) = out[:2], out[2:], out[2:4]
 
@@ -470,7 +469,7 @@ def _exact_kernel(cfg: SimConfig, n: int):
         if ops.enabled:
             if j == 0:
                 _drive_factors(_shift(ring, ops, window[1]), ops, window)
-            cE, cG = _rotate(cE, cG, hc[j], hs[j], rot)
+            _rotate(cE, cG, hc[j], hs[j], state + (t, p))
         if real:
             sx = multiply(ops.two, multiply(cE, cG, u), u)
         else:
@@ -839,7 +838,7 @@ def _check_memory(cfg: SimConfig, n: int, procs: int, block: int, rows: int,
         bufs = _exact_buffers(1, start[0].dtype, min(slots, 1))
     else:
         slots, bufs = 0, _first_order_buffers(1, len(start))
-    # Each array once: the exact kernel's pairs share their scratch.
+    # Each array once: on real amplitudes the exact scratch arrays overlap.
     own = sum({id(a): a.nbytes * (slots if a.ndim == 2 else 1)
                for out in bufs for a in out}.values())
     need = n * (_GENERATOR_BYTES + own + sum(
@@ -859,9 +858,12 @@ def _check_memory(cfg: SimConfig, n: int, procs: int, block: int, rows: int,
     need += (160 + 16 * n * len(names) * (names == _REC_NAMES)) * recorded
     avail = _mem_available()
     if avail is not None and need > avail:
+        # Tenths of a MB, rounded up and down in integer arithmetic, which
+        # holds at sizes beyond the float range.
+        up, down = -(-10 * need // 2**20), 10 * avail // 2**20
         raise ValueError(
-            f"the run needs an estimated {math.ceil(10 * need / 2**20) / 10:.1f} MB of memory, "
-            f"more than the {math.floor(10 * avail / 2**20) / 10:.1f} MB available"
+            f"the run needs an estimated {up // 10}.{up % 10} MB of memory, "
+            f"more than the {down // 10}.{down % 10} MB available"
         )
 
 

@@ -3,16 +3,15 @@
 A configuration that cannot run is refused up front: the command line
 exits 2 with one ``error:`` line on stderr and nothing on stdout, and the
 library raises ValueError.  The properties draw every flag and field from
-edge sets (zeros of both signs, +-1, NaN, +-inf, 2^63 +- 1, 10^20,
-subnormals, gamma_tau down to 1e-30, so that huge step counts pass
+edge sets (zeros of both signs, +-1, NaN, +-inf, 2^63 +- 1, 10^20, the
+int 10^400 beyond the float range, subnormals, gamma_tau down to 1e-30,
+so that huge step counts pass
 SimConfig's steps * gamma_tau ceiling) and run derandomized, with no
 example database, so a failure reproduces as is.  MemAvailable is
 patched to 256 MB, so that the memory check refuses the huge
 configurations instead of running them; refusal is the behaviour under
 test.  A run that passes every check with more than 10^4 steps is stopped
-where its loop starts, since no test can wait for it.  The edge sets stop
-at 10^20: an int beyond the float range still makes HomodyneConfig,
-FeedbackLaw and BlochVector raise OverflowError.
+where its loop starts, since no test can wait for it.
 """
 
 import contextlib
@@ -24,14 +23,17 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from monitored_atom import BlochVector, FeedbackLaw, HomodyneConfig, SimConfig
+from monitored_atom import (BlochVector, DensityMatrix2, FeedbackLaw, FeedbackState,
+                            HomodyneConfig, PureState, SimConfig, master_evolve)
 from monitored_atom import cli, trajectory
 from monitored_atom.trajectory import run_ensemble, run_trajectory
 
 MEM = 256 << 20
-EDGE_INTS = [0, 1, 2, 3, 7, -1, 2**63 - 1, 2**63, 2**63 + 1, 10**20]
+# An int that float() cannot hold.
+BIG = 10**400
+EDGE_INTS = [0, 1, 2, 3, 7, -1, 2**63 - 1, 2**63, 2**63 + 1, 10**20, BIG]
 EDGE_FLOATS = [0.0, -0.0, 1.0, -1.0, math.nan, math.inf, -math.inf, 2.0**63 - 1, 2.0**63 + 1,
-               1e20, 5e-324, 2.2250738585072014e-308, 1e-30, 1e-4, 0.01, 1.2, 1e4]
+               1e20, BIG, 5e-324, 2.2250738585072014e-308, 1e-30, 1e-4, 0.01, 1.2, 1e4]
 
 
 def _no_memory(*args):
@@ -92,6 +94,41 @@ def test_steps_beyond_int64_raise_value_error(monkeypatch):
     for run in (run_ensemble, run_trajectory):
         with pytest.raises(ValueError, match="estimated"):
             run(cfg)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: BlochVector(BIG, 0, 0), id="BlochVector"),
+    pytest.param(lambda: HomodyneConfig(alpha_mag=BIG), id="alpha_mag"),
+    pytest.param(lambda: HomodyneConfig(gamma_tau=BIG), id="gamma_tau"),
+    pytest.param(lambda: FeedbackLaw(theta_bar=BIG), id="theta_bar"),
+    pytest.param(lambda: FeedbackState((BIG,)), id="FeedbackState"),
+    pytest.param(lambda: PureState(BIG, 0), id="PureState"),
+    pytest.param(lambda: DensityMatrix2(BIG, 0, 0), id="DensityMatrix2"),
+    pytest.param(lambda: DensityMatrix2(1e308, 0.0, 0.0), id="DensityMatrix2-1e308"),
+    pytest.param(lambda: master_evolve(DensityMatrix2(0.0, 0.0, 1.0), BIG), id="master_evolve"),
+])
+def test_beyond_float_range_raises_value_error(call):
+    """An int that float() cannot hold is refused with ValueError, not
+    OverflowError, and so is a finite float whose square overflows."""
+    with pytest.raises(ValueError):
+        call()
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["--trajectories", str(BIG)], id="trajectories"),
+    pytest.param(["--feedback", "on", "--delay", str(BIG)], id="delay"),
+    pytest.param(["--preset", "fig1-field", "--grid-points", str(BIG)], id="grid-points"),
+])
+def test_count_beyond_float_range_exits_two(monkeypatch, capsys, argv):
+    """A count that float() cannot hold exits 2 with one error line and no
+    table: the memory estimate is written in integer arithmetic, and the
+    field table refuses its grid before it writes a byte."""
+    monkeypatch.setattr(trajectory, "_mem_available", _no_memory)
+    rc = cli.main(argv)
+    out = capsys.readouterr()
+    assert rc == 2
+    assert out.out == ""
+    assert [line.startswith("error:") for line in out.err.splitlines()] == [True]
 
 
 # Each property draws a configuration that would run, with values up to

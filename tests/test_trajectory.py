@@ -577,8 +577,10 @@ _starts = st.one_of(
 )
 
 
-# The examples, indices 0-6 from the start (1, 0, 0) at stride 5 and delays
-# 1 and 3, run with each mode and law pair.
+# The examples, indices 0-6 at stride 5, run with each mode and law pair:
+# from the start (1, 0, 0) at delays 1 and 3, and from an out-of-plane
+# start at delay 3, whose single exact law-on run rotates a complex128
+# pair of length 1 in place.
 @pytest.mark.parametrize("hom,enabled", [
     pytest.param(EXACT_CFG, False, id="exact-off"),
     pytest.param(EXACT_CFG, True, id="exact-on"),
@@ -590,6 +592,7 @@ _starts = st.one_of(
        start=_starts, delay=st.integers(1, 6), stride=st.integers(1, 6))
 @example(indices=list(range(7)), start=BlochVector(1.0, 0.0, 0.0), delay=1, stride=5)
 @example(indices=list(range(7)), start=BlochVector(1.0, 0.0, 0.0), delay=3, stride=5)
+@example(indices=list(range(7)), start=BlochVector(0.36, 0.48, 0.8), delay=3, stride=5)
 def test_single_trajectory_matches_its_ensemble_column(hom, enabled, indices, start, delay, stride):
     """Membership in a larger batch must not change a trajectory:
     run_trajectory(cfg, i) is column i of _simulate(cfg, indices) bit for
@@ -1405,8 +1408,8 @@ def _estimated(need):
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("initial,amp_bytes,own_bytes,law", [
-    pytest.param(BlochVector(0.6, 0.0, 0.8), 16, 56, FeedbackLaw(theta_bar=1.2), id="float64"),
-    pytest.param(BlochVector(0.36, 0.48, 0.8), 32, 128, FeedbackLaw(theta_bar=1.2),
+    pytest.param(BlochVector(0.6, 0.0, 0.8), 16, 40, FeedbackLaw(theta_bar=1.2), id="float64"),
+    pytest.param(BlochVector(0.36, 0.48, 0.8), 32, 96, FeedbackLaw(theta_bar=1.2),
                  id="complex128"),
     pytest.param(BlochVector(0.6, 0.0, 0.8), 16, 40, FeedbackLaw(enabled=False),
                  id="float64-law-off"),
@@ -1429,13 +1432,13 @@ def test_memory_check_runs_before_any_draw_or_fork(monkeypatch, serial_pool, ini
     # Per process: the noise slab, in rows padded to 264 floats, 640 B of
     # generator, and, with the law on, 24 B of ring and 48 B for the drive
     # factors of a 3-step window per trajectory, with the law off a ring of
-    # one slot, 8 B; the kernel's own arrays (the amplitude pair, and with
-    # the law on the rotated pair, and their scratch: two float64 arrays on
-    # real amplitudes, two complex128, one for the product s_x is read
-    # from, and three float64 on complex ones; and dn_qf), and the
-    # amplitudes of the slab's recorded cells; then a view of each of the
-    # ring's slots and, with the law on, of each of the window's 2 x 3
-    # columns.
+    # one slot, 8 B; the kernel's own arrays (the amplitude pair and its
+    # scratch: two float64 arrays on real amplitudes, two complex128, one
+    # for the product s_x is read from, and three float64 on complex ones;
+    # and dn_qf), the same under both laws, and the amplitudes of the
+    # slab's recorded cells; then a view of each of the ring's slots and,
+    # with the law on, of each of the window's 2 x 3 columns.  Only the
+    # window and the ring depend on the law.
     ring, window, views = (24, 48, 9) if law.enabled else (8, 0, 1)
     need = sum(n * (8 * 264 + 640 + ring + window + own_bytes + amp_bytes * 257)
                + views * trajectory._VIEW_BYTES for n in sizes)
@@ -1456,14 +1459,14 @@ def test_run_trajectory_checks_memory_for_its_one_trajectory(monkeypatch):
     def need(n, rows, kept):
         # Per trajectory: a 100-step slab in a row of 104 floats, its
         # generator, the 50 000-slot ring, 16 B per slot for the window's
-        # drive factors, the kernel's two float64 amplitude pairs, two
+        # drive factors, the kernel's one float64 amplitude pair, two
         # scratch arrays and dn_qf, and the float64 amplitudes and the
         # other kept records of 101 recorded steps; 128 B per cell of a
         # readout block; 160 B per recorded step, and where all 5 records
         # are kept, 16 B per record, recorded step and trajectory.  In the
         # one process, a view of each slot of the ring and of the window's
         # two arrays.
-        per = 8 * 104 + 640 + 8 * 50_000 + 16 * 50_000 + 56 + (16 + 8 * (kept - 3)) * 101
+        per = 8 * 104 + 640 + 8 * 50_000 + 16 * 50_000 + 40 + (16 + 8 * (kept - 3)) * 101
         total = n * per + 128 * n * rows + (160 + 16 * n * kept * (kept == 5)) * 101
         return _estimated(total + 3 * 50_000 * trajectory._VIEW_BYTES)
 
@@ -1510,15 +1513,15 @@ def test_memory_estimate_bounds_the_traced_peak(monkeypatch, run, hom, initial, 
                                                 delay):
     """The memory check's estimate is at least what the run allocates:
     the traced peak of a one-worker run stays at or below it (measured
-    1.5 MB against 1.9 MB, 1.7 against 2.1, and 11.4 and 11.4 against
-    12.2 and 12.4 for the first-order state of two and three columns).  A
-    delay of None runs the law off, where the exact kernel holds no
-    rotated pair and no window: 1.4 MB against 1.9 and 1.6 against 2.1.
-    At delay 2500 the exact kernel's window of drive factors, the ring and
-    their views dominate: 6.0 MB against 6.5 on float64 and 6.2 against
-    6.7 on complex128.  _simulate, which keeps every record of its 64
-    trajectories over 20 000 steps, holds each block's copy and their
-    join: 98.7 MB against 102.4."""
+    1.4 MB against 1.9 MB on float64 and 1.6 against 2.1 on complex128,
+    and 11.4 and 11.4 against 12.2 and 12.4 for the first-order state of
+    two and three columns).  A delay of None runs the law off, where the
+    exact kernel holds the same amplitude pair and no window: 1.4 MB
+    against 1.9 and 1.6 against 2.1.  At delay 2500 the exact kernel's
+    window of drive factors, the ring and their views dominate: 5.9 MB
+    against 6.4 on float64 and 6.1 against 6.7 on complex128.  _simulate,
+    which keeps every record of its 64 trajectories over 20 000 steps,
+    holds each block's copy and their join: 98.7 MB against 102.4."""
     law = FeedbackLaw(theta_bar=1.2) if delay else FeedbackLaw(enabled=False)
     cfg = SimConfig(homodyne=hom, law=law, initial=initial, steps=steps,
                     trajectories=n, delay=delay or 1, record_stride=stride)
@@ -1694,11 +1697,11 @@ def test_small_ensemble_long_run_memory_stays_near_one_slab(monkeypatch):
         run_ensemble(cfg)
     # Per trajectory: a 256-step slab in a row of 264 floats, its
     # generator, a 20-slot ring, 16 B per slot for the window's drive
-    # factors, the kernel's two float64 amplitude pairs, two scratch
+    # factors, the kernel's one float64 amplitude pair, two scratch
     # arrays and dn_qf, and the float64 amplitudes of 257 recorded steps;
     # 128 B per cell of a readout block of 257 rows; 160 B per recorded
     # step; a view of each slot of the ring and of the window's two arrays.
-    need = (16 * (8 * 264 + 640 + 8 * 20 + 16 * 20 + 56 + 16 * 257) + 128 * 16 * 257
+    need = (16 * (8 * 264 + 640 + 8 * 20 + 16 * 20 + 40 + 16 * 257) + 128 * 16 * 257
             + 160 * 10_001 + 3 * 20 * trajectory._VIEW_BYTES)
     assert _estimated(need) in str(err.value)
     monkeypatch.setattr(trajectory, "_mem_available", lambda: None)
