@@ -137,7 +137,10 @@ def state_from_bloch(s: BlochVector) -> PureState:
     Inverse of :func:`bloch_from_state` up to rounding, using the
     half-angle amplitudes ``c_e = sqrt((1+s_z)/2)`` and
     ``c_g = sqrt((1-s_z)/2) * (s_x + i*s_y)/|s_x + i*s_y|``, which
-    already carry the canonical global phase.
+    already carry the canonical global phase.  Only the larger modulus
+    comes from its half-angle formula; the smaller is
+    ``|s_x + i*s_y| / (2 * larger)``, since near a pole ``1 -+ s_z``
+    has lost the digits that the transverse components still carry.
 
     Raises
     ------
@@ -149,13 +152,18 @@ def state_from_bloch(s: BlochVector) -> PureState:
         raise ValueError(
             f"Bloch vector must be unit length within {UNIT_TOL:g}, got |s| = {n!r}"
         )
-    c_e = math.sqrt(max(0.0, 0.5 * (1.0 + s.sz)))
-    mg = math.sqrt(max(0.0, 0.5 * (1.0 - s.sz)))
+    # The larger modulus is at least sqrt(1/2), so the division is safe.
+    r = math.hypot(s.sx, s.sy)
+    if s.sz >= 0.0:
+        c_e = math.sqrt(0.5 * (1.0 + s.sz))
+        mg = r / (2.0 * c_e)
+    else:
+        mg = math.sqrt(0.5 * (1.0 - s.sz))
+        c_e = r / (2.0 * mg)
     # The unit phase comes from the in-plane components directly rather
     # than through atan2/cos/sin, so vectors with s_y = 0 map to exactly
     # real amplitudes (sin(atan2(0, -1)) would leave a 1e-16 residue that
     # a long conditioned run then amplifies).
-    r = math.hypot(s.sx, s.sy)
     if r > 0.0:
         c_g = complex(mg * (s.sx / r), mg * (s.sy / r))
     else:

@@ -57,8 +57,11 @@ def _bloch(ce, cg):
 
 
 def _start(s: BlochVector):
-    # The half-angle amplitudes of the start, at 40 digits.
+    # The half-angle amplitudes of the start, scaled to unit length first,
+    # at 40 digits, where 1 - |s_z| keeps its digits near a pole too.
     sx, sy, sz = (D(c) for c in s.as_tuple())
+    norm = (sx * sx + sy * sy + sz * sz).sqrt()
+    sx, sy, sz = sx / norm, sy / norm, sz / norm
     ce = ((1 + sz) / 2).sqrt()
     mg, r = ((1 - sz) / 2).sqrt(), (sx * sx + sy * sy).sqrt()
     cg = (mg * sx / r, mg * sy / r) if r else (mg, D(0))
@@ -126,13 +129,18 @@ def _gaps(cfg: SimConfig, index: int):
 EXACT = HomodyneConfig(alpha_mag=100.0, gamma_tau=1e-4, mode=UpdateMode.EXACT)
 FIRST = HomodyneConfig(alpha_mag=100.0, gamma_tau=1e-4, mode=UpdateMode.FIRST_ORDER)
 COMPLEX = BlochVector(0.36, 0.48, 0.8)
+# Starts 1e-12 from a pole: 1 - |s_z| = 1 - cos(1.4e-6).
+NORTH = BlochVector(math.sin(1.4e-6), 0.0, math.cos(1.4e-6))
+SOUTH = BlochVector(math.sin(1.4e-6), 0.0, -math.cos(1.4e-6))
 
 
 # Each case runs 3000 steps from seed 2024, trajectory 3.  Measured (numpy
 # 2.4.6): the largest Bloch gap 1.3e-14 at pi/2 and delay 1, 2.8e-15 at
-# pi/3 and delay 3, 4.2e-15 at 2.5 and delay 20, 8.7e-15 and 2.2e-15 with
-# the law off, 1.8e-15 and 1.9e-15 in the first-order mode; the largest
-# record gap 1.1e-15 |alpha|, the rounding of dn_qf and of the shift.  A
+# pi/3 and delay 3, 5.6e-15 at 2.5 and delay 20, 8.7e-15 and 2.5e-15 with
+# the law off, 1.0e-14 and 4.4e-16 from the poles, 1.8e-15 and 1.9e-15 in
+# the first-order mode; the largest record gap 1.1e-15 |alpha|, the
+# rounding of dn_qf and of the shift.  Pole starts whose amplitudes both
+# come from the half-angle formula read 4.9e-12 and 4.4e-12.  A
 # drive whose cosine and sine are Taylor polynomials through h^4 and h^5
 # reads 5.0e-14 and 2.4e-14 |alpha| at pi/3 and delay 3: it does not
 # conserve the norm, and the record mean sees that before the conditioned
@@ -144,6 +152,8 @@ COMPLEX = BlochVector(0.36, 0.48, 0.8)
     pytest.param(EXACT, FeedbackLaw(enabled=False), BlochVector(0.6, 0.0, 0.8), 1,
                  id="exact-off-real"),
     pytest.param(EXACT, FeedbackLaw(enabled=False), COMPLEX, 1, id="exact-off-complex"),
+    pytest.param(EXACT, FeedbackLaw(enabled=False), NORTH, 1, id="exact-off-north-pole"),
+    pytest.param(EXACT, FeedbackLaw(theta_bar=math.pi), SOUTH, 2, id="exact-pi-d2-south-pole"),
     pytest.param(FIRST, FeedbackLaw(theta_bar=1.2), BlochVector(-0.6, 0.0, 0.8), 2,
                  id="first-order-in-plane"),
     pytest.param(FIRST, FeedbackLaw(theta_bar=1.2), COMPLEX, 3, id="first-order-out-of-plane"),

@@ -25,7 +25,7 @@ import types
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from monitored_atom import (
     BlochVector,
@@ -637,24 +637,21 @@ def test_single_trajectory_matches_its_ensemble_column(hom, enabled, indices, st
        seed=st.integers(0, 2**40 - 1), index=st.integers(0, 2**20 - 1))
 @example(theta_bar=math.pi / 3.0, enabled=True, delay=2, gamma_tau=1e-4, steps=30,
          start=None, seed=55, index=0)
+@example(theta_bar=math.pi, enabled=True, delay=1, gamma_tau=1e-4, steps=300,
+         start=_in_plane(math.pi - 1.4e-6), seed=7, index=0)
+@example(theta_bar=0.0, enabled=False, delay=1, gamma_tau=1e-4, steps=300,
+         start=_in_plane(1.4e-6), seed=7, index=0)
 def test_step_trajectory_agrees_with_kernel(mode, theta_bar, enabled, delay, gamma_tau,
                                             steps, start, seed, index):
     """The scalar cycle and the vectorized kernel are independent routes
     through the same update; they share the noise stream and must land on
     the same states and records to rounding, in both modes, with the law
     on and off, at delays 1-5, from starts on the target, in the plane and
-    out of it.  steps * gamma_tau stays at or below 0.9."""
+    out of it, and within 1e-12 of either pole, where the first-order
+    reference rebuilds its amplitudes every step with state_from_bloch.
+    steps * gamma_tau stays at or below 0.9."""
     law = FeedbackLaw(theta_bar=theta_bar, enabled=enabled)
     initial = law.target if start is None else start
-    if mode is UpdateMode.FIRST_ORDER:
-        # The first-order reference rebuilds its amplitudes each step with
-        # state_from_bloch, whose half-angle formula loses the smaller
-        # amplitude's digits near a pole: at 1 - |s_z| = 1e-12 a rebuild
-        # moves s_x by 1.6e-11, and runs that stay that close end up to
-        # 3e-7 from the kernel.  Starts and targets within about 0.01 rad
-        # of a pole wait for that formula to be mended.
-        assume(min(1.0 - abs(initial.sz), 1.0 - abs(law.cos_theta_bar) if enabled else 1.0)
-               >= 5e-5)
     hom = HomodyneConfig(alpha_mag=100.0, gamma_tau=gamma_tau, mode=mode)
     cfg = SimConfig(homodyne=hom, law=law, initial=initial, steps=steps,
                     master_seed=seed, delay=delay)
@@ -669,7 +666,9 @@ def test_step_trajectory_agrees_with_kernel(mode, theta_bar, enabled, delay, gam
         got["bloch"].append(bloch_from_state(psi).as_tuple())
         got["dn_qf"].append(out.dn_qf)
         got["shift"].append(out.shift)
-    for name, bound in (("bloch", 1e-10), ("dn_qf", 1e-8), ("shift", 1e-8)):
+    # The Bloch rows agree to 3.7e-15 over these examples.  A pole start
+    # rebuilt by the half-angle formula alone drifts 4.6e-12.
+    for name, bound in (("bloch", 1e-13), ("dn_qf", 1e-8), ("shift", 1e-8)):
         gap = np.abs(np.array(got[name]) - getattr(kernel, name)[1:]).max()
         assert gap <= bound, (name, gap)
 
