@@ -33,6 +33,14 @@ def _finite(x) -> bool:
         return False
 
 
+def _norm3(x, y, z) -> float:
+    # The length of (x, y, z), squared as floats: an int squared in int
+    # arithmetic can leave the float range, where math.sqrt raises
+    # OverflowError; as floats the square overflows to inf.
+    x, y, z = float(x), float(y), float(z)
+    return math.sqrt(x * x + y * y + z * z)
+
+
 def _abs2(z):
     # |z|^2 without the extra rounding of abs(); also works elementwise.
     return z.real * z.real + z.imag * z.imag
@@ -109,7 +117,7 @@ class BlochVector:
                 raise ValueError(f"Bloch component {name} must be finite, got {v!r}")
 
     def norm(self) -> float:
-        return math.sqrt(self.sx * self.sx + self.sy * self.sy + self.sz * self.sz)
+        return _norm3(self.sx, self.sy, self.sz)
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.sx, self.sy, self.sz)

@@ -4,7 +4,8 @@ A configuration that cannot run is refused up front: the command line
 exits 2 with one ``error:`` line on stderr and nothing on stdout, and the
 library raises ValueError.  The properties draw every flag and field from
 edge sets (zeros of both signs, +-1, NaN, +-inf, 2^63 +- 1, 10^20, the
-int 10^400 beyond the float range, subnormals, gamma_tau down to 1e-30,
+int 10^300, whose square is beyond the float range, the int 10^400
+beyond it, subnormals, gamma_tau down to 1e-30,
 so that huge step counts pass
 SimConfig's steps * gamma_tau ceiling) and run derandomized, with no
 example database, so a failure reproduces as is.  MemAvailable is
@@ -31,9 +32,12 @@ from monitored_atom.trajectory import run_ensemble, run_trajectory
 MEM = 256 << 20
 # An int that float() cannot hold.
 BIG = 10**400
-EDGE_INTS = [0, 1, 2, 3, 7, -1, 2**63 - 1, 2**63, 2**63 + 1, 10**20, BIG]
+# An int that float() holds, but whose square in int arithmetic it cannot.
+SQUARE_BIG = 10**300
+EDGE_INTS = [0, 1, 2, 3, 7, -1, 2**63 - 1, 2**63, 2**63 + 1, 10**20, SQUARE_BIG, BIG]
 EDGE_FLOATS = [0.0, -0.0, 1.0, -1.0, math.nan, math.inf, -math.inf, 2.0**63 - 1, 2.0**63 + 1,
-               1e20, BIG, 5e-324, 2.2250738585072014e-308, 1e-30, 1e-4, 0.01, 1.2, 1e4]
+               1e20, SQUARE_BIG, BIG, 5e-324, 2.2250738585072014e-308, 1e-30, 1e-4, 0.01, 1.2,
+               1e4]
 
 
 def _no_memory(*args):
@@ -106,12 +110,36 @@ def test_steps_beyond_int64_raise_value_error(monkeypatch):
     pytest.param(lambda: DensityMatrix2(BIG, 0, 0), id="DensityMatrix2"),
     pytest.param(lambda: DensityMatrix2(1e308, 0.0, 0.0), id="DensityMatrix2-1e308"),
     pytest.param(lambda: master_evolve(DensityMatrix2(0.0, 0.0, 1.0), BIG), id="master_evolve"),
+    pytest.param(lambda: SimConfig(initial=BlochVector(SQUARE_BIG, 0, 0)), id="initial-int-square"),
+    pytest.param(lambda: DensityMatrix2(SQUARE_BIG, 0, 0), id="DensityMatrix2-int-square"),
 ])
 def test_beyond_float_range_raises_value_error(call):
     """An int that float() cannot hold is refused with ValueError, not
-    OverflowError, and so is a finite float whose square overflows."""
+    OverflowError, and so is a finite float or an int whose square
+    overflows."""
     with pytest.raises(ValueError):
         call()
+
+
+def test_norm_squares_as_floats():
+    """BlochVector.norm squares its components as floats: an int whose
+    square leaves the float range gives inf, not OverflowError, and float
+    components keep the bits of their sum of squares."""
+    assert BlochVector(SQUARE_BIG, 0, 0).norm() == math.inf
+    assert BlochVector(3, 4, 12).norm() == 13.0
+    assert BlochVector(0.36, 0.48, 0.8).norm() == math.sqrt(0.36 * 0.36 + 0.48 * 0.48 + 0.8 * 0.8)
+
+
+def test_int_alpha_beyond_int64_runs_as_its_float():
+    """An int alpha_mag above the int64 range runs the exact law-on kernel,
+    whose operands are float64, and gives the bytes of the same float."""
+    def stats(alpha):
+        cfg = SimConfig(homodyne=HomodyneConfig(alpha_mag=alpha), law=FeedbackLaw(theta_bar=1.2),
+                        initial=BlochVector(0.6, 0.0, 0.8), steps=50, trajectories=4, delay=2)
+        s = run_ensemble(cfg)
+        return [getattr(s, k).tobytes() for k in ("mean", "var", "se", "fidelity", "purity")]
+
+    assert stats(10**20) == stats(1e20)
 
 
 @pytest.mark.parametrize("argv", [
@@ -227,7 +255,7 @@ def test_argv_exits_zero_or_two(argv):
 
 
 LIBRARY_GOOD = {
-    "alpha_mag": [100.0, 10.0, 1e10], "gamma_tau": [1e-4, 0.01, 1e-30, 5e-324],
+    "alpha_mag": [100.0, 10.0, 1e10, 10**20], "gamma_tau": [1e-4, 0.01, 1e-30, 5e-324],
     "mode": ["exact", "first-order"], "theta_bar": [1.2, 0.0, math.pi],
     "enabled": [True, False], "initial": [(1.0, 0.0, 0.0), (0.36, 0.48, 0.8), (0, 0, -1)],
     "steps": GOOD["--steps"], "trajectories": GOOD["--trajectories"],

@@ -307,6 +307,60 @@ def test_field_and_record_mean_write_the_bits_of_their_fresh_form(plane):
     assert [a.tobytes() for a in (sx, sz)] == inputs
 
 
+def _shifts_of(h, cfg):
+    # The record shifts whose drive turns by the half angles h, to rounding.
+    return h * (2.0 * cfg.alpha_mag / cfg.sqrt_gamma_tau)
+
+
+def _same_bits(a, b):
+    return np.asarray(a, np.float64).tobytes() == np.asarray(b, np.float64).tobytes()
+
+
+def test_drive_polynomials_are_within_an_ulp_of_libm():
+    """Up to the bound, the drive's cosine and sine come from Taylor
+    polynomials.  On a dense grid of half angles each is within 1 ulp of
+    libm's, cos^2 + sin^2 is 1 to rounding, and a Python float gives the
+    bits of the same element of an array."""
+    bound = homodyne._DRIVE_H_MAX
+    shift = _shifts_of(np.linspace(-bound, bound, 100_001), CFG)
+    half = 0.5 * homodyne._kappa(shift, CFG)
+    assert np.abs(half).max() <= bound
+    c, s = homodyne._drive_factors(shift, CFG)
+    assert np.all(np.abs(c - np.cos(half)) <= np.spacing(np.cos(half)))
+    assert np.all(np.abs(s - np.sin(half)) <= np.abs(np.spacing(np.sin(half))))
+    assert np.abs(c * c + s * s - 1.0).max() <= 2.3e-16
+    for j in range(0, shift.size, 37):
+        cj, sj = homodyne._drive_factors(shift[j].item(), CFG)
+        assert _same_bits(cj, c[j]) and _same_bits(sj, s[j])
+
+
+def test_drive_takes_libm_per_element_past_the_bound():
+    """A half angle past the bound takes libm's cos and sin bit for bit.
+    The choice is made per element.  In a window that mixes both kinds,
+    the others keep the bits they have in a window of their own, so a
+    trajectory's bits do not depend on its neighbours.  A half angle of
+    1e100 overflows no term.  Written into ``out``, the bits are the same,
+    and so they are for each element as a Python float."""
+    rng = np.random.default_rng(8)
+    h = rng.normal(0.0, homodyne._DRIVE_H_MAX, (64, 5))
+    h[0, :2] = 1e100, -1e100
+    shift = _shifts_of(h, CFG)
+    half = 0.5 * homodyne._kappa(shift, CFG)
+    big = np.abs(half) > homodyne._DRIVE_H_MAX
+    assert 20 < big.sum() < 300
+    c, s = homodyne._drive_factors(shift, CFG)
+    assert _same_bits(c[big], np.cos(half[big])) and _same_bits(s[big], np.sin(half[big]))
+    alone = homodyne._drive_factors(shift[~big], CFG)
+    assert _same_bits(c[~big], alone[0]) and _same_bits(s[~big], alone[1])
+    out = (*(np.full((64, 5), np.nan) for _ in range(4)), np.zeros((64, 5), bool))
+    got = homodyne._drive_factors(shift, CFG, out)
+    assert got[0] is out[0] and got[1] is out[1]
+    assert _same_bits(got[0], c) and _same_bits(got[1], s)
+    for j in np.ndindex(shift.shape):
+        cj, sj = homodyne._drive_factors(shift[j].item(), CFG)
+        assert _same_bits(cj, c[j]) and _same_bits(sj, s[j])
+
+
 def test_config_validation_messages():
     with pytest.raises(ValueError, match="floor"):
         HomodyneConfig(alpha_mag=5.0)

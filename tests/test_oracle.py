@@ -128,6 +128,8 @@ def _gaps(cfg: SimConfig, index: int):
 
 EXACT = HomodyneConfig(alpha_mag=100.0, gamma_tau=1e-4, mode=UpdateMode.EXACT)
 FIRST = HomodyneConfig(alpha_mag=100.0, gamma_tau=1e-4, mode=UpdateMode.FIRST_ORDER)
+# Drive angles of about 0.017 per standard deviation at theta_bar = 0.
+GUARD = HomodyneConfig(alpha_mag=100.0, gamma_tau=3e-4, mode=UpdateMode.EXACT)
 COMPLEX = BlochVector(0.36, 0.48, 0.8)
 # Starts 1e-12 from a pole: 1 - |s_z| = 1 - cos(1.4e-6).
 NORTH = BlochVector(math.sin(1.4e-6), 0.0, math.cos(1.4e-6))
@@ -137,14 +139,16 @@ SOUTH = BlochVector(math.sin(1.4e-6), 0.0, -math.cos(1.4e-6))
 # Each case runs 3000 steps from seed 2024, trajectory 3.  Measured (numpy
 # 2.4.6): the largest Bloch gap 1.3e-14 at pi/2 and delay 1, 2.8e-15 at
 # pi/3 and delay 3, 5.6e-15 at 2.5 and delay 20, 8.7e-15 and 2.5e-15 with
-# the law off, 1.0e-14 and 4.4e-16 from the poles, 1.8e-15 and 1.9e-15 in
-# the first-order mode; the largest record gap 1.1e-15 |alpha|, the
-# rounding of dn_qf and of the shift.  Pole starts whose amplitudes both
-# come from the half-angle formula read 4.9e-12 and 4.4e-12.  A
-# drive whose cosine and sine are Taylor polynomials through h^4 and h^5
-# reads 5.0e-14 and 2.4e-14 |alpha| at pi/3 and delay 3: it does not
-# conserve the norm, and the record mean sees that before the conditioned
-# update renormalizes it away.
+# the law off, 1.0e-14 and 4.4e-16 from the poles, 2.1e-15 where 249 of
+# the 3000 drive angles pass the bound of its polynomials and take libm's
+# cos and sin, 1.8e-15 and 1.9e-15 in the first-order mode; the largest
+# record gap 1.1e-15 |alpha|, the rounding of dn_qf and of the shift.
+# Pole starts whose amplitudes both come from the half-angle formula read
+# 4.9e-12 and 4.4e-12.  A drive whose cosine and sine are Taylor
+# polynomials through only h^4 and h^5 reads 5.0e-14 and 2.4e-14 |alpha|
+# at pi/3 and delay 3: its cosine is off by up to h^6/720, about 1e-12,
+# so it does not conserve the norm, and the record mean sees that before
+# the conditioned update renormalizes it away.
 @pytest.mark.parametrize("hom,law,initial,delay", [
     pytest.param(EXACT, FeedbackLaw(theta_bar=math.pi / 2), None, 1, id="exact-pi/2-d1"),
     pytest.param(EXACT, FeedbackLaw(theta_bar=math.pi / 3), None, 3, id="exact-pi/3-d3"),
@@ -154,6 +158,8 @@ SOUTH = BlochVector(math.sin(1.4e-6), 0.0, -math.cos(1.4e-6))
     pytest.param(EXACT, FeedbackLaw(enabled=False), COMPLEX, 1, id="exact-off-complex"),
     pytest.param(EXACT, FeedbackLaw(enabled=False), NORTH, 1, id="exact-off-north-pole"),
     pytest.param(EXACT, FeedbackLaw(theta_bar=math.pi), SOUTH, 2, id="exact-pi-d2-south-pole"),
+    pytest.param(GUARD, FeedbackLaw(theta_bar=0.0), BlochVector(0.6, 0.0, 0.8), 1,
+                 id="exact-0-d1-drive-fallback"),
     pytest.param(FIRST, FeedbackLaw(theta_bar=1.2), BlochVector(-0.6, 0.0, 0.8), 2,
                  id="first-order-in-plane"),
     pytest.param(FIRST, FeedbackLaw(theta_bar=1.2), COMPLEX, 3, id="first-order-out-of-plane"),

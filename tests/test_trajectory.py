@@ -46,7 +46,7 @@ from monitored_atom import (
     trajectory_seed,
 )
 from monitored_atom import trajectory
-from monitored_atom.homodyne import _drive_factors, _rotate
+from monitored_atom.homodyne import _DRIVE_H_MAX, _drive_factors, _kappa, _rotate
 from monitored_atom.trajectory import _REC_NAMES, _simulate
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -628,6 +628,26 @@ def test_single_trajectory_matches_its_ensemble_column(hom, enabled, indices, st
         assert single.shift.tobytes() == rec["shift"][:, col].tobytes()
         psi, want = single.final_state, final(col)
         assert np.array([psi.c_e, psi.c_g]).tobytes() == np.array([want.c_e, want.c_g]).tobytes()
+
+
+def test_drive_fallback_keeps_each_column_its_own():
+    """At gamma_tau = 3e-4 and theta_bar = 0, the drive's half angle passes
+    the polynomials' bound in about 8% of steps.  So most delay-1 windows
+    of 16 trajectories mix libm's factors with the polynomials'.  Each
+    column is still run_trajectory's bit for bit, whose windows hold one
+    trajectory."""
+    hom = HomodyneConfig(alpha_mag=100.0, gamma_tau=3e-4, mode=UpdateMode.EXACT)
+    cfg = SimConfig(homodyne=hom, law=FeedbackLaw(theta_bar=0.0),
+                    initial=BlochVector(0.6, 0.0, 0.8), steps=200, trajectories=16,
+                    master_seed=2024)
+    _, rec, _ = _simulate(cfg, list(range(16)))
+    past = np.abs(0.5 * _kappa(rec["shift"][1:], hom)) > _DRIVE_H_MAX
+    assert 0.3 < past.any(axis=1).mean() < 0.95
+    for i in range(16):
+        single = run_trajectory(cfg, i)
+        for c, name in enumerate(("sx", "sy", "sz")):
+            assert single.bloch[:, c].tobytes() == rec[name][:, i].tobytes()
+        assert single.dn_qf.tobytes() == rec["dn_qf"][:, i].tobytes()
 
 
 @pytest.mark.parametrize("mode", [UpdateMode.EXACT, UpdateMode.FIRST_ORDER])
@@ -1429,16 +1449,17 @@ def test_memory_check_runs_before_any_draw_or_fork(monkeypatch, serial_pool, ini
     # rows (step 0 too).
     sizes = [4096] if workers == 1 else [2048, 2048]
     # Per process: the noise slab, in rows padded to 264 floats, 640 B of
-    # generator, and, with the law on, 24 B of ring and 48 B for the drive
-    # factors of a 3-step window per trajectory, with the law off a ring of
-    # one slot, 8 B; the kernel's own arrays (the amplitude pair and its
-    # scratch: two float64 arrays on real amplitudes, two complex128, one
-    # for the product s_x is read from, and three float64 on complex ones;
-    # and dn_qf), the same under both laws, and the amplitudes of the
-    # slab's recorded cells; then a view of each of the ring's slots and,
-    # with the law on, of each of the window's 2 x 3 columns.  Only the
-    # window and the ring depend on the law.
-    ring, window, views = (24, 48, 9) if law.enabled else (8, 0, 1)
+    # generator, and, with the law on, 24 B of ring and 99 B for the drive's
+    # four float64 arrays and one bool mask over a 3-step window per
+    # trajectory, with the law off a ring of one slot, 8 B; the kernel's
+    # own arrays (the amplitude pair and its scratch: two float64 arrays on
+    # real amplitudes, two complex128, one for the product s_x is read
+    # from, and three float64 on complex ones; and dn_qf), the same under
+    # both laws, and the amplitudes of the slab's recorded cells; then a
+    # view of each of the ring's slots and, with the law on, of each of the
+    # window's 2 x 3 columns.  Only the window and the ring depend on the
+    # law.
+    ring, window, views = (24, 99, 9) if law.enabled else (8, 0, 1)
     need = sum(n * (8 * 264 + 640 + ring + window + own_bytes + amp_bytes * 257)
                + views * trajectory._VIEW_BYTES for n in sizes)
     # Per cell of a block of 2^13 // 4096 = 2 recorded rows: 128 B, and
@@ -1457,29 +1478,30 @@ def test_run_trajectory_checks_memory_for_its_one_trajectory(monkeypatch):
 
     def need(n, rows, kept):
         # Per trajectory: a 100-step slab in a row of 104 floats, its
-        # generator, the 50 000-slot ring, 16 B per slot for the window's
-        # drive factors, the kernel's one float64 amplitude pair, two
+        # generator, the 50 000-slot ring, 33 B per slot for the window's
+        # four float64 arrays and its bool mask, the kernel's one float64
+        # amplitude pair, two
         # scratch arrays and dn_qf, and the float64 amplitudes and the
         # other kept records of 101 recorded steps; 128 B per cell of a
         # readout block; 160 B per recorded step, and where all 5 records
         # are kept, 16 B per record, recorded step and trajectory.  In the
         # one process, a view of each slot of the ring and of the window's
         # two arrays.
-        per = 8 * 104 + 640 + 8 * 50_000 + 16 * 50_000 + 40 + (16 + 8 * (kept - 3)) * 101
+        per = 8 * 104 + 640 + 8 * 50_000 + 33 * 50_000 + 40 + (16 + 8 * (kept - 3)) * 101
         total = n * per + 128 * n * rows + (160 + 16 * n * kept * (kept == 5)) * 101
         return _estimated(total + 3 * 50_000 * trajectory._VIEW_BYTES)
 
     seed = trajectory.trajectory_seed
     monkeypatch.setattr(trajectory, "trajectory_seed", _never)
     monkeypatch.setattr(trajectory, "_mem_available", lambda: 1 << 20)
-    assert need(1, 101, 5) == "estimated 18.4 MB"
+    assert need(1, 101, 5) == "estimated 19.2 MB"
     with pytest.raises(ValueError, match=rf"{re.escape(need(1, 101, 5))} .* the 1\.0 MB available"):
         run_trajectory(cfg, 0)
     monkeypatch.setattr(trajectory, "trajectory_seed", seed)
     monkeypatch.setattr(trajectory, "_mem_available", lambda: 64 << 20)
     wide = dataclasses.replace(cfg, trajectories=4096)
     assert run_trajectory(wide, 0).steps[-1] == 100
-    assert need(4096, 2, 3) == "estimated 4718.0 MB"
+    assert need(4096, 2, 3) == "estimated 8038.3 MB"
     with pytest.raises(ValueError, match=rf"{re.escape(need(4096, 2, 3))} .* the 64\.0 MB available"):
         run_ensemble(wide)
 
@@ -1695,12 +1717,13 @@ def test_small_ensemble_long_run_memory_stays_near_one_slab(monkeypatch):
     with pytest.raises(ValueError, match="estimated") as err:
         run_ensemble(cfg)
     # Per trajectory: a 256-step slab in a row of 264 floats, its
-    # generator, a 20-slot ring, 16 B per slot for the window's drive
-    # factors, the kernel's one float64 amplitude pair, two scratch
-    # arrays and dn_qf, and the float64 amplitudes of 257 recorded steps;
+    # generator, a 20-slot ring, 33 B per slot for the window's four
+    # float64 arrays and its bool mask, the kernel's one float64 amplitude
+    # pair, two scratch arrays and dn_qf, and the float64 amplitudes of
+    # 257 recorded steps;
     # 128 B per cell of a readout block of 257 rows; 160 B per recorded
     # step; a view of each slot of the ring and of the window's two arrays.
-    need = (16 * (8 * 264 + 640 + 8 * 20 + 16 * 20 + 40 + 16 * 257) + 128 * 16 * 257
+    need = (16 * (8 * 264 + 640 + 8 * 20 + 33 * 20 + 40 + 16 * 257) + 128 * 16 * 257
             + 160 * 10_001 + 3 * 20 * trajectory._VIEW_BYTES)
     assert _estimated(need) in str(err.value)
     monkeypatch.setattr(trajectory, "_mem_available", lambda: None)
