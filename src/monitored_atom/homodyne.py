@@ -229,6 +229,7 @@ def _drive_factors(shift, cfg: HomodyneConfig, out=None):
     if not wide:
         return cs, sn
     if big.ndim == 0:
+        # A scalar past the bound: no array to write libm's values into.
         return cos(half), sin(half)
     return cos(half, cs, where=big), sin(half, sn, where=big)
 
