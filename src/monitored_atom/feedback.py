@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from numpy import divide, multiply
+from numpy import multiply
 
 from .state import BlochVector, _finite
 from .homodyne import HomodyneConfig, _diffusion_step
@@ -95,14 +95,18 @@ def feedback_amplitude(dn_qf, law: FeedbackLaw, cfg: HomodyneConfig, out=None):
     f = -(1 + cos(theta_bar)) * dn_qf / (2*alpha); exactly 0 when the law
     is disabled or theta_bar = pi.  Accepts scalar or array dn_qf.  An
     array ``out`` of dn_qf's shape, which may be dn_qf itself, receives
-    the amplitude, the same bits, and is returned.
+    the amplitude, the same bits, and is returned.  It is one multiply by
+    ``cfg.amplitude_gain(law)``, the amplitude per unit of dn_qf: on a
+    HomodyneConfig, whose records count photons, -(1 + cos(theta_bar)) /
+    (2*alpha); the trajectory kernels, whose records are in units of
+    alpha, pass constants that answer -(1 + cos(theta_bar)) / 2.
     """
     if not law.enabled:
         if out is None:
             return 0.0
         out.fill(0.0)
         return out
-    return multiply(law.gain, divide(dn_qf, cfg.two_alpha, out), out)
+    return multiply(cfg.amplitude_gain(law), dn_qf, out)
 
 
 def _shift(f, cfg: HomodyneConfig, out=None):

@@ -33,6 +33,18 @@ that a classical field of amplitude dn/(2*alpha) would produce; the
 nonlinear remainder is measurement back-action.  For states in the
 s_y = 0 plane the step reduces to the angle increment
 d(theta) = kappa * (1 + cos(theta)).
+
+The atom sees the record only as dn/alpha, so alpha sets only the scale
+of what is recorded.  In units of alpha the record is
+x = dn/alpha = sqrt(gamma*tau)*s_x + xi, with xi standard normal, and
+each law is one multiply by a gain: kappa = sqrt(gamma*tau)*x, the
+fed-back field f = -(1 + cos(theta_bar))*x/2 (see ``feedback``) and the
+drive's half angle sqrt(gamma*tau)*f.  The trajectory kernels run the
+laws in these units, and alpha enters only where a run writes its records
+dn_qf = alpha*x and shift = 2*alpha*f.  The public functions here take and
+return photon counts, and a HomodyneConfig answers the laws' gains in
+counts: ``kappa_gain`` sqrt(gamma*tau)/alpha, ``drive_gain``
+sqrt(gamma*tau)/(2*alpha) per count of shift, and ``amplitude_gain(law)``.
 """
 
 from __future__ import annotations
@@ -123,7 +135,7 @@ class HomodyneConfig:
     @cached_property
     def sqrt_gamma_tau(self) -> float:
         # Kept after the first read, like the products below that the laws
-        # multiply or divide by; none is a field, so == and hash ignore them.
+        # multiply by; none is a field, so == and hash ignore them.
         return math.sqrt(self.gamma_tau)
 
     @cached_property
@@ -140,6 +152,20 @@ class HomodyneConfig:
     def two_alpha(self) -> float:
         # The record shift per unit of fed-back field amplitude.
         return 2.0 * self.alpha_mag
+
+    @cached_property
+    def kappa_gain(self) -> float:
+        # kappa per count of the record, sqrt(gamma tau) / |alpha|.
+        return self.sqrt_gamma_tau / self.alpha_mag
+
+    @cached_property
+    def drive_gain(self) -> float:
+        # The drive's half angle per count of record shift, sqrt(gamma tau) / 2|alpha|.
+        return self.sqrt_gamma_tau / self.two_alpha
+
+    def amplitude_gain(self, law) -> float:
+        # The fed-back field per count of dn_qf, -(1 + cos(theta_bar)) / 2|alpha|.
+        return law.gain / self.two_alpha
 
 
 @dataclass(frozen=True)
@@ -174,9 +200,10 @@ def sample_outcome(shift, cfg: HomodyneConfig, rng: np.random.Generator) -> Meas
 
 
 def _record_mean(sx, cfg: HomodyneConfig, out=None):
-    # Dipole interference term of the record mean; shared by the scalar
-    # sampler and the vectorized kernels so both produce identical values.
-    # ``out`` as for _kappa below.
+    # Dipole interference term of the record mean, cfg.record_gain times
+    # sx: sqrt(gamma tau) * alpha per unit s_x on a HomodyneConfig, and in
+    # the kernels, whose records are in units of alpha, 2 sqrt(gamma tau)
+    # per unit of c_e c_g = s_x / 2.  ``out`` as for _kappa below.
     return multiply(cfg.record_gain, sx, out)
 
 
@@ -197,17 +224,23 @@ def sample_outcome_conditioned(
 
 
 def _kappa(dn, cfg: HomodyneConfig, out=None):
-    # Pinned evaluation order: sqrt(gamma tau) * (dn / alpha).  This law and
-    # those below take an optional ``out``: arrays to write in place of fresh
-    # ones, passed as positional ufunc arguments.  The same ufuncs run
-    # either way, so the bits do not depend on it.
-    return multiply(cfg.sqrt_gamma_tau, divide(dn, cfg.alpha_mag, out), out)
+    # Pinned evaluation order: one multiply by the gain cfg.kappa_gain, the
+    # kappa per unit of dn: sqrt(gamma tau) / alpha on a HomodyneConfig,
+    # whose records count photons, and sqrt(gamma tau) in the kernels,
+    # whose records are in units of alpha.  This law and those below take
+    # an optional ``out``: arrays to write in place of fresh ones, passed as
+    # positional ufunc arguments.  The same ufuncs run either way, so the
+    # bits do not depend on it.
+    return multiply(cfg.kappa_gain, dn, out)
 
 
 def _drive_factors(shift, cfg: HomodyneConfig, out=None):
     # Cosine and sine of half the angle sqrt(gamma tau) * shift / alpha by
     # which a shift's fed-back field rotates the atom about s_y, the
-    # first-order effect of that field.  Elementwise, on a scalar or on a
+    # first-order effect of that field.  The half angle is cfg.drive_gain
+    # times ``shift``: a shift in counts on a HomodyneConfig, and in the
+    # kernels the fed-back amplitude f itself, whose half angle is
+    # sqrt(gamma tau) * f.  Elementwise, on a scalar or on a
     # whole feedback window: a half angle h with |h| <= _DRIVE_H_MAX takes
     # the polynomials, by Horner's rule in h^2, and any other libm's cos
     # and sin, so each element's bits depend on its own h alone.  One
@@ -216,7 +249,7 @@ def _drive_factors(shift, cfg: HomodyneConfig, out=None):
     # where no term overflows.  ``out`` is (cosines, sines, half angles,
     # squares, a bool mask), arrays of the shape of shift.
     c, s, a, q, big = out or (None,) * 5
-    half = multiply(0.5, _kappa(shift, cfg, a), a)
+    half = multiply(cfg.drive_gain, shift, a)
     sq = multiply(half, half, q)
     wide = maximum.reduce(sq, None) > _DRIVE_H2_MAX
     if wide:

@@ -6,9 +6,10 @@ interval's record dn is drawn, the state update conditioned on the record
 is applied, and the amplitude f of the field that the fluctuation part
 of the record calls for is pushed into the delay queue for a later
 interval.  One lockstep loop runs that cycle for every mode: the queue is
-a ring of ``delay`` amplitudes per trajectory, whose readers form the
-record shifts 2*alpha*f (feedback._shift), and each mode supplies only
-its state, its one-interval step and its Bloch readout.  Two update modes:
+a ring of ``delay`` amplitudes per trajectory, which the exact drive reads
+as they are and the readout turns into the record shifts 2*alpha*f
+(feedback._shift), and each mode supplies only its state, its
+one-interval step and its Bloch readout.  Two update modes:
 
 * EXACT: the renormalized amplitude update.  The record mean carries the
   atomic dipole signal (see homodyne.sample_outcome_conditioned) so that
@@ -38,25 +39,38 @@ independently of the lockstep loop so that each can check the other.
 Per-step cost
 -------------
 For small ensembles a step's time goes to numpy's per-call dispatch, not
-to arithmetic, and four rules cut the cost of the exact step with the
-law on, without moving a bit.  The window rule: a record's field falls
+to arithmetic, and five rules cut the cost of the exact step with the
+law on.  The unit rule: the kernels step in units of the local-oscillator
+amplitude alpha, which the atom sees only through dn/alpha.  The record
+is x = dn/alpha, kappa = sqrt(gamma tau) x, the fed-back amplitude
+f = -(1 + cos(theta_bar)) x / 2, and the drive's half angle is
+sqrt(gamma tau) f, each one multiply by a gain (_operands); the record
+mean takes c_e c_g = s_x / 2 with the gain 2 sqrt(gamma tau).  alpha
+enters only the readout, which writes dn_qf = alpha x and the shifts
+2 alpha f.  A delay-1 step and push make 37 ufunc calls, where scaling
+each record by alpha and dividing it out again made 43.  At 2000
+trajectories and delay 1 a loop of 1000 exact law-on steps and pushes took
+35.3 ms at best against 43.4 ms, and at 16 trajectories 28.2 against
+34.1 ms (median of 15; thread time, numpy 2.4, 2-core x86-64).  This rule
+moves bits, but only alpha's roundings: the outputs are those the scaled
+laws give at alpha = 128, where every scaling by alpha is exact.  The
+four rules below move none.  The window rule: a record's field falls
 due ``delay`` intervals after it is made, so when slot 0 of the ring
 falls due, the ring holds the feedback amplitude of every field of the
-next ``delay`` steps; the drive forms their shifts and its cosines and
-sines for all of them in one pass.
-The operand rule: the constants the exact step and the feedback push
-multiply or divide by are 0-d float64 arrays, built once per run.  At 16
+next ``delay`` steps; the drive forms their half angles and its cosines
+and sines for all of them in one pass.
+The operand rule: the gains the kernels' steps and the feedback push
+multiply by are 0-d float64 arrays, built once per run.  At 16
 trajectories a ufunc call with a Python float operand took about 590 ns
 and one with a 0-d array about 410 ns (numpy 2.4, 2-core x86-64); under
 NEP 50 both select the same float64 or complex128 loop, so the bits are
-those of the Python floats that the scalar reference passes to the same
-ufuncs.  The buffer rule: no step allocates.  Each kernel updates its
-state in place and writes its field or scratch, the exact window's
-factors and dn_qf into arrays it builds once per run, on 64-byte
-boundaries, with positional ufunc ``out`` arguments, where each
-operation would otherwise return a fresh array; the feedback push writes
-into the ring's slot itself; and the views of the ring's slots and of
-the window's columns are taken once per run.  At 2000 trajectories and
+those of the same gains as Python floats.  The buffer rule: no step
+allocates.  Each kernel updates its state in place and writes its field
+or scratch, the exact window's factors and dn_qf into arrays it builds
+once per run, on 64-byte boundaries, with positional ufunc ``out``
+arguments, where each operation would otherwise return a fresh array;
+the feedback push writes into the ring's slot itself; and the views of
+the ring's slots and of the window's columns are taken once per run.  At 2000 trajectories and
 delay 1 a loop of 1000 exact steps and pushes went from 44.8 to 36.9 ms,
 and one first-order step at 10^4 trajectories from 57 to 48 us (numpy
 2.4, 2-core x86-64); the same ufuncs run, so the bits are those of the
@@ -93,7 +107,10 @@ Every trajectory owns its stream, and every statistic reduces one
 recorded row over all trajectories.  The rows reach the reduction in
 blocks, each joined across worker processes in index order, so neither
 the partition of an ensemble over processes nor the slab and block
-lengths change a bit of the statistics.
+lengths change a bit of the statistics.  The kernels never scale by alpha
+(the unit rule), so neither does alpha_mag: every alpha gives the same
+Bloch rows, final states and statistics, and only dn_qf and the shifts
+scale with it, each rounded once.
 """
 
 from __future__ import annotations
@@ -388,19 +405,27 @@ def _slab_width(block: int) -> int:
 class _Operands:
     """The constants of one run, as :func:`_operands` sets them."""
 
+    def amplitude_gain(self, law):
+        # feedback_amplitude's gain per unit of dn_qf in units of alpha.
+        return self.half_gain
+
 
 def _operands(cfg: SimConfig) -> _Operands:
-    # The constants that the exact step and the feedback push multiply or
-    # divide by, as 0-d float64 arrays under the names the shared laws read
-    # off their ``cfg`` and ``law`` arguments, so that one object stands in
-    # for both.  The dtype is explicit: an int alpha_mag above the int64
-    # range, such as 10**20, would make an object array.  A plain-class
-    # instance, not a types.SimpleNamespace, so that CPython caches the
-    # reads of its attributes (the lookup rule).
+    # The constants that the kernels' steps and the feedback push multiply
+    # by, as 0-d float64 arrays under the names the shared laws read off
+    # their ``cfg`` and ``law`` arguments, so that one object stands in for
+    # both.  The gains are those of records in units of alpha (the unit
+    # rule); alpha itself is read only by the readout.  The record mean's
+    # gain is 2 sqrt(gamma tau), for c_e c_g = s_x / 2: doubling is exact.
+    # The dtype is explicit: an int alpha_mag above the int64 range, such
+    # as 10**20, would make an object array.  A plain-class instance, not a
+    # types.SimpleNamespace, so that CPython caches the reads of its
+    # attributes (the lookup rule).
     hom, law = cfg.homodyne, cfg.law
-    consts = {"sqrt_gamma_tau": hom.sqrt_gamma_tau, "alpha_mag": hom.alpha_mag,
-              "record_gain": hom.record_gain, "damping": hom.damping,
-              "two_alpha": hom.two_alpha, "gain": law.gain, "two": 2.0}
+    root = hom.sqrt_gamma_tau
+    consts = {"kappa_gain": root, "drive_gain": root, "record_gain": 2.0 * root,
+              "damping": hom.damping, "half_gain": 0.5 * law.gain,
+              "alpha_mag": hom.alpha_mag, "two_alpha": hom.two_alpha}
     ops = _Operands()
     ops.__dict__.update(enabled=law.enabled,
                         **{name: np.array(v, np.float64) for name, v in consts.items()})
@@ -458,15 +483,16 @@ def _exact_kernel(cfg: SimConfig, n: int):
     # real and on complex128 otherwise.  Each operation rounds alike on both
     # dtypes (numpy multiplies a complex by a real divisor's reciprocal, so
     # real divisors are applied that way here too).  The step and the
-    # conditioned update branch on the start's dtype.
+    # conditioned update branch on the start's dtype.  The step runs the
+    # laws in units of alpha (the unit rule), with _operands' gains.
     # The step updates the pair it is handed in place, returns dn_qf and
     # writes nothing else but arrays the kernel owns (_exact_buffers): with
     # the law on it rotates the pair in place, through the scratch t and p,
     # and then it conditions the pair in place.  The drive follows the
-    # window rule: when slot 0 falls due, the shifts of the whole ring's
-    # amplitudes go into the window's half angles, of the ring's shape, and
-    # its factors are computed from them there; each step rotates by its
-    # slot's column of them, a view taken once per run.
+    # window rule: when slot 0 falls due, the half angles of the whole
+    # ring's amplitudes, sqrt(gamma tau) * f, go into the window, of the
+    # ring's shape, and its factors are computed from them there; each step
+    # rotates by its slot's column of them, a view taken once per run.
     ops = _operands(cfg)
     amps = _start(cfg)
     dtype = np.result_type(*amps)
@@ -479,15 +505,16 @@ def _exact_kernel(cfg: SimConfig, n: int):
         cE, cG = state
         if ops.enabled:
             if j == 0:
-                _drive_factors(_shift(ring, ops, window[2]), ops, window)
+                _drive_factors(ring, ops, window)
             _rotate(cE, cG, hc[j], hs[j], state + (t, p))
+        # s_x / 2, which the record mean's gain doubles.
         if real:
-            sx = multiply(ops.two, multiply(cE, cG, u), u)
+            half_sx = multiply(cE, cG, u)
         else:
             # Into p, not t: written into one of its own operands, numpy's
             # complex multiply rounds differently at length 1 (run_trajectory).
-            sx = multiply(ops.two, multiply(conjugate(cE, t), cG, p).real, u)
-        dn_qf = add(_record_mean(sx, ops, dn), noise, dn)
+            half_sx = multiply(conjugate(cE, t), cG, p).real
+        dn_qf = add(_record_mean(half_sx, ops, dn), noise, dn)
         _condition(cE, cG, dn_qf, ops, state + scratch)
         return dn_qf
 
@@ -522,8 +549,9 @@ def _first_order_kernel(cfg: SimConfig, n: int):
     # interval as the record, so the pending shift never acts on the atom.
     # As in the exact kernel, the step updates the state it is handed in
     # place and writes nothing else but the kernel's field
-    # (_first_order_buffers); it returns dn_qf, which is the noise.
-    hom = cfg.homodyne
+    # (_first_order_buffers); it returns dn_qf in units of alpha, which is
+    # the noise, and steps by kappa = sqrt(gamma tau) * noise (the unit rule).
+    ops = _operands(cfg)
     cz = cfg.law.cos_theta_bar if cfg.law.enabled else -1.0
     s0 = _start(cfg)
     start, (*f, t, kap, nrm) = _first_order_buffers(n, len(s0))
@@ -533,7 +561,7 @@ def _first_order_kernel(cfg: SimConfig, n: int):
     def step(state, ring, j, noise):
         sx, *sy, sz = state
         _step_field(sx, sy[0] if sy else None, sz, cz, field)
-        k = _kappa(noise, hom, kap)
+        k = _kappa(noise, ops, kap)
         _advance(state, [multiply(v, k, v) for v in f], state + (nrm, t))
         return noise
 
@@ -584,11 +612,14 @@ def _slab_records(cfg: SimConfig, indices, block: int, rows: int, names=_BLOCH_N
     Step k hands the kernel the (n, delay) ring of feedback amplitudes and
     the slot ``k % delay`` due now, records that slot's amplitude, and only
     then overwrites it with the amplitude f this interval's record calls
-    for, which falls due ``delay`` steps later.  The readout turns the
-    recorded amplitudes into their shifts, 2*alpha*f.  Where nothing reads
-    the ring, it is one slot of zeros (_slab_plan).
-    The noise comes from an (n, block) slab of the per-row streams,
-    refilled every ``block`` steps.  The loop records the state itself,
+    for, which falls due ``delay`` steps later.  The kernels step in units
+    of alpha (the unit rule), so the readout turns the recorded dn_qf into
+    counts, alpha times it, and the recorded amplitudes into their shifts,
+    2*alpha*f.  Where nothing reads the ring, it is one slot of zeros
+    (_slab_plan).
+    The noise, standard normals, the record's vacuum part in units of
+    alpha, comes from an (n, block) slab of the per-row streams, refilled
+    every ``block`` steps.  The loop records the state itself,
     in the kernel's dtype, next to the other records; at the end of each
     slab, that slab's recorded rows go out in blocks of ``rows``, the
     state rows through the mode's Bloch readout.
@@ -631,7 +662,6 @@ def _slab_records(cfg: SimConfig, indices, block: int, rows: int, names=_BLOCH_N
             xi = slab[:, :min(block, steps - k0)]
             for row, gen in zip(xi, gens):
                 gen.standard_normal(out=row)
-            xi *= hom.alpha_mag
             for k, noise in enumerate(xi.T, k0):
                 j = k % len(slots)
                 dn_qf = step(state, ring, j, noise)
@@ -643,9 +673,13 @@ def _slab_records(cfg: SimConfig, indices, block: int, rows: int, names=_BLOCH_N
                     due = min(due + stride, steps)
                 if push:
                     feedback_amplitude(dn_qf, ops, ops, f)
-            # The slab's recorded amplitudes become the shifts they cause.
-            for a in kept[1:]:
-                _shift(a[:r - r0], ops, a[:r - r0])
+            # The slab's records leave the unit of alpha: dn_qf is alpha x,
+            # and the recorded amplitudes become the shifts they cause.
+            if kept:
+                x, *amps = (a[:r - r0] for a in kept)
+                multiply(ops.alpha_mag, x, x)
+                for a in amps:
+                    _shift(a, ops, a)
             for b in range(0, r - r0, rows):
                 e = min(b + rows, r - r0)
                 part = bloch(tuple(c[b:e] for c in held)) + tuple(c[b:e] for c in kept)
@@ -774,7 +808,12 @@ def step_trajectory(
     shift = fb.pending[0]
     if hom.mode is UpdateMode.EXACT:
         if law.enabled:
-            psi = PureState(*_rotate(psi.c_e, psi.c_g, *_drive_factors(shift, hom)))
+            # A pending shift whose half angle squares past the float range
+            # (about 1e158 at alpha 100) takes libm's factors, which are
+            # right, so the overflow of the square is no fault.
+            with np.errstate(over="ignore"):
+                factors = _drive_factors(shift, hom)
+            psi = PureState(*_rotate(psi.c_e, psi.c_g, *factors))
         out = sample_outcome_conditioned(psi, shift, hom, rng)
         psi = conditioned_update_exact(psi, out.dn_qf, hom)
     else:

@@ -131,7 +131,7 @@ def test_conditioned_update_excited_null_record():
 def test_conditioned_update_excited_generic_record():
     dn = 150.0
     after = conditioned_update_exact(PureState(1.0, 0.0), dn, CFG)
-    k = CFG.sqrt_gamma_tau * (dn / CFG.alpha_mag)
+    k = CFG.kappa_gain * dn
     d = 1.0 - 0.5 * CFG.gamma_tau
     nrm = math.sqrt(d * d + k * k)
     assert abs(after.c_e - d / nrm) < 1e-15
@@ -168,7 +168,7 @@ def test_step_special_cases_exact():
     the excited state moves along +s_x by 2*kappa, and at the dipole states
     the step is purely the classical rotation."""
     for dn in (-500.0, -37.0, 1.0, 250.0, 500.0):
-        k = CFG.sqrt_gamma_tau * (dn / CFG.alpha_mag)
+        k = CFG.kappa_gain * dn
 
         ds = combined_diffusion_step(BlochVector(0.0, 0.0, -1.0), dn, OFF, CFG)
         assert (ds.sx, ds.sy, ds.sz) == (0.0, 0.0, 0.0)
@@ -207,7 +207,7 @@ def test_decompose_remainder_is_the_exact_difference():
         s = BlochVector(sx, sy, sz)
         full = combined_diffusion_step(s, dn, OFF, CFG)
         lin, nl = decompose_step(s, dn, CFG)
-        k = CFG.sqrt_gamma_tau * (dn / CFG.alpha_mag)
+        k = CFG.kappa_gain * dn
         assert lin.sx == k * s.sz and lin.sy == 0.0 and lin.sz == -(k * s.sx)
         assert nl.sx == full.sx - lin.sx
         assert nl.sy == full.sy - lin.sy
@@ -230,7 +230,7 @@ def test_decompose_linear_part_is_a_rotation():
     dns = rng.uniform(-3.0 * CFG.alpha_mag, 3.0 * CFG.alpha_mag, 200)
     for (sx, sy, sz), dn in zip(v, dns):
         lin, _ = decompose_step(BlochVector(sx, sy, sz), dn, CFG)
-        k = CFG.sqrt_gamma_tau * (dn / CFG.alpha_mag)
+        k = CFG.kappa_gain * dn
         grown = math.sqrt((sx + lin.sx) ** 2 + (sy + lin.sy) ** 2 + (sz + lin.sz) ** 2)
         assert abs(grown - 1.0) <= k * k
 
@@ -242,7 +242,7 @@ def test_delta_theta_matches_vector_step_in_plane():
     for _ in range(200):
         theta = rng.uniform(0.0, math.pi)
         dn = rng.uniform(-CFG.alpha_mag, CFG.alpha_mag)
-        k = CFG.sqrt_gamma_tau * (dn / CFG.alpha_mag)
+        k = CFG.kappa_gain * dn
         s = BlochVector(math.sin(theta), 0.0, math.cos(theta))
         ds = combined_diffusion_step(s, dn, OFF, CFG)
         # The continued angle: a large negative record can push the state
@@ -257,7 +257,7 @@ def test_delta_theta_examples():
     at the excited state and, since cos(pi/2) rounds below half an ulp of 1,
     kappa at the equator."""
     dn = 200.0
-    k = CFG.sqrt_gamma_tau * (dn / CFG.alpha_mag)
+    k = CFG.kappa_gain * dn
     for theta, d in ((math.pi, 0.0), (0.0, 2.0 * k), (math.pi / 2.0, k)):
         ds = combined_diffusion_step(
             BlochVector(math.sin(theta), 0.0, math.cos(theta)), dn, OFF, CFG)
@@ -309,7 +309,7 @@ def test_field_and_record_mean_write_the_bits_of_their_fresh_form(plane):
 
 def _shifts_of(h, cfg):
     # The record shifts whose drive turns by the half angles h, to rounding.
-    return h * (2.0 * cfg.alpha_mag / cfg.sqrt_gamma_tau)
+    return h / cfg.drive_gain
 
 
 def _same_bits(a, b):
@@ -322,8 +322,12 @@ def test_drive_polynomials_are_within_an_ulp_of_libm():
     libm's, cos^2 + sin^2 is 1 to rounding, and a Python float gives the
     bits of the same element of an array."""
     bound = homodyne._DRIVE_H_MAX
-    shift = _shifts_of(np.linspace(-bound, bound, 100_001), CFG)
-    half = 0.5 * homodyne._kappa(shift, CFG)
+    # The largest shift whose half angle rounds to the bound or below it.
+    top = _shifts_of(bound, CFG)
+    while CFG.drive_gain * top > bound:
+        top = np.nextafter(top, 0.0)
+    shift = np.linspace(-top, top, 100_001)
+    half = CFG.drive_gain * shift
     assert np.abs(half).max() <= bound
     c, s = homodyne._drive_factors(shift, CFG)
     assert np.all(np.abs(c - np.cos(half)) <= np.spacing(np.cos(half)))
@@ -345,7 +349,7 @@ def test_drive_takes_libm_per_element_past_the_bound():
     h = rng.normal(0.0, homodyne._DRIVE_H_MAX, (64, 5))
     h[0, :2] = 1e100, -1e100
     shift = _shifts_of(h, CFG)
-    half = 0.5 * homodyne._kappa(shift, CFG)
+    half = CFG.drive_gain * shift
     big = np.abs(half) > homodyne._DRIVE_H_MAX
     assert 20 < big.sum() < 300
     c, s = homodyne._drive_factors(shift, CFG)

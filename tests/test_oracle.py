@@ -137,12 +137,17 @@ SOUTH = BlochVector(math.sin(1.4e-6), 0.0, -math.cos(1.4e-6))
 
 
 # Each case runs 3000 steps from seed 2024, trajectory 3.  Measured (numpy
-# 2.4.6): the largest Bloch gap 1.3e-14 at pi/2 and delay 1, 2.8e-15 at
-# pi/3 and delay 3, 5.6e-15 at 2.5 and delay 20, 8.7e-15 and 2.5e-15 with
-# the law off, 1.0e-14 and 4.4e-16 from the poles, 2.1e-15 where 249 of
-# the 3000 drive angles pass the bound of its polynomials and take libm's
-# cos and sin, 1.8e-15 and 1.9e-15 in the first-order mode; the largest
-# record gap 1.1e-15 |alpha|, the rounding of dn_qf and of the shift.
+# 2.4.6), with the kernels stepping in units of alpha: the largest Bloch
+# gap 8.3e-15 at pi/2 and delay 1, 2.7e-15 at pi/3 and delay 3, 4.7e-15 at
+# 2.5 and delay 20, 4.0e-15 and 2.9e-15 with the law off, 1.0e-14 and
+# 4.4e-16 from the poles, 2.2e-15 where 249 of the 3000 drive angles pass
+# the bound of its polynomials and take libm's cos and sin, 1.8e-15 and
+# 2.2e-15 in the first-order mode; the largest record gap 1.1e-15 |alpha|,
+# the rounding of dn_qf and of the shift.  Scaling every record by alpha
+# and dividing it out again read 1.3e-14, 2.8e-15, 5.6e-15, 8.7e-15,
+# 2.5e-15, 1.0e-14, 4.4e-16, 2.1e-15, 1.8e-15 and 1.9e-15; over 40
+# trajectories per case no mean gap rose by more than 0.24 of its
+# standard error.
 # Pole starts whose amplitudes both come from the half-angle formula read
 # 4.9e-12 and 4.4e-12.  A drive whose cosine and sine are Taylor
 # polynomials through only h^4 and h^5 reads 5.0e-14 and 2.4e-14 |alpha|

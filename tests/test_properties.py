@@ -67,7 +67,7 @@ def _one_step(hom, law, initial, field, xi):
     kernel = trajectory._exact_kernel if exact else trajectory._first_order_kernel
     state, step, bloch, _ = kernel(cfg, 1)
     dtype = state[0].dtype
-    step(state, np.array([[field]]), 0, np.array([hom.alpha_mag * xi]))
+    step(state, np.array([[field]]), 0, np.array([xi]))
     state = bloch(state)
     return tuple(float(c[0]) for c in state), dtype
 

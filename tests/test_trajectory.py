@@ -22,6 +22,7 @@ import pickle
 import re
 import tracemalloc
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -46,7 +47,13 @@ from monitored_atom import (
     trajectory_seed,
 )
 from monitored_atom import trajectory
-from monitored_atom.homodyne import _DRIVE_H_MAX, _drive_factors, _kappa, _rotate
+from monitored_atom.homodyne import (
+    _DRIVE_H_MAX,
+    _drive_factors,
+    _rotate,
+    conditioned_update_exact,
+    sample_outcome_conditioned,
+)
 from monitored_atom.trajectory import _REC_NAMES, _simulate
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -380,13 +387,13 @@ def test_real_amplitudes_match_their_complex_copies(law, initial):
     cplx = tuple(np.full(n, c, dtype=np.complex128) for c in (psi.c_e, psi.c_g))
     rng = np.random.default_rng(77)
     xi = rng.standard_normal((cfg.steps, n))
-    # Amplitudes on the scale of feedback_amplitude's, whose shifts the
-    # kernel forms, 200 times these.
+    # Amplitudes on the scale of feedback_amplitude's, whose half angles
+    # the kernel forms, sqrt(gamma tau) times these.
     fields = rng.standard_normal((cfg.steps, n))
     for k in range(cfg.steps):
         ring = fields[k][:, None]
-        dn_real = step(real, ring, 0, EXACT_CFG.alpha_mag * xi[k])
-        dn_cplx = cplx_step(cplx, ring, 0, EXACT_CFG.alpha_mag * xi[k])
+        dn_real = step(real, ring, 0, xi[k])
+        dn_cplx = cplx_step(cplx, ring, 0, xi[k])
         assert np.array_equal(dn_real, dn_cplx)
         for r, c in zip(real, cplx):
             assert r.dtype == np.float64
@@ -459,7 +466,7 @@ def test_exact_step_writes_only_arrays_the_kernel_owns(initial, arrays):
     try:
         for k in range(cfg.steps):
             j = k % delay
-            noise = EXACT_CFG.alpha_mag * rng.standard_normal(n)
+            noise = rng.standard_normal(n)
             want = _step_handed_copies(other, ring, j, noise, copies)
             handed = [c.tobytes() for c in state]
             live = tracemalloc.get_traced_memory()[0]
@@ -504,7 +511,7 @@ def test_first_order_step_writes_only_arrays_the_kernel_owns(initial):
     tracemalloc.start()
     try:
         for k in range(cfg.steps):
-            noise = FO_CFG.alpha_mag * rng.standard_normal(n)
+            noise = rng.standard_normal(n)
             _step_handed_copies(other, ring, 0, noise, copies)
             handed = [c.tobytes() for c in state]
             live = tracemalloc.get_traced_memory()[0]
@@ -549,8 +556,8 @@ def test_in_plane_first_order_state_matches_its_three_column_copy(law, initial):
     xi = rng.standard_normal((cfg.steps, n))
     ring = np.zeros((n, 1))
     for k in range(cfg.steps):
-        step(two, ring, 0, FO_CFG.alpha_mag * xi[k])
-        three_step(three, ring, 0, FO_CFG.alpha_mag * xi[k])
+        step(two, ring, 0, xi[k])
+        three_step(three, ring, 0, xi[k])
         assert two[0].tobytes() == three[0].tobytes()
         assert two[1].tobytes() == three[2].tobytes()
         assert np.all(three[1] == 0.0) and not np.any(np.signbit(three[1]))
@@ -641,7 +648,7 @@ def test_drive_fallback_keeps_each_column_its_own():
                     initial=BlochVector(0.6, 0.0, 0.8), steps=200, trajectories=16,
                     master_seed=2024)
     _, rec, _ = _simulate(cfg, list(range(16)))
-    past = np.abs(0.5 * _kappa(rec["shift"][1:], hom)) > _DRIVE_H_MAX
+    past = np.abs(hom.drive_gain * rec["shift"][1:]) > _DRIVE_H_MAX
     assert 0.3 < past.any(axis=1).mean() < 0.95
     for i in range(16):
         single = run_trajectory(cfg, i)
@@ -724,6 +731,83 @@ def test_step_trajectory_rejects_a_queue_of_another_delay():
     cfg = SimConfig(homodyne=EXACT_CFG, law=FeedbackLaw(theta_bar=1.0), steps=5, delay=3)
     with pytest.raises(ValueError, match="delay"):
         step_trajectory(PureState(1.0, 0.0), FeedbackState(), cfg, np.random.default_rng(0))
+
+
+def test_step_trajectory_drives_a_huge_pending_shift_without_warning():
+    """A pending shift whose half angle squares past the float range, 1e300
+    counts at alpha 100, drives the atom by libm's cosine and sine of that
+    half angle, and raises no floating-point warning."""
+    law = FeedbackLaw(theta_bar=1.2)
+    cfg = SimConfig(homodyne=EXACT_CFG, law=law, initial=law.target, steps=1)
+    psi, shift = state_from_bloch(law.target), 1e300
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, _, out = step_trajectory(psi, FeedbackState((shift,)), cfg,
+                                      np.random.default_rng(3))
+    h = EXACT_CFG.drive_gain * shift
+    assert h * h == math.inf
+    driven = PureState(*_rotate(psi.c_e, psi.c_g, np.cos(h), np.sin(h)))
+    want = sample_outcome_conditioned(driven, shift, EXACT_CFG, np.random.default_rng(3))
+    assert out == want
+    want = conditioned_update_exact(driven, want.dn_qf, EXACT_CFG)
+    assert np.array([got.c_e, got.c_g]).tobytes() == np.array([want.c_e, want.c_g]).tobytes()
+
+
+def _alpha_run(alpha, mode, law, initial, stats=True):
+    # run_trajectory of index 5 and, with ``stats``, run_ensemble over 8
+    # trajectories, at local-oscillator amplitude ``alpha``.
+    hom = HomodyneConfig(alpha_mag=alpha, gamma_tau=1e-4, mode=mode)
+    cfg = SimConfig(homodyne=hom, law=law, initial=initial, steps=60, trajectories=8,
+                    master_seed=31, delay=2)
+    return run_trajectory(cfg, 5), run_ensemble(cfg) if stats else None
+
+
+_ALPHA_CASES = [
+    pytest.param(mode, law, initial, id=f"{mode.value}-{name}")
+    for mode in UpdateMode
+    for name, law, initial in (
+        ("law-on-in-plane", FeedbackLaw(theta_bar=1.2), BlochVector(0.6, 0.0, 0.8)),
+        ("law-on-out-of-plane", FeedbackLaw(theta_bar=1.2), BlochVector(0.36, 0.48, 0.8)),
+        ("law-off-out-of-plane", FeedbackLaw(enabled=False), BlochVector(0.36, 0.48, 0.8)),
+    )
+]
+
+
+@pytest.mark.parametrize("mode,law,initial", _ALPHA_CASES)
+def test_bloch_output_does_not_depend_on_alpha(mode, law, initial):
+    """The kernels step in units of alpha, which sets only the scale of the
+    records: run_ensemble's statistics and run_trajectory's Bloch rows and
+    final state are the same bits at alpha_mag 10, 100, 128 and the int
+    10**20."""
+    def bits(alpha):
+        rec, st = _alpha_run(alpha, mode, law, initial)
+        psi = rec.final_state
+        stats = [getattr(st, k) for k in ("mean", "var", "se", "fidelity", "purity", "angle_var")]
+        return ([rec.bloch.tobytes(), np.array([psi.c_e, psi.c_g]).tobytes()]
+                + [None if a is None else a.tobytes() for a in stats])
+
+    want = bits(100.0)
+    for alpha in (10.0, 128.0, 10**20):
+        assert bits(alpha) == want, alpha
+
+
+@pytest.mark.parametrize("mode,law,initial", _ALPHA_CASES)
+def test_records_are_alpha_times_the_unit_record(mode, law, initial):
+    """alpha enters only the readout: dn_qf is alpha times the record in
+    units of alpha, and the shift 2 alpha times the fed-back amplitude.  So
+    at alpha = 256 both are exactly twice those at 128, where the unit
+    record is dn_qf / 128 and the amplitude shift / 256 exactly, and at 100
+    and 10**20 they are alpha times those, rounded once."""
+    base, _ = _alpha_run(128.0, mode, law, initial, stats=False)
+    x, f = base.dn_qf / 128.0, base.shift / 256.0
+    assert np.any(x != 0.0) and np.any(f != 0.0) == law.enabled
+    for alpha in (100.0, 10**20):
+        rec, _ = _alpha_run(alpha, mode, law, initial, stats=False)
+        assert rec.dn_qf.tobytes() == (float(alpha) * x).tobytes(), alpha
+        assert rec.shift.tobytes() == (2.0 * float(alpha) * f).tobytes(), alpha
+    rec, _ = _alpha_run(256.0, mode, law, initial, stats=False)
+    assert rec.dn_qf.tobytes() == (2.0 * base.dn_qf).tobytes()
+    assert rec.shift.tobytes() == (2.0 * base.shift).tobytes()
 
 
 def _assert_same_record(a, b):
@@ -820,28 +904,38 @@ def test_zero_steps_records_only_the_initial_state():
 @pytest.mark.parametrize("hom", [EXACT_CFG, FO_CFG], ids=["exact", "first-order"])
 def test_delay_queue_shifts_arrive_late(monkeypatch, hom, delay):
     """With delay d the shift applied at step k is, bit for bit, 2*alpha
-    times the feedback field called for by the fluctuation recorded at
-    step k - d; a delay longer than the run (15 > 12 steps) never delivers
-    one.  At delays 3 and 7 a 40-step run in noise slabs of 5 steps checks
-    the same where windows straddle two slabs and where one opens on a
-    slab's first step (steps 15, 30 and 35), where the readout turns a
-    slab's recorded amplitudes into shifts."""
+    times the feedback field f pushed at step k - d, which each push of the
+    loop is captured as; a delay longer than the run (15 > 12 steps) never
+    delivers one.  At delays 3 and 7 a 40-step run in noise slabs of 5
+    steps checks the same where windows straddle two slabs and where one
+    opens on a slab's first step (steps 15, 30 and 35), where the readout
+    turns a slab's recorded amplitudes into shifts."""
     law = FeedbackLaw(theta_bar=math.pi / 3.0)
     runs = [(12, trajectory._SLAB_STEPS)]
     if delay in (3, 7):
         runs.append((40, 5))
+    push = trajectory.feedback_amplitude
     for steps, slab in runs:
+        # f[k], the amplitude pushed at step k; step 0 pushes none.
+        f = [None]
+
+        def capture(*args):
+            f.append(float(push(*args)[0]))
+            return args[-1]
+
         monkeypatch.setattr(trajectory, "_SLAB_STEPS", slab)
+        monkeypatch.setattr(trajectory, "feedback_amplitude", capture)
         cfg = SimConfig(
             homodyne=hom, law=law, initial=law.target,
             steps=steps, trajectories=1, master_seed=77, delay=delay, record_stride=1,
         )
         rec = run_trajectory(cfg, 0)
+        assert len(f) == steps + 1
         # rows are steps 0..steps; shifts are zero until the queue fills
         for k in range(1, min(delay, steps) + 1):
             assert rec.shift[k] == 0.0
         for k in range(delay + 1, steps + 1):
-            want = hom.two_alpha * feedback_amplitude(rec.dn_qf[k - delay], law, hom)
+            want = hom.two_alpha * f[k - delay]
             assert want != 0.0
             assert rec.shift[k] == want
 
@@ -1016,7 +1110,7 @@ def test_exact_step_is_weak_order_two(initial, bound):
         cfg = SimConfig(homodyne=hom, law=FeedbackLaw(enabled=False), initial=initial,
                         steps=1, trajectories=nodes.size)
         state, step, bloch, _ = trajectory._exact_kernel(cfg, nodes.size)
-        step(state, np.zeros((nodes.size, 1)), 0, hom.alpha_mag * nodes)
+        step(state, np.zeros((nodes.size, 1)), 0, nodes)
         mean = np.array([weights @ c for c in bloch(state)])
         want = master_evolve(rho, gt)
         defects.append(np.max(np.abs(mean - [want.ux, want.uy, want.uz])))
@@ -1064,9 +1158,10 @@ def test_law_on_exact_cycle_is_weak_order_two(theta_bar, initial):
         cfg = SimConfig(homodyne=hom, law=law, initial=initial, steps=1,
                         trajectories=nodes.size)
         state, step, bloch, _ = trajectory._exact_kernel(cfg, nodes.size)
-        dn_qf = step(state, np.zeros((nodes.size, 1)), 0, hom.alpha_mag * nodes)
-        shift = (2.0 * hom.alpha_mag) * feedback_amplitude(dn_qf, law, hom)
-        state = _rotate(*state, *_drive_factors(shift, hom))
+        # The kernel's records are in units of alpha, and so are its gains.
+        ops = trajectory._operands(cfg)
+        x = step(state, np.zeros((nodes.size, 1)), 0, nodes)
+        state = _rotate(*state, *_drive_factors(feedback_amplitude(x, ops, ops), ops))
         mean = np.array([weights @ c for c in bloch(state)])
         want = _feedback_master_evolve(initial, law.cos_theta_bar, gt)
         defects.append(np.max(np.abs(mean - want)))
@@ -1117,8 +1212,10 @@ def test_delayed_feedback_undoes_the_first_record(theta_bar):
         hom = HomodyneConfig(alpha_mag=100.0, gamma_tau=gt, mode=UpdateMode.EXACT)
         cfg = SimConfig(homodyne=hom, law=law, initial=t, steps=2, trajectories=2)
         state, step, bloch, _ = trajectory._exact_kernel(cfg, x1.size)
-        dn_qf = step(state, np.zeros((x1.size, 1)), 0, hom.alpha_mag * x1)
-        step(state, feedback_amplitude(dn_qf, law, hom)[:, None], 0, hom.alpha_mag * x2)
+        # The kernel's records are in units of alpha, and so are its gains.
+        ops = trajectory._operands(cfg)
+        x = step(state, np.zeros((x1.size, 1)), 0, x1)
+        step(state, feedback_amplitude(x, ops, ops)[:, None], 0, x2)
         sx, sy, sz = bloch(state)
         defect = w @ (((sx - t.sx) ** 2 + (sy - t.sy) ** 2 + (sz - t.sz) ** 2) / 4.0)
         ratio = defect / (gt * (1.0 + law.cos_theta_bar) ** 2 / 4.0)
